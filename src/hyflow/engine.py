@@ -19,12 +19,11 @@ from . import _round as rd
 from . import affine as af
 from . import expr as ex
 from .affine import NoiseAllocator
-from .errors import (BranchCapError, ConfigError, DomainError, HyflowError,
-                     IntegrationError, InvariantViolation, ModelError,
-                     ZenoError)
-from .events import (ChainOutcome, EdgeStatus, ZcCfg, chain_immediate,
-                     classify, cross, edge_cannot_fire, resolve_hull_only,
-                     separation_action, tight_interval)
+from .errors import (ConfigError, DomainError, HyflowError, IntegrationError,
+                     InvariantViolation, ModelError, ZenoError)
+from .events import (EdgeStatus, ZcCfg, chain_immediate, classify, cross,
+                     edge_cannot_fire, resolve_hull_only, separation_action,
+                     tight_interval)
 from .expr import HybridAutomaton, prepare_automaton
 from .integrator import (TABLES, FlowContext, IntegCfg, env_condense,
                          env_hull, guaranteed_step)
@@ -69,7 +68,6 @@ class SimConfig:
 
     def zc_cfg(self) -> ZcCfg:
         return ZcCfg(precision=self.zc_precision, max_chain=self.max_chain,
-                     branch_cap=self.branch_cap,
                      min_separation=self.min_separation,
                      max_extensions=self.max_extensions)
 
@@ -330,6 +328,8 @@ class _Engine:
                 if _ext == self.zcfg.max_extensions:
                     missed_branch = True
                     break
+                env_end = env_condense(env_end, cfg.condense_budget,
+                                       task.alloc)
                 out2 = guaranteed_step(ctx, env_end, h_ext, self.icfg,
                                        task.alloc,
                                        diag=f"(extending across guard of "

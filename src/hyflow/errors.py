@@ -42,10 +42,6 @@ class InvariantViolation(HyflowError):
     reformulated."""
 
 
-class BranchCapError(HyflowError):
-    """The disjunctive analysis exceeded the branch cap."""
-
-
 class ParseError(HyflowError):
     """Syntax or validation error in the input DSL, with source location."""
 

@@ -5,9 +5,13 @@ tight enclosures and the step hull. Crossing times are narrowed by ordered
 bisection over the guaranteed interpolant: the lower pass discards
 sub-spans where the guard is surely false, the upper pass discards spans
 where it is surely true, so every trajectory's first crossing time lies in
-the returned interval. Special cases (hull-only activations, simultaneous
-edges, immediate chains) degrade to disjunctive branches, never to silent
-continuations.
+the returned interval. One routine (`_boundary`) runs every pass of
+`tight_interval` and `resolve_hull_only`; it interpolates only the guard's
+free variables, and a verdict memo scoped to one call lets a second pass
+reuse the spans the first one evaluated (each pass still counts every span
+it visits against its budget, so the memo changes cost, never a result).
+Special cases (hull-only activations, simultaneous edges, immediate chains)
+degrade to disjunctive branches, never to silent continuations.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ class EdgeStatus(enum.Enum):
 class ZcCfg:
     precision: float = 1e-6
     max_chain: int = 16
-    branch_cap: int = 64
     min_separation: float = 1e-5
     max_extensions: int = 24
     max_bisection_evals: int = 600
@@ -108,9 +111,40 @@ def edge_cannot_fire(edge, flow, hull_env, alloc) -> bool:
     return af.compare(d, Rel.LE) is Trivalent.TRUE
 
 
-def _guard_on_span(gpoly: GPoly, guard, a: float, b: float, alloc) -> Trivalent:
-    env = eval_gpoly(gpoly, Interval(a, b), alloc)
-    return ex.eval_guard(guard, env, alloc)
+def _boundary(gpoly: GPoly, guard, a: float, b: float, precision: float,
+              alloc: NoiseAllocator, max_evals: int, memo: dict, *,
+              discard: Trivalent, from_left: bool) -> float | None:
+    """Ordered bisection of [a, b]: the first point, scanning from the left
+    (else from the right), of a span whose guard verdict is not `discard`.
+
+    A span stops the scan when its verdict is the other definite one, when
+    it is no wider than `precision`, or when the pass has visited
+    `max_evals` spans. Returns None when every span is discarded. `memo`
+    maps (a, b) to the verdict over that span.
+    """
+    names = ex.guard_free_vars(guard)
+    work = deque([(a, b)])
+    evals = 0
+    while work:
+        a, b = work.popleft() if from_left else work.pop()
+        tri = memo.get((a, b))
+        if tri is None:
+            env = eval_gpoly(gpoly, Interval(a, b), alloc, names=names)
+            tri = memo[(a, b)] = ex.eval_guard(guard, env, alloc)
+        evals += 1
+        if tri is discard:
+            continue
+        if (tri is not Trivalent.UNKNOWN or (b - a) <= precision
+                or evals >= max_evals):
+            return a if from_left else b
+        m = 0.5 * (a + b)
+        if from_left:
+            work.appendleft((m, b))
+            work.appendleft((a, m))
+        else:
+            work.append((a, m))
+            work.append((m, b))
+    return None
 
 
 def tight_interval(gpoly: GPoly, guard, span: Interval, precision: float,
@@ -122,40 +156,17 @@ def tight_interval(gpoly: GPoly, guard, span: Interval, precision: float,
     depend on the evaluation budget; exhausting it only widens the result.
     """
     lo, hi = span.lo, span.hi
+    memo: dict = {}
     # lower pass: leftmost point not provably false
-    work = deque([(lo, hi)])
-    lower = hi
-    evals = 0
-    while work:
-        a, b = work.popleft()
-        tri = _guard_on_span(gpoly, guard, a, b, alloc)
-        evals += 1
-        if tri is Trivalent.FALSE:
-            continue
-        if tri is Trivalent.TRUE or (b - a) <= precision or evals >= max_evals:
-            lower = a
-            break
-        m = 0.5 * (a + b)
-        work.appendleft((m, b))
-        work.appendleft((a, m))
+    lower = _boundary(gpoly, guard, lo, hi, precision, alloc, max_evals,
+                      memo, discard=Trivalent.FALSE, from_left=True)
     # upper pass: rightmost point not provably true
-    work = deque([(lo, hi)])
-    upper = lo
-    evals = 0
-    while work:
-        a, b = work.pop()
-        tri = _guard_on_span(gpoly, guard, a, b, alloc)
-        evals += 1
-        if tri is Trivalent.TRUE:
-            continue
-        if tri is Trivalent.FALSE or (b - a) <= precision or evals >= max_evals:
-            upper = b
-            break
-        m = 0.5 * (a + b)
-        work.append((a, m))
-        work.append((m, b))
+    upper = _boundary(gpoly, guard, lo, hi, precision, alloc, max_evals,
+                      memo, discard=Trivalent.TRUE, from_left=False)
+    lower = hi if lower is None else lower
+    upper = lo if upper is None else upper
     if lower > upper:  # numeric safety: keep a sound, possibly wider interval
-        lower, upper = min(lower, upper), max(lower, upper)
+        lower, upper = upper, lower
     return Interval(lower, upper)
 
 
@@ -178,42 +189,15 @@ def resolve_hull_only(gpoly: GPoly, guard, span: Interval, precision: float,
     could not be refuted.
     """
     lo, hi = span.lo, span.hi
-    work = deque([(lo, hi)])
-    lower = None
-    evals = 0
-    while work:
-        a, b = work.popleft()
-        tri = _guard_on_span(gpoly, guard, a, b, alloc)
-        evals += 1
-        if tri is Trivalent.FALSE:
-            continue
-        if tri is Trivalent.TRUE or (b - a) <= precision:
-            lower = a
-            break
-        if evals >= max_evals:
-            lower = a  # give up proving: treat as a possible crossing
-            break
-        m = 0.5 * (a + b)
-        work.appendleft((m, b))
-        work.appendleft((a, m))
+    memo: dict = {}
+    lower = _boundary(gpoly, guard, lo, hi, precision, alloc, max_evals,
+                      memo, discard=Trivalent.FALSE, from_left=True)
     if lower is None:
         return "none", None
     # latest time not provably false bounds the possible crossing window
-    work = deque([(lower, hi)])
-    upper = hi
-    evals = 0
-    while work:
-        a, b = work.pop()
-        tri = _guard_on_span(gpoly, guard, a, b, alloc)
-        evals += 1
-        if tri is Trivalent.FALSE:
-            continue
-        if tri is Trivalent.TRUE or (b - a) <= precision or evals >= max_evals:
-            upper = b
-            break
-        m = 0.5 * (a + b)
-        work.append((a, m))
-        work.append((m, b))
+    upper = _boundary(gpoly, guard, lower, hi, precision, alloc, max_evals,
+                      memo, discard=Trivalent.FALSE, from_left=False)
+    upper = hi if upper is None else upper
     return "branch", Interval(lower, max(lower, upper))
 
 

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from hyflow import benchmarks, engine
 from hyflow import expr as ex
 from hyflow.affine import Rel
 from hyflow.engine import Flowpipe, SimConfig, simulate, validate_monte_carlo
@@ -172,3 +173,20 @@ def test_width_discipline_on_contractive_system():
     pipe = simulate(ha, SimConfig(t_f=5.0, dt=0.05, max_dt=0.25, tol=1e-6))
     segs = segments(pipe)
     assert segs[-1].tight["x"].width <= segs[0].tight["x"].width
+
+
+def test_crossing_extension_steps_start_condensed(monkeypatch):
+    # watertank's first crossing extends its step across the guard; every
+    # step, extensions included, must start within the condense budget
+    sizes = []
+    step = engine.guaranteed_step
+
+    def recording(ctx, env, *args, **kwargs):
+        sizes.append(max(len(f.dev) for f in env.values()))
+        return step(ctx, env, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "guaranteed_step", recording)
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY["watertank"], duration=3.0)
+    pipe = simulate(ha, cfg)
+    assert pipe.complete and pipe.stats["crossings"] >= 1
+    assert max(sizes) <= cfg.condense_budget

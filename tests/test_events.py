@@ -7,6 +7,7 @@ import math
 import pytest
 
 from hyflow import affine as af
+from hyflow import benchmarks
 from hyflow import events as ev
 from hyflow import expr as ex
 from hyflow import integrator as gi
@@ -18,6 +19,7 @@ from hyflow.events import EdgeStatus, ZcCfg
 from hyflow.expr import Edge, HybridAutomaton, Reset
 from hyflow.integrator import ODE23, FlowContext, IntegCfg
 from hyflow.interval import Interval
+from hyflow.trivalent import Trivalent
 
 
 def boxes(alloc, **kw):
@@ -91,16 +93,20 @@ def test_tight_interval_ball_bounce():
     assert t_zc.width <= 2.5e-6
 
 
-def test_tight_interval_linear_root():
+def linear_root_gpoly():
     # x' = 1 from x = -1: guard x > 0 crosses at local time 1
-    x = ex.var("x")
     ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
     alloc = NoiseAllocator()
     env0 = {"x": AffineForm(-1.0)}
     out = gi.guaranteed_step(ctx, env0, 2.0, IntegCfg(tol=1.0, h_max=2.0), alloc)
     g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
-    guard = ex.comparison(x, Rel.GT, ex.ZERO)
-    t_zc = ev.tight_interval(g, guard, Interval(0.0, out.h_used), 1e-9, alloc)
+    return g, alloc, out.h_used
+
+
+def test_tight_interval_linear_root():
+    g, alloc, span = linear_root_gpoly()
+    guard = ex.comparison(ex.var("x"), Rel.GT, ex.ZERO)
+    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), 1e-9, alloc)
     assert t_zc.lo <= 1.0 <= t_zc.hi
     assert t_zc.width <= 1e-6
 
@@ -129,20 +135,24 @@ def test_resolve_hull_only_refutes_spurious():
     assert verdict == "none" and window is None
 
 
-def test_resolve_hull_only_detects_graze():
+def graze_gpoly():
     # parabola dipping to exactly zero inside the span: y'' = 2, y(0)=eps
-    y, v = ex.var("y"), ex.var("v")
-    ctx = FlowContext(("y", "v"), {"y": v, "v": ex.const(2.0)}, ODE23)
+    ctx = FlowContext(("y", "v"), {"y": ex.var("v"), "v": ex.const(2.0)},
+                      ODE23)
     alloc = NoiseAllocator()
-    eps = 1e-6
-    env0 = {"y": AffineForm(eps), "v": AffineForm(-2e-3)}
+    env0 = {"y": AffineForm(1e-6), "v": AffineForm(-2e-3)}
     out = gi.guaranteed_step(ctx, env0, 2e-3, IntegCfg(tol=1.0, h_max=1.0), alloc)
     g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
-    guard = ex.comparison(y, Rel.LT, ex.ZERO)
-    verdict, window = ev.resolve_hull_only(g, guard, Interval(0.0, out.h_used),
+    return g, alloc, out.h_used
+
+
+def test_resolve_hull_only_detects_graze():
+    g, alloc, span = graze_gpoly()
+    guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
+    verdict, window = ev.resolve_hull_only(g, guard, Interval(0.0, span),
                                            1e-7, alloc)
     assert verdict == "branch"
-    assert window.lo >= 0.0 and window.hi <= out.h_used
+    assert window.lo >= 0.0 and window.hi <= span
 
 
 def test_separation_action():
@@ -233,3 +243,90 @@ def test_edge_cannot_fire_certificate():
     assert ev.edge_cannot_fire(edge, flow, hull_up, alloc)
     hull_down = boxes(alloc, y=(0.0, 1.0), v=(-12.0, -2.0))
     assert not ev.edge_cannot_fire(edge, flow, hull_down, alloc)
+
+
+def plain_boundary(gpoly, guard, a, b, precision, alloc, max_evals, discard,
+                   from_left):
+    """Reference pass: the unshared bisection loop, every span evaluated
+    afresh on every variable."""
+    work = [(a, b)]
+    evals = 0
+    while work:
+        a, b = work.pop(0) if from_left else work.pop()
+        env = gp.eval_gpoly(gpoly, Interval(a, b), alloc)
+        tri = ex.eval_guard(guard, env, alloc)
+        evals += 1
+        if tri is discard:
+            continue
+        if (tri is not Trivalent.UNKNOWN or (b - a) <= precision
+                or evals >= max_evals):
+            return a if from_left else b
+        m = 0.5 * (a + b)
+        if from_left:
+            work[0:0] = [(a, m), (m, b)]
+        else:
+            work += [(a, m), (m, b)]
+    return None
+
+
+def plain_tight_interval(g, guard, span, precision, alloc, max_evals):
+    lower = plain_boundary(g, guard, span.lo, span.hi, precision, alloc,
+                           max_evals, Trivalent.FALSE, True)
+    upper = plain_boundary(g, guard, span.lo, span.hi, precision, alloc,
+                           max_evals, Trivalent.TRUE, False)
+    lower = span.hi if lower is None else lower
+    upper = span.lo if upper is None else upper
+    return Interval(min(lower, upper), max(lower, upper))
+
+
+def plain_resolve_hull_only(g, guard, span, precision, alloc, max_evals):
+    lower = plain_boundary(g, guard, span.lo, span.hi, precision, alloc,
+                           max_evals, Trivalent.FALSE, True)
+    if lower is None:
+        return "none", None
+    upper = plain_boundary(g, guard, lower, span.hi, precision, alloc,
+                           max_evals, Trivalent.FALSE, False)
+    upper = span.hi if upper is None else upper
+    return "branch", Interval(lower, max(lower, upper))
+
+
+@pytest.mark.parametrize("max_evals", [600, 7])
+def test_shared_bisection_matches_plain_two_pass(max_evals):
+    below = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
+    g, alloc, span, _ = ball_gpoly()
+    for precision in (1e-6, 1e-3):
+        args = (g, below, Interval(0.0, span), precision, alloc, max_evals)
+        assert ev.tight_interval(*args) == plain_tight_interval(*args)
+    g, alloc, span = linear_root_gpoly()
+    args = (g, ex.comparison(ex.var("x"), Rel.GT, ex.ZERO),
+            Interval(0.0, span), 1e-9, alloc, max_evals)
+    assert ev.tight_interval(*args) == plain_tight_interval(*args)
+    hull_only_cases = [(*graze_gpoly(), 1e-7),
+                       (*ball_gpoly(t_lo=0.0, span=0.2)[:3], 1e-6)]
+    for g, alloc, span, precision in hull_only_cases:
+        args = (g, below, Interval(0.0, span), precision, alloc, max_evals)
+        assert ev.resolve_hull_only(*args) == plain_resolve_hull_only(*args)
+
+
+def test_thermostat_narrows_in_few_interpolant_evaluations(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gp.eval_gpoly(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "eval_gpoly", counted)
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY["thermostat"])
+    pipe = simulate(ha, cfg)
+    assert pipe.complete and pipe.stats["crossings"] > 0
+    assert len(calls) <= 60 * pipe.stats["crossings"]
+
+
+def test_bouncing_ball_first_window_holds_registry_reference():
+    entry = benchmarks.REGISTRY["bouncing_ball"]
+    assert entry.reference["first_bounce"] == "sqrt(20/9.81)"
+    ha, cfg = benchmarks.load(entry, duration=2.0)
+    pipe = simulate(ha, cfg)
+    assert pipe.complete
+    t_zc, _label = pipe.branches[0].crossings[0]
+    assert t_zc.lo <= math.sqrt(20.0 / 9.81) <= t_zc.hi

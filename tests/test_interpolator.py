@@ -141,3 +141,51 @@ def test_general_basis_equals_tau_form_cubic():
             scale = max(1.0, abs(ref))
             assert got.lo - 1e-12 * scale <= ref <= got.hi + 1e-12 * scale
             assert got.width <= 1e-10 * scale
+
+
+def rotation_step(h=0.1):
+    """Three coupled variables with box nodes: a guard reading one of them
+    must see exactly what a full evaluation gives it."""
+    x, y, z = ex.var("x"), ex.var("y"), ex.var("z")
+    ctx = FlowContext(("x", "y", "z"),
+                      {"x": ex.neg(y), "y": x, "z": ex.add(x, ex.neg(z))},
+                      ODE23)
+    alloc = NoiseAllocator()
+    env0 = {v: af.from_interval(Interval(c, c + 0.01), alloc)
+            for v, c in (("x", 1.0), ("y", 0.0), ("z", 0.5))}
+    out = gi.guaranteed_step(ctx, env0, h, IntegCfg(tol=1.0, h_max=1.0), alloc)
+    g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    return g, alloc, out.h_used
+
+
+def test_named_subset_is_bitwise_the_full_evaluation():
+    g, alloc, h = rotation_step()
+    for t in (Interval(0.0, h), Interval(0.3 * h, 0.4 * h),
+              Interval(h / 2, h / 2)):
+        full = gp.eval_gpoly(g, t, alloc)
+        for names in ({"x"}, {"z"}, {"y", "z"}):
+            part = gp.eval_gpoly(g, t, alloc, names=names)
+            assert set(part) == names
+            for v in names:
+                a, b = af.to_interval(part[v]), af.to_interval(full[v])
+                assert (a.lo, a.hi) == (b.lo, b.hi), (v, t)
+
+
+def creep_width(x0, h=0.1, rate=1e-6):
+    """Width of the interpolant over its whole span for x' = rate from a
+    1e-12-wide box at x0: the trajectories move by rate * h at most."""
+    ctx = FlowContext(("x",), {"x": ex.const(rate)}, ODE23)
+    alloc = NoiseAllocator()
+    env0 = {"x": af.from_interval(Interval(x0, x0 + 1e-12), alloc)}
+    out = gi.guaranteed_step(ctx, env0, h, IntegCfg(tol=1.0, h_max=1.0), alloc)
+    g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    got = gp.eval_gpoly(g, Interval(0.0, out.h_used), alloc)["x"]
+    return af.to_interval(got).width
+
+
+def test_width_scales_with_node_differences_not_magnitude():
+    near_zero, near_1000 = creep_width(0.0), creep_width(1000.0)
+    # the reachable range is 1e-7 wide; a sum of A_i * x_i would add about
+    # |x| times the basis linearisation error on top
+    assert near_zero <= 1e-6
+    assert near_1000 <= 2.0 * near_zero + 1e-9
