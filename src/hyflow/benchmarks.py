@@ -1,18 +1,20 @@
 """Built-in benchmark models.
 
-Single-location models ship as DSL text, multi-location ones as JSON.
-Entries marked `reconstruction` have dynamics or parameters that the
-published descriptions leave unspecified (documented stand-ins with the
-stated location/variable counts); their numbers are chosen so the default
-configuration completes with full Monte-Carlo containment.
+Single-location models ship as DSL text, multi-location ones as JSON, and
+each sets its own configuration in that text. Entries marked
+`reconstruction` have dynamics or parameters that the published
+descriptions leave unspecified (documented stand-ins with the stated
+location/variable counts). Not every entry completes at its default
+configuration with full Monte-Carlo containment: `tests/test_registry.py`
+lists which do, and the cause for each one that does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import SimConfig
 from .dsl import lower_to_automaton, parse_dsl
-from .engine import SimConfig
 from .jsonmodel import parse_json_automaton
 
 BRUSSELATOR = """\
@@ -20,14 +22,13 @@ set duration = 15;
 set dt = 0.02;
 set max_dt = 0.1;
 set tol = 1e-6;
+set split = 3;
 
 init x = [0.9, 1.];
 init y = [0., 0.1];
 
 x' = 1 + x^2*y - 2.5*x;
 y' = 1.5*x - x^2*y;
-
-output(x, y);
 """
 
 CAR = """\
@@ -36,7 +37,6 @@ set duration = 30;
 set dt = 0.02;
 set max_dt = 0.1;
 set tol = 1e-6;
-set scope_xy = true;
 
 init x = 0;
 init y = 0;
@@ -46,8 +46,6 @@ v = 1;
 x' = v*cos(0.2*t)*cos(theta);
 y' = v*cos(0.2*t)*sin(theta);
 theta' = v*sin(0.2*t)/5;
-
-output(x, y);
 """
 
 WINDY_BALL = """\
@@ -57,7 +55,6 @@ set dt = 0.02;
 set max_dt = 0.05;
 set tol = 1e-6;
 set zc_precision = 1e-6;
-set scope_xy = true;
 
 init x = 0;
 init y = [15, 15.01];
@@ -69,15 +66,12 @@ y' = vy;
 vy' = -g;
 
 on y <= 0 do { print("Bouncing!\\n"); vy = -0.8*vy };
-
-output(x, y);
 """
 
 PENDULUM = """\
 set duration = 3.8;
 set dt = 0.05;
 set max_dt = 0.1;
-set scope_xy = true;
 
 init theta = [1.,1.05];
 init dtheta = 0.;
@@ -90,8 +84,6 @@ dtheta' = -g/l*sin(theta);
 t' = 1;
 
 on sin(theta) <= -0.5 do { print("Bouncing!\\n"); dtheta = -dtheta };
-
-output(t,theta);
 """
 
 SINUSOIDAL_BALL = """\
@@ -101,7 +93,6 @@ set dt = 0.02;
 set max_dt = 0.05;
 set tol = 1e-6;
 set zc_precision = 1e-6;
-set scope_xy = true;
 
 init vx = 0;
 init x = 1.6;
@@ -122,8 +113,6 @@ on y < sin(x) do {
   vy = e*((vx + vy*cos(x))/(1 + cos(x)^2)*cos(x) - vy);
   y = sin(x)
 };
-
-output(x, y);
 """
 
 BOUNCING_BALL = """\
@@ -141,8 +130,6 @@ y' = v;
 v' = -g;
 
 on y <= 0 do { print("Bounce!\\n"); v = -c*v };
-
-output(t, y);
 """
 
 VAN_DER_POL = """\
@@ -156,8 +143,6 @@ init y = [2.35, 2.4];
 
 x' = y;
 y' = (1 - x^2)*y - x;
-
-output(x, y);
 """
 
 LORENZ = """\
@@ -178,8 +163,6 @@ beta = 8/3;
 x' = sigma*(y - x);
 y' = x*(rho - z) - y;
 z' = x*y - beta*z;
-
-output(x, z);
 """
 
 WOLFGRAM = """\
@@ -197,7 +180,7 @@ WOLFGRAM = """\
   ],
   "init": {"location": "inside", "box": {"x": [0.3, 0.31], "t": [0, 0]}},
   "config": {"duration": 1.0, "dt": 0.01, "max_dt": 0.05, "tol": 1e-7,
-             "zc_precision": 1e-6, "plot": ["t", "x"]}
+             "zc_precision": 1e-6}
 }
 """
 
@@ -213,8 +196,7 @@ THERMOSTAT = """\
     {"from": "cool", "to": "heat", "guard": "T <= 19", "label": "cold"}
   ],
   "init": {"location": "heat", "box": {"T": [20.0, 20.1]}},
-  "config": {"duration": 15.0, "dt": 0.02, "max_dt": 0.1, "tol": 1e-6,
-             "plot": ["time", "T"]}
+  "config": {"duration": 15.0, "dt": 0.02, "max_dt": 0.1, "tol": 1e-6}
 }
 """
 
@@ -237,8 +219,7 @@ WATERTANK = """\
   "init": {"location": "fill",
            "box": {"x1": [6.0, 6.1], "x2": [2, 2], "q": [2, 2], "m": [0, 0],
                    "t": [0, 0]}},
-  "config": {"duration": 30.0, "dt": 0.02, "max_dt": 0.1, "tol": 1e-6,
-             "plot": ["t", "x1"]}
+  "config": {"duration": 30.0, "dt": 0.02, "max_dt": 0.1, "tol": 1e-6}
 }
 """
 
@@ -254,8 +235,7 @@ HYBRID3D = """\
   ],
   "init": {"location": "spin",
            "box": {"x": [1.0, 1.01], "y": [0, 0], "z": [0.5, 0.5]}},
-  "config": {"duration": 2.0, "dt": 0.02, "max_dt": 0.05, "tol": 1e-6,
-             "plot": ["x", "y"]}
+  "config": {"duration": 2.0, "dt": 0.02, "max_dt": 0.05, "tol": 1e-6}
 }
 """
 
@@ -274,8 +254,7 @@ DIODE_OSCILLATOR = """\
     {"from": "recover", "to": "charge", "guard": "w <= 0.4", "label": "rested"}
   ],
   "init": {"location": "charge", "box": {"v": [1.0, 1.02], "w": [1, 1]}},
-  "config": {"duration": 20.0, "dt": 0.02, "max_dt": 0.1, "tol": 1e-6,
-             "plot": ["time", "v"]}
+  "config": {"duration": 20.0, "dt": 0.02, "max_dt": 0.1, "tol": 1e-6}
 }
 """
 
@@ -288,7 +267,6 @@ class BenchmarkEntry:
     description: str
     reconstruction: bool = False
     reference: dict = field(default_factory=dict)
-    overrides: dict = field(default_factory=dict)  # engine knobs (e.g. split)
 
 
 REGISTRY = {
@@ -296,8 +274,7 @@ REGISTRY = {
     for e in [
         BenchmarkEntry(
             "brusselator", "dsl", BRUSSELATOR,
-            "planar oscillating reaction, box initial set, t=15",
-            overrides={"split": 3}),
+            "planar oscillating reaction, box initial set, t=15"),
         BenchmarkEntry(
             "car", "dsl", CAR,
             "kinematic car with periodic steering, t=30",
@@ -352,32 +329,11 @@ REGISTRY = {
 }
 
 
-def make_config(settings: dict, **overrides) -> SimConfig:
-    """Engine configuration from frontend settings plus CLI overrides."""
-    merged = dict(settings)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    if "duration" not in merged:
-        raise ValueError("model sets no duration and none was given")
-    kw = {"t_f": float(merged["duration"])}
-    for k in ("dt", "max_dt", "tol", "zc_precision"):
-        if k in merged:
-            kw[k] = float(merged[k])
-    if "scheme" in merged:
-        kw["scheme"] = merged["scheme"]
-    if "split" in merged:
-        kw["split"] = int(merged["split"])
-    if "plot" in merged:
-        kw["plot"] = tuple(merged["plot"])
-    return SimConfig(**kw)
-
-
 def load(entry: BenchmarkEntry, **overrides):
-    """BenchmarkEntry -> (HybridAutomaton, SimConfig)."""
+    """BenchmarkEntry -> (HybridAutomaton, SimConfig); `overrides` replace
+    the entry's own settings."""
     if entry.kind == "dsl":
         ha, settings = lower_to_automaton(parse_dsl(entry.text))
     else:
         ha, settings = parse_json_automaton(entry.text)
-    if "scope_xy" in settings:
-        settings.pop("scope_xy")
-    settings.update(entry.overrides)
-    return ha, make_config(settings, **overrides)
+    return ha, SimConfig(**{**settings, **overrides})

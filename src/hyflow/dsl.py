@@ -2,35 +2,36 @@
 
 The input language covers single-location hybrid models:
 
-    set duration = 3.8;            # also dt, max_dt, tol, zc_precision,
-    set scope_xy = true;           # scheme, scope_xy
+    set duration = 3.8;            # settings are the fields of SimConfig:
+    set scheme = rk4;              # duration, dt, max_dt, tol, zc_precision,
+    set split = 2;                 # scheme and split
     init theta = [1., 1.05];       # interval or scalar initial values
     g = 9.81;                      # constants (inlined during lowering)
     theta' = dtheta;               # flow equations
     on sin(theta) <= -0.5 do { print("Bounce!\n"); dtheta = -dtheta };
-    output(t, theta);
 
 Expressions use the usual precedence with functions sin, cos, exp, sqrt,
 log, abs and integer powers via '^'. Every parse error carries the source
-span. Multi-location models use the JSON format instead (see jsonmodel).
+span; a setting value that `config.check_setting` rejects is reported at its
+`set` statement. Multi-location models use the JSON format instead (see
+jsonmodel).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import expr as ex
 from .affine import Rel
-from .errors import ModelError, ParseError
+from .config import FIELD_TYPES, check_setting
+from .errors import ConfigError, ModelError, ParseError
 from .expr import Edge, HybridAutomaton, Reset
 from .interval import Interval
 
-KEYWORDS = {"set", "init", "on", "do", "output", "true", "false",
-            "and", "or", "not", "print"}
+KEYWORDS = {"set", "init", "on", "do", "and", "or", "not", "print"}
 FUNCTIONS = {"sin": ex.sin, "cos": ex.cos, "exp": ex.exp, "sqrt": ex.sqrt,
              "log": ex.log, "abs": ex.abs_}
-SETTINGS = {"duration", "dt", "max_dt", "tol", "zc_precision", "scheme",
-            "scope_xy"}
 
 _SYMBOLS = ("<=", ">=", "==", "<", ">", "=", ";", "'", "{", "}", "(", ")",
             "[", "]", ",", "+", "-", "*", "/", "^")
@@ -97,6 +98,8 @@ def tokenize(text: str):
                 val = float(raw)
             except ValueError:
                 raise ParseError(f"malformed number '{raw}'", span) from None
+            if not math.isfinite(val):
+                raise ParseError(f"number '{raw}' overflows a float", span)
             tokens.append(Token("number", raw, span, val))
             col += j - i
             i = j
@@ -161,7 +164,6 @@ class DslModel:
     constants: dict = field(default_factory=dict)   # name -> Expr
     flows: dict = field(default_factory=dict)       # name -> Expr
     events: list = field(default_factory=list)
-    outputs: tuple | None = None
 
 
 class _Parser:
@@ -360,28 +362,23 @@ class _Parser:
                 self.next()
                 name_tok = self.expect_ident("setting name")
                 name = name_tok.text
-                if name not in SETTINGS:
+                kind = FIELD_TYPES.get(name)
+                if kind is None:
                     raise ParseError(f"unknown setting '{name}'",
-                                     name_tok.span,
-                                     expected=sorted(SETTINGS))
+                                     name_tok.span, expected=list(FIELD_TYPES))
                 if name in m.settings:
                     raise ParseError(f"duplicate setting '{name}'",
                                      name_tok.span)
                 self.expect_symbol("=")
-                v = self.peek()
-                if name == "scope_xy":
-                    if v.kind == "ident" and v.text in ("true", "false"):
-                        self.next()
-                        m.settings[name] = v.text == "true"
-                    else:
-                        raise ParseError(f"found {v.text!r}", v.span,
-                                         expected=["true", "false"])
-                elif name == "scheme":
-                    ident = self.expect_ident("scheme name")
-                    m.settings[name] = ident.text
+                if kind is str:
+                    value = self.expect_ident(f"{name} name").text
                 else:
-                    m.settings[name] = self.parse_signed_number()
+                    value = self.parse_signed_number()
                 self.expect_symbol(";")
+                try:
+                    m.settings[name] = check_setting(name, value)
+                except ConfigError as e:
+                    raise ParseError(str(e), t.span) from None
                 continue
             if t.kind == "ident" and t.text == "init":
                 self.next()
@@ -442,18 +439,6 @@ class _Parser:
                 m.events.append(DslEvent(guard, tuple(assigns), tuple(prints),
                                          t.span))
                 continue
-            if t.kind == "ident" and t.text == "output":
-                self.next()
-                self.expect_symbol("(")
-                a = self.expect_ident("variable name")
-                self.expect_symbol(",")
-                b = self.expect_ident("variable name")
-                self.expect_symbol(")")
-                self.expect_symbol(";")
-                if m.outputs is not None:
-                    raise ParseError("duplicate output declaration", t.span)
-                m.outputs = (a.text, b.text)
-                continue
             if t.kind == "ident":
                 name_tok = self.next()
                 if name_tok.text in KEYWORDS:
@@ -477,8 +462,7 @@ class _Parser:
                                  expected=["'", "="])
             raise ParseError(f"found {t.text!r}" if t.kind != "eof"
                              else "unexpected end of input", t.span,
-                             expected=["set", "init", "on", "output",
-                                       "declaration"])
+                             expected=["set", "init", "on", "declaration"])
         return m
 
 
@@ -515,9 +499,7 @@ def pretty_print(m: DslModel) -> str:
     out = []
     for k in sorted(m.settings):
         v = m.settings[k]
-        if isinstance(v, bool):
-            out.append(f"set {k} = {'true' if v else 'false'};")
-        elif isinstance(v, str):
+        if isinstance(v, str):
             out.append(f"set {k} = {v};")
         else:
             out.append(f"set {k} = {_fmt_num(v)};")
@@ -534,8 +516,6 @@ def pretty_print(m: DslModel) -> str:
         stmts = [f'print("{p_escape(s)}")' for s in evt.prints]
         stmts += [f"{n} = {ex.to_text(e)}" for n, e in evt.assigns]
         out.append(f"on {ex.guard_to_text(evt.guard)} do {{ {'; '.join(stmts)} }};")
-    if m.outputs:
-        out.append(f"output({m.outputs[0]}, {m.outputs[1]});")
     return "\n".join(out) + "\n"
 
 
@@ -580,7 +560,8 @@ def _subst_guard(g, mapping):
 
 
 def lower_to_automaton(m: DslModel):
-    """DslModel -> (HybridAutomaton with one location, engine settings dict).
+    """DslModel -> (HybridAutomaton with one location, settings dict of
+    SimConfig keyword arguments).
 
     Constants are inlined, an implicit clock is added when `t` is referenced
     without a declared flow, and event clauses become guarded self-loops.
@@ -627,7 +608,4 @@ def lower_to_automaton(m: DslModel):
         edges.append(Edge(loc, loc, g, Reset(reset, prints), f"event{k}"))
     ha = HybridAutomaton(variables, {loc: flows}, edges, loc,
                          {v: inits[v] for v in variables})
-    settings = dict(m.settings)
-    if m.outputs:
-        settings["plot"] = m.outputs
-    return ha, settings
+    return ha, dict(m.settings)

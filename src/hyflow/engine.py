@@ -21,55 +21,22 @@ from . import expr as ex
 from .affine import NoiseAllocator
 from .errors import (ConfigError, DomainError, HyflowError, IntegrationError,
                      InvariantViolation, ModelError, ZenoError)
-from .events import (EdgeStatus, ZcCfg, chain_immediate, classify, cross,
-                     edge_cannot_fire, resolve_hull_only, separation_action,
-                     tight_interval)
+from .config import SimConfig
+from .events import (MAX_CHAIN, MAX_EXTENSIONS, EdgeStatus, chain_immediate,
+                     classify, cross, edge_cannot_fire, resolve_hull_only,
+                     separation_action, tight_interval)
 from .expr import HybridAutomaton, prepare_automaton
-from .integrator import (TABLES, FlowContext, IntegCfg, env_condense,
-                         env_hull, guaranteed_step)
+from .integrator import (TABLES, FlowContext, env_condense, env_hull,
+                         guaranteed_step)
 from .interpolator import build_gpoly
 from .interval import Interval
 from .reference import ReferenceSimulator
 from .trivalent import Trivalent
 
-
-@dataclass
-class SimConfig:
-    t_f: float
-    t0: float = 0.0
-    dt: float = 0.02
-    max_dt: float = 0.1
-    tol: float = 1e-6
-    zc_precision: float = 1e-6
-    scheme: str = "ode23"
-    h_min: float = 1e-6
-    condense_budget: int = 100
-    hull_condense: int = 30
-    branch_cap: int = 64
-    max_chain: int = 16
-    min_separation: float = 1e-5
-    max_extensions: int = 24
-    max_steps: int = 100_000
-    split: int = 1  # initial-box subdivisions per wide variable
-    plot: tuple | None = None  # (x axis or "time", y axis) emission hint
-
-    def __post_init__(self):
-        if not self.t0 < self.t_f:
-            raise ConfigError(f"need t0 < t_f (got {self.t0} >= {self.t_f})")
-        if self.scheme not in TABLES:
-            raise ConfigError(f"unknown scheme '{self.scheme}'")
-        if self.dt <= 0 or self.max_dt <= 0:
-            raise ConfigError("step sizes must be positive")
-        if self.split < 1:
-            raise ConfigError("split must be >= 1")
-
-    def integ_cfg(self) -> IntegCfg:
-        return IntegCfg(tol=self.tol, h_min=self.h_min, h_max=self.max_dt)
-
-    def zc_cfg(self) -> ZcCfg:
-        return ZcCfg(precision=self.zc_precision, max_chain=self.max_chain,
-                     min_separation=self.min_separation,
-                     max_extensions=self.max_extensions)
+CONDENSE_BUDGET = 100  # noise symbols per variable kept at each step start
+HULL_CONDENSE = 30     # noise symbols per variable of an interpolant's hull
+BRANCH_CAP = 64        # branches, finished plus queued, before BranchCap
+MAX_STEPS = 100_000    # steps per branch before it aborts
 
 
 @dataclass
@@ -150,8 +117,6 @@ class _Engine:
     def __init__(self, ha: HybridAutomaton, cfg: SimConfig):
         self.ha = ha
         self.cfg = cfg
-        self.icfg = cfg.integ_cfg()
-        self.zcfg = cfg.zc_cfg()
         table = TABLES[cfg.scheme]
         self.ctxs = {loc: FlowContext(ha.variables, flow, table)
                      for loc, flow in ha.flows.items()}
@@ -179,10 +144,10 @@ class _Engine:
         """Run the immediate-transition chain; returns a list of
         (location, env, prints, disarmed) alternatives (one when the chain
         is unambiguous)."""
-        if depth > self.zcfg.max_chain:
+        if depth > MAX_CHAIN:
             raise ZenoError("immediate-transition chain kept branching")
         out = chain_immediate(self.ha, location, env, entered_by, task.alloc,
-                              self.zcfg, tolerate)
+                              tolerate)
         if out.branch_options is None:
             return [(out.location, out.env, prints + out.prints, out.disarmed)]
         results = []
@@ -195,7 +160,7 @@ class _Engine:
 
     def _gpoly(self, task, env_start, env_end, span, hull_env):
         ctx = self.ctxs[task.location]
-        hull_c = env_condense(hull_env, self.cfg.hull_condense, task.alloc)
+        hull_c = env_condense(hull_env, HULL_CONDENSE, task.alloc)
         return build_gpoly(ctx, [(0.0, env_start), (span, env_end)], span,
                            hull_c, task.alloc)
 
@@ -214,16 +179,16 @@ class _Engine:
         cfg, ha = self.cfg, self.ha
         try:
             while True:
-                if task.t.lo > cfg.t_f:
+                if task.t.lo > cfg.duration:
                     task.segments.append(self._segment(task, task.env, task.t))
                     self._finish(task, True)
                     return
-                if task.steps >= cfg.max_steps:
+                if task.steps >= MAX_STEPS:
                     self._finish(task, False, "step budget exhausted")
                     return
                 ctx = self.ctxs[task.location]
                 out = guaranteed_step(
-                    ctx, task.env, task.h, self.icfg, task.alloc,
+                    ctx, task.env, task.h, cfg, task.alloc,
                     diag=f"(t >= {task.t.lo:.6g}, location '{task.location}')")
                 task.steps += 1
                 self.stats["steps"] += 1
@@ -241,8 +206,7 @@ class _Engine:
                 hull_only = sorted(i for i, s in statuses.items()
                                    if s is EdgeStatus.HULL_ONLY)
                 if len(actives) > 1:
-                    action, payload = separation_action(
-                        actives, out.h_used, cfg.h_min, self.zcfg)
+                    action, payload = separation_action(actives, out.h_used)
                     if action == "retry":
                         task.h = payload
                         continue
@@ -260,7 +224,7 @@ class _Engine:
                 task.segments.append(self._segment(
                     task, out.hull, _shift(task.t, out.h_used, out.h_used)))
                 task.t = _shift(task.t, out.h_used, out.h_used)
-                task.env = env_condense(out.x_next, cfg.condense_budget,
+                task.env = env_condense(out.x_next, CONDENSE_BUDGET,
                                         task.alloc)
                 task.h = out.h_next
         except (IntegrationError, InvariantViolation, ZenoError, DomainError,
@@ -303,7 +267,7 @@ class _Engine:
             self._queue(child)
 
     def _queue(self, task):
-        if len(self.branches) + len(self.tasks) >= self.cfg.branch_cap:
+        if len(self.branches) + len(self.tasks) >= BRANCH_CAP:
             self._finish(task, False, "BranchCap: disjunctive analysis "
                                       "exceeded the branch cap")
         else:
@@ -321,17 +285,15 @@ class _Engine:
         missed_branch = False
         if status is EdgeStatus.MAYBE:
             h_ext = out.h_next
-            for _ext in range(self.zcfg.max_extensions + 1):
+            for _ext in range(MAX_EXTENSIONS + 1):
                 tri = ex.eval_guard(edge.guard, env_end, task.alloc)
                 if tri is Trivalent.TRUE:
                     break
-                if _ext == self.zcfg.max_extensions:
+                if _ext == MAX_EXTENSIONS:
                     missed_branch = True
                     break
-                env_end = env_condense(env_end, cfg.condense_budget,
-                                       task.alloc)
-                out2 = guaranteed_step(ctx, env_end, h_ext, self.icfg,
-                                       task.alloc,
+                env_end = env_condense(env_end, CONDENSE_BUDGET, task.alloc)
+                out2 = guaranteed_step(ctx, env_end, h_ext, cfg, task.alloc,
                                        diag=f"(extending across guard of "
                                             f"{edge.label})")
                 task.steps += 1
@@ -352,8 +314,7 @@ class _Engine:
                 h_ext = out2.h_next
         gpoly = self._gpoly(task, task.env, env_end, span, acc_hull)
         t_zc = tight_interval(gpoly, edge.guard, Interval(0.0, span),
-                              self.zcfg.precision, task.alloc,
-                              self.zcfg.max_bisection_evals)
+                              cfg.zc_precision, task.alloc)
         result = cross(edge, idx, gpoly, t_zc, task.alloc)
         self.stats["crossings"] += 1
         seg = self._segment(task, acc_hull, _shift(task.t, span, span),
@@ -371,7 +332,7 @@ class _Engine:
             task.segments.append(seg)
             task.crossings.append((abs_zc, edge.label))
             task.location = loc2
-            task.env = env_condense(env2, cfg.condense_budget, task.alloc)
+            task.env = env_condense(env2, CONDENSE_BUDGET, task.alloc)
             task.t = abs_zc
             task.h = min(out.h_used, cfg.dt)
             task.disarmed = set(disarmed2)
@@ -379,7 +340,7 @@ class _Engine:
             return False
         for loc2, env2, prints2, disarmed2 in options:
             child = self._spawn(task, loc2,
-                                env_condense(env2, cfg.condense_budget,
+                                env_condense(env2, CONDENSE_BUDGET,
                                              task.alloc),
                                 abs_zc, min(out.h_used, cfg.dt), disarmed2)
             child.segments.append(seg)
@@ -387,7 +348,7 @@ class _Engine:
             self._queue(child)
         for loc2, env2, prints2, disarmed2, _kind in followups:
             child = self._spawn(task, loc2,
-                                env_condense(env2, cfg.condense_budget,
+                                env_condense(env2, CONDENSE_BUDGET,
                                              task.alloc),
                                 _shift(task.t, span, span),
                                 min(out.h_used, cfg.dt), disarmed2)
@@ -412,8 +373,7 @@ class _Engine:
                                     out.hull)
             verdict, window = resolve_hull_only(
                 gpoly, edge.guard, Interval(0.0, out.h_used),
-                self.zcfg.precision, task.alloc,
-                self.zcfg.max_bisection_evals)
+                self.cfg.zc_precision, task.alloc)
             if verdict == "none":
                 continue
             suspects.append(idx)
@@ -436,8 +396,7 @@ class _Engine:
                 options = []
             for loc2, env2, prints2, disarmed2 in options:
                 child = self._spawn(task, loc2,
-                                    env_condense(env2,
-                                                 self.cfg.condense_budget,
+                                    env_condense(env2, CONDENSE_BUDGET,
                                                  task.alloc),
                                     abs_zc, min(out.h_used, self.cfg.dt),
                                     disarmed2)
@@ -448,8 +407,7 @@ class _Engine:
                 child.crossings.append((abs_zc, edge.label))
                 self._queue(child)
         no_cross = self._spawn(task, task.location,
-                               env_condense(out.x_next,
-                                            self.cfg.condense_budget,
+                               env_condense(out.x_next, CONDENSE_BUDGET,
                                             task.alloc),
                                _shift(task.t, out.h_used, out.h_used),
                                out.h_next, task.disarmed)
@@ -479,7 +437,7 @@ def _split_box(box: dict, variables, k: int):
 
 
 def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
-    """Compute a guaranteed flowpipe of the automaton over [t0, t_f].
+    """Compute a guaranteed flowpipe of the automaton over [0, duration].
 
     With cfg.split > 1 the initial box is gridded and each cell gets its own
     branch: the branch union still covers every trajectory, while the
@@ -489,7 +447,7 @@ def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
     started = time.perf_counter()
     prepared, _warnings = prepare_automaton(ha)
     eng = _Engine(prepared, cfg)
-    t0 = Interval(cfg.t0, cfg.t0)
+    t0 = Interval(0.0, 0.0)
     for box in reversed(_split_box(prepared.initial_box, prepared.variables,
                                    cfg.split)):
         alloc = NoiseAllocator()
@@ -507,8 +465,8 @@ def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
     eng.stats["branches"] = len(eng.branches)
     eng.stats["wall_time"] = time.perf_counter() - started
     complete = all(b.complete for b in eng.branches) and bool(eng.branches)
-    return Flowpipe(prepared.variables, eng.branches, complete, cfg.t0,
-                    cfg.t_f, eng.stats)
+    return Flowpipe(prepared.variables, eng.branches, complete, 0.0,
+                    cfg.duration, eng.stats)
 
 
 # ------------------------------------------------------------- validation

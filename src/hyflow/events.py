@@ -36,17 +36,10 @@ class EdgeStatus(enum.Enum):
     HULL_ONLY = "hull-only"
 
 
-@dataclass
-class ZcCfg:
-    precision: float = 1e-6
-    max_chain: int = 16
-    min_separation: float = 1e-5
-    max_extensions: int = 24
-    max_bisection_evals: int = 600
-
-    def __post_init__(self):
-        if self.precision <= 0:
-            raise ValueError("zero-crossing precision must be positive")
+MAX_CHAIN = 16              # immediate transitions before a ZenoError
+MIN_SEPARATION = 1e-5       # step below which simultaneous edges branch
+MAX_EXTENSIONS = 24         # steps a MAYBE crossing may extend past its step
+MAX_BISECTION_EVALS = 600   # interpolant spans one bisection pass may visit
 
 
 @dataclass
@@ -148,7 +141,8 @@ def _boundary(gpoly: GPoly, guard, a: float, b: float, precision: float,
 
 
 def tight_interval(gpoly: GPoly, guard, span: Interval, precision: float,
-                   alloc: NoiseAllocator, max_evals: int = 600) -> Interval:
+                   alloc: NoiseAllocator,
+                   max_evals: int = MAX_BISECTION_EVALS) -> Interval:
     """Enclosure of the first crossing time within `span`.
 
     Preconditions (established by the caller): the guard is surely false at
@@ -180,7 +174,8 @@ def cross(edge, edge_index: int, gpoly: GPoly, t_zc: Interval,
 
 
 def resolve_hull_only(gpoly: GPoly, guard, span: Interval, precision: float,
-                      alloc: NoiseAllocator, max_evals: int = 600):
+                      alloc: NoiseAllocator,
+                      max_evals: int = MAX_BISECTION_EVALS):
     """Distinguish a spurious hull activation from a possible double
     crossing within the step.
 
@@ -201,13 +196,15 @@ def resolve_hull_only(gpoly: GPoly, guard, span: Interval, precision: float,
     return "branch", Interval(lower, max(lower, upper))
 
 
-def separation_action(active_indices, h: float, h_floor: float, cfg: ZcCfg):
+def separation_action(active_indices, h: float):
     """Policy for more than one activated edge in a step: retry with half
-    the step until the activations separate, else branch per edge."""
+    the step until the activations separate, else branch per edge.
+    MIN_SEPARATION lies above integrator.H_MIN, so a retried step is never
+    clamped up to the step floor."""
     if len(active_indices) <= 1:
         return "pass", h
     half = h / 2.0
-    if half >= max(cfg.min_separation, h_floor):
+    if half >= MIN_SEPARATION:
         return "retry", half
     return "branch", list(active_indices)
 
@@ -224,7 +221,7 @@ class ChainOutcome:
 
 
 def chain_immediate(ha, location: str, env: dict, entered_by: int | None,
-                    alloc: NoiseAllocator, cfg: ZcCfg,
+                    alloc: NoiseAllocator,
                     tolerate: frozenset = frozenset()) -> ChainOutcome:
     """Follow discrete transitions whose guards are already true, until a
     quiescent location.
@@ -237,7 +234,7 @@ def chain_immediate(ha, location: str, env: dict, entered_by: int | None,
     certificate. Raises ZenoError when the chain exceeds the cap.
     """
     prints: list = []
-    for _hop in range(cfg.max_chain + 1):
+    for _hop in range(MAX_CHAIN + 1):
         disarmed = set()
         take = None
         branch = None
@@ -266,7 +263,7 @@ def chain_immediate(ha, location: str, env: dict, entered_by: int | None,
             )
         if take is None:
             return ChainOutcome(location, env, prints, disarmed)
-        if _hop == cfg.max_chain:
+        if _hop == MAX_CHAIN:
             break
         idx, edge = take
         env = edge.reset.apply_affine(env, alloc)
@@ -275,7 +272,7 @@ def chain_immediate(ha, location: str, env: dict, entered_by: int | None,
         entered_by = idx
         tolerate = frozenset()
     raise ZenoError(
-        f"more than {cfg.max_chain} immediate transitions from location "
+        f"more than {MAX_CHAIN} immediate transitions from location "
         f"'{location}'; suspected Zeno behavior or a reset that does not "
         f"exit its guard"
     )

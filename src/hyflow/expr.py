@@ -634,14 +634,6 @@ def total_derivative(e: Expr, flow: dict) -> Expr:
     return out
 
 
-def lie_chain(flow: dict, exprs: dict, depth: int) -> list:
-    """[exprs, d/dt exprs, ..., d^depth/dt^depth exprs] along the flow."""
-    chain = [dict(exprs)]
-    for _ in range(depth):
-        chain.append({v: total_derivative(e, flow) for v, e in chain[-1].items()})
-    return chain
-
-
 TAU = "__tau"
 
 

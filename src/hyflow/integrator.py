@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import _round as rd
 from . import affine as af
@@ -32,6 +33,9 @@ from . import interval as iv
 from .affine import AffineForm, NoiseAllocator
 from .errors import DomainError, IntegrationError, ModelError
 from .interval import Interval
+
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 Env = dict  # variable name -> AffineForm
 
@@ -111,22 +115,11 @@ EULER = ButcherTable(name="euler", a=((),), b=(F(1),), c=(F(0),), order=1)
 
 TABLES = {"ode23": ODE23, "rk4": RK4, "euler": EULER}
 
-
-@dataclass
-class IntegCfg:
-    tol: float = 1e-6
-    h_min: float = 1e-6
-    h_max: float = 0.1
-    picard_max_iters: int = 20
-    inflation: float = 0.1
-    refine_sweeps: int = 3
-    trunc_reject_factor: float = 10.0
-
-    def __post_init__(self):
-        if not (0 < self.h_min <= self.h_max):
-            raise ModelError("need 0 < h_min <= h_max")
-        if self.tol <= 0:
-            raise ModelError("tolerance must be positive")
+H_MIN = 1e-6                # smallest step size
+PICARD_MAX_ITERS = 20       # candidate boxes tried per Picard enclosure
+INFLATION = 0.1             # relative pad of the first Picard candidate
+REFINE_SWEEPS = 3           # tightening sweeps after a verified enclosure
+TRUNC_REJECT_FACTOR = 10.0  # reject a step whose truncation width > this*tol
 
 
 @dataclass
@@ -136,7 +129,6 @@ class StepOutcome:
     stages: list         # stage values k_i (list of Env)
     err_est: float       # embedded scalar estimate driving step control
     trunc: Env           # truncation-error enclosure added into x_next
-    accepted: bool
     h_used: float
     h_next: float
     rejections: int = 0
@@ -270,7 +262,7 @@ def _picard_map(ctx: FlowContext, env0: Env, cand: Env, h: float, alloc) -> Env:
     return out
 
 
-def picard_enclosure(ctx: FlowContext, env: Env, h: float, cfg: IntegCfg,
+def picard_enclosure(ctx: FlowContext, env: Env, h: float,
                      alloc: NoiseAllocator) -> Env | None:
     """Verified a priori enclosure of all trajectories over [t, t+h].
 
@@ -294,11 +286,11 @@ def picard_enclosure(ctx: FlowContext, env: Env, h: float, cfg: IntegCfg,
     cand = {}
     for v in names:
         m = af.to_interval(f0[v]).mag
-        pad = rd.mul_up(rd.mul_up(m, h), 1.0 + cfg.inflation)
+        pad = rd.mul_up(rd.mul_up(m, h), 1.0 + INFLATION)
         cand[v] = env[v] + af.from_interval(Interval(-pad, pad), alloc) if pad else env[v]
     verified = None
     infl = 1e-3  # epsilon-inflation of rejected candidates; grows on stall
-    for it in range(cfg.picard_max_iters):
+    for it in range(PICARD_MAX_ITERS):
         try:
             img = _picard_map(ctx, env, cand, h, alloc)
         except DomainError:
@@ -315,7 +307,7 @@ def picard_enclosure(ctx: FlowContext, env: Env, h: float, cfg: IntegCfg,
         return None
     z = verified
     img = _picard_map(ctx, env, z, h, alloc)  # known subset of z
-    for _ in range(cfg.refine_sweeps):
+    for _ in range(REFINE_SWEEPS):
         # a few ULPs of padding keep the re-verification from failing on
         # rounding noise while preserving the verified-fixpoint contract
         c = padded(img, 0.0, 1e-14)
@@ -430,40 +422,41 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
 # ------------------------------------------------------------ step control
 
 
-def step_control(err: float, tol: float, h: float, cfg: IntegCfg,
+def step_control(err: float, tol: float, h: float, cfg: SimConfig,
                  order: int) -> tuple:
     """(accept, next step size); growth uses the classical (tol/err)^(1/(p+1))
     rule with a 0.9 safety factor, rejection halves."""
     if err <= tol:
         if err == 0.0:
-            h_next = cfg.h_max
+            h_next = cfg.max_dt
         else:
             h_next = 0.9 * h * (tol / err) ** (1.0 / (order + 1))
-        return True, min(max(h_next, cfg.h_min), cfg.h_max)
-    return False, max(h / 2.0, cfg.h_min)
+        return True, min(max(h_next, H_MIN), cfg.max_dt)
+    return False, max(h / 2.0, H_MIN)
 
 
 # ------------------------------------------------------------ whole step
 
 
-def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: IntegCfg,
+def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
                     alloc: NoiseAllocator, diag: str = "") -> StepOutcome:
     """One accepted guaranteed step, retrying internally with smaller h.
 
-    Raises IntegrationError when the minimal step size cannot produce a
-    verified enclosure or an acceptable error estimate.
+    Reads `cfg.tol` and `cfg.max_dt`. Raises IntegrationError when the
+    minimal step size cannot produce a verified enclosure or an acceptable
+    error estimate.
     """
-    h = min(max(h, cfg.h_min), cfg.h_max)
+    h = min(max(h, H_MIN), cfg.max_dt)
     rejections = 0
     for _ in range(200):
-        at_floor = h <= cfg.h_min * (1.0 + 1e-9)
-        z = picard_enclosure(ctx, env, h, cfg, alloc)
+        at_floor = h <= H_MIN * (1.0 + 1e-9)
+        z = picard_enclosure(ctx, env, h, alloc)
         if z is None:
             if at_floor:
                 raise IntegrationError(
                     f"Picard enclosure failed at minimal step size h={h:g} {diag}"
                 )
-            h = max(h / 2.0, cfg.h_min)
+            h = max(h / 2.0, H_MIN)
             rejections += 1
             continue
         x_prime, ks = rk_stages(ctx, env, h, alloc)
@@ -475,9 +468,9 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: IntegCfg,
         accept, h_next = step_control(est, cfg.tol, h, cfg, ctx.table.order)
         if accept:
             worst = max(af.to_interval(trunc[v]).width for v in ctx.variables)
-            if worst > cfg.trunc_reject_factor * cfg.tol and not at_floor:
+            if worst > TRUNC_REJECT_FACTOR * cfg.tol and not at_floor:
                 accept = False
-                h_next = max(h / 2.0, cfg.h_min)
+                h_next = max(h / 2.0, H_MIN)
         if accept:
             hull = {}
             for v in ctx.variables:
@@ -485,7 +478,7 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: IntegCfg,
                     hull[v] = z[v]
                 else:
                     hull[v] = af.hull(z[v], x_next[v], alloc)
-            return StepOutcome(x_next, hull, ks, est, trunc, True, h, h_next,
+            return StepOutcome(x_next, hull, ks, est, trunc, h, h_next,
                                rejections)
         if at_floor:
             raise IntegrationError(

@@ -80,14 +80,6 @@ class Interval:
         return self.lo <= other.hi and other.lo <= self.hi
 
 
-def make(lo: float, hi: float) -> Interval:
-    return Interval(lo, hi)
-
-
-def point(x: float) -> Interval:
-    return Interval(x, x)
-
-
 def hull_iv(a: Interval, b: Interval) -> Interval:
     return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 

@@ -11,23 +11,23 @@ Schema (expressions and guards are strings in the DSL expression syntax):
                  "prints": ["crossing"]}],
       "init": {"location": "inside", "box": {"x": [0.3, 0.31], "t": [0, 0]}},
       "config": {"duration": 1.0, "dt": 0.01, "max_dt": 0.05, "tol": 1e-6,
-                 "zc_precision": 1e-6, "scheme": "ode23", "plot": ["t", "x"]}
+                 "zc_precision": 1e-6, "scheme": "ode23", "split": 1}
     }
 
-Validation failures raise SchemaError with a JSON-pointer path.
+The `config` keys are the fields of `config.SimConfig`, each value checked
+by `config.check_setting`. Validation failures raise SchemaError with a
+JSON-pointer path.
 """
 
 from __future__ import annotations
 
 import json
 
+from .config import FIELD_TYPES, check_setting, finite_float
 from .dsl import parse_expr_string, parse_guard_string
-from .errors import ParseError, SchemaError
+from .errors import ConfigError, ParseError, SchemaError
 from .expr import Edge, HybridAutomaton, Reset
 from .interval import Interval
-
-_CONFIG_KEYS = {"duration", "dt", "max_dt", "tol", "zc_precision", "scheme",
-                "plot"}
 
 
 def _need(obj, key, kind, path):
@@ -123,29 +123,26 @@ def parse_json_automaton(text: str):
         if v not in box_obj:
             raise SchemaError(f"missing initial range for '{v}'", "/init/box")
         pair = box_obj[v]
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
-            raise SchemaError("initial range must be [lo, hi]",
-                              f"/init/box/{v}")
-        if pair[0] > pair[1]:
+        bounds = ([finite_float(x) for x in pair]
+                  if isinstance(pair, list) and len(pair) == 2 else [None])
+        if None in bounds:
+            raise SchemaError("initial range must be [lo, hi] of finite "
+                              "numbers", f"/init/box/{v}")
+        if bounds[0] > bounds[1]:
             raise SchemaError(f"inverted range {pair}", f"/init/box/{v}")
-        box[v] = Interval(float(pair[0]), float(pair[1]))
+        box[v] = Interval(*bounds)
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise SchemaError(f"expected object, got {type(config).__name__}",
+                          "/config")
     settings = {}
-    for k, v in doc.get("config", {}).items():
-        if k not in _CONFIG_KEYS:
-            raise SchemaError(f"unknown config key '{k}'", f"/config/{k}")
-        if k == "scheme":
-            if not isinstance(v, str):
-                raise SchemaError("scheme must be a string", "/config/scheme")
-            settings[k] = v
-        elif k == "plot":
-            if (not isinstance(v, list) or len(v) != 2
-                    or not all(isinstance(s, str) for s in v)):
-                raise SchemaError("plot must be [axis, axis]", "/config/plot")
-            settings["plot"] = tuple(v)
-        else:
-            if not isinstance(v, (int, float)):
-                raise SchemaError(f"'{k}' must be a number", f"/config/{k}")
-            settings[k] = float(v)
+    for k, v in config.items():
+        if k not in FIELD_TYPES:
+            raise SchemaError(f"unknown config key '{k}' (expected "
+                              f"{', '.join(FIELD_TYPES)})", f"/config/{k}")
+        try:
+            settings[k] = check_setting(k, v)
+        except ConfigError as e:
+            raise SchemaError(str(e), f"/config/{k}") from None
     ha = HybridAutomaton(tuple(variables), flows, edges, init_loc, box)
     return ha, settings

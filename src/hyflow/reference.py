@@ -65,10 +65,6 @@ class ReferenceTrajectory:
         return tuple(a * x0[k] + b * d0[k] + c * x1[k] + d * d1[k]
                      for k in range(len(x0)))
 
-    @property
-    def final(self):
-        return self.times[-1], self.states[-1]
-
 
 class ReferenceSimulator:
     def __init__(self, ha, h_ref: float = 1e-3, max_chain: int = 16):

@@ -14,7 +14,6 @@ PENDULUM = """\
 set duration = 3.8;
 set dt = 0.05;
 set max_dt = 0.1;
-set scope_xy = true;
 
 init theta = [1.,1.05];
 init dtheta = 0.;
@@ -27,15 +26,12 @@ dtheta' = -g/l*sin(theta);
 t' = 1;
 
 on sin(theta) <= -0.5 do { print("Bouncing!\\n"); dtheta = -dtheta };
-
-output(t,theta);
 """
 
 
 def test_pendulum_golden_parse():
     m = D.parse_dsl(PENDULUM)
-    assert m.settings == {"duration": 3.8, "dt": 0.05, "max_dt": 0.1,
-                          "scope_xy": True}
+    assert m.settings == {"duration": 3.8, "dt": 0.05, "max_dt": 0.1}
     assert set(m.inits) == {"theta", "dtheta", "t"}
     assert m.inits["theta"] == Interval(1.0, 1.05)
     assert m.inits["dtheta"] == Interval(0.0, 0.0)
@@ -45,7 +41,6 @@ def test_pendulum_golden_parse():
     evt = m.events[0]
     assert evt.prints == ("Bouncing!\n",)
     assert evt.assigns[0][0] == "dtheta"
-    assert m.outputs == ("t", "theta")
     assert isinstance(evt.guard, ex.Comparison)
     assert evt.guard.rel is Rel.LE
 
@@ -59,7 +54,6 @@ def test_pendulum_lowering():
     flow_txt = ex.to_text(ha.flows["main"]["dtheta"])
     assert "g" not in flow_txt and "l" not in flow_txt
     assert settings["duration"] == 3.8
-    assert settings["plot"] == ("t", "theta")
     # strictness transform then makes the guard strict but unpinnable
     prepared, warnings = ex.prepare_automaton(ha)
     assert prepared.edges[0].guard.rel is Rel.LT
@@ -115,7 +109,6 @@ def test_round_trip_structural_identity():
     assert m2.inits == m1.inits
     assert m2.constants == m1.constants  # interned nodes compare by identity
     assert m2.flows == m1.flows
-    assert m2.outputs == m1.outputs
     assert len(m2.events) == len(m1.events)
     assert m2.events[0].guard == m1.events[0].guard
     assert m2.events[0].assigns == m1.events[0].assigns
@@ -205,3 +198,28 @@ def test_json_schema_errors_carry_paths(mutation, path_piece):
     with pytest.raises(SchemaError) as info:
         parse_json_automaton(doc)
     assert expected_path in str(info.value)
+
+
+@pytest.mark.parametrize("src, col", [
+    ("init x = 1e999;\n", 10),
+    ("init x = [0, -1e999];\n", 15),
+    ("set tol = 1e999;\n", 11),
+    ("init x = 0;\nx' = 1e999*x;\n", 6),
+])
+def test_overflowing_number_literal_is_located(src, col):
+    with pytest.raises(ParseError) as info:
+        D.parse_dsl(src)
+    span = info.value.span
+    assert (span.line, span.col) == (src.count("\n"), col)
+    assert "1e999" in str(info.value)
+
+
+@pytest.mark.parametrize("bounds", [
+    "[NaN, 1]", "[0, Infinity]", "[-Infinity, 0]", "[true, true]",
+    pytest.param("[0, 1" + "0" * 400 + "]", id="[0, 1e400 as an integer]"),
+])
+def test_json_init_bounds_must_be_finite_numbers(bounds):
+    doc = THERMO.replace('"T": [20, 20.1]', f'"T": {bounds}')
+    with pytest.raises(SchemaError) as info:
+        parse_json_automaton(doc)
+    assert info.value.path == "/init/box/T"

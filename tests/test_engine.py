@@ -42,7 +42,7 @@ def segments(pipe):
 
 def test_decay_flowpipe_containment_and_contraction():
     ha = decay_automaton()
-    cfg = SimConfig(t_f=5.0, dt=0.05, max_dt=0.25, tol=1e-6)
+    cfg = SimConfig(duration=5.0, dt=0.05, max_dt=0.25, tol=1e-6)
     pipe = simulate(ha, cfg)
     assert pipe.complete and len(pipe.branches) == 1
     segs = segments(pipe)
@@ -65,7 +65,7 @@ def test_constant_slope_flowpipe():
     x = ex.var("x")
     ha = HybridAutomaton(("x",), {"l": {"x": ex.ONE}}, [], "l",
                          {"x": Interval(0, 0)})
-    pipe = simulate(ha, SimConfig(t_f=2.0, dt=0.1, max_dt=0.5))
+    pipe = simulate(ha, SimConfig(duration=2.0, dt=0.1, max_dt=0.5))
     for seg in segments(pipe):
         for t in (seg.t.lo, seg.t.hi):
             if t <= 2.0:
@@ -76,7 +76,7 @@ def test_harmonic_oscillator_containment():
     x, v = ex.var("x"), ex.var("v")
     ha = HybridAutomaton(("x", "v"), {"l": {"x": v, "v": ex.neg(x)}}, [], "l",
                          {"x": Interval(1.0, 1.0), "v": Interval(0.0, 0.0)})
-    pipe = simulate(ha, SimConfig(t_f=10.0, dt=0.05, max_dt=0.1, tol=1e-8))
+    pipe = simulate(ha, SimConfig(duration=10.0, dt=0.05, max_dt=0.1, tol=1e-8))
     assert pipe.complete
     for seg in segments(pipe):
         for t in (seg.t.lo, seg.t.mid, seg.t.hi):
@@ -88,7 +88,7 @@ def test_harmonic_oscillator_containment():
 
 def test_bouncing_ball_first_bounce_time():
     ha = bouncing_ball()
-    cfg = SimConfig(t_f=3.0, dt=0.02, max_dt=0.1, tol=1e-7, zc_precision=1e-6)
+    cfg = SimConfig(duration=3.0, dt=0.02, max_dt=0.1, tol=1e-7, zc_precision=1e-6)
     pipe = simulate(ha, cfg)
     assert pipe.complete and len(pipe.branches) == 1
     crossings = pipe.branches[0].crossings
@@ -102,7 +102,7 @@ def test_bouncing_ball_first_bounce_time():
 
 def test_bouncing_ball_five_bounces_match_reference():
     ha = bouncing_ball()
-    cfg = SimConfig(t_f=8.5, dt=0.02, max_dt=0.1, tol=1e-7)
+    cfg = SimConfig(duration=8.5, dt=0.02, max_dt=0.1, tol=1e-7)
     pipe = simulate(ha, cfg)
     assert pipe.complete
     crossings = pipe.branches[0].crossings
@@ -121,7 +121,7 @@ def test_bouncing_ball_five_bounces_match_reference():
 
 def test_bouncing_ball_monte_carlo():
     ha = bouncing_ball(y0=10.0, y1=10.01)
-    cfg = SimConfig(t_f=3.0, dt=0.02, max_dt=0.1, tol=1e-7)
+    cfg = SimConfig(duration=3.0, dt=0.02, max_dt=0.1, tol=1e-7)
     pipe = simulate(ha, cfg)
     report = validate_monte_carlo(ha, pipe, samples=40, seed=11)
     assert report["skipped"] == 0
@@ -130,7 +130,7 @@ def test_bouncing_ball_monte_carlo():
 
 def test_monte_carlo_detects_shrunken_flowpipe():
     ha = decay_automaton()
-    pipe = simulate(ha, SimConfig(t_f=2.0, dt=0.05, max_dt=0.25))
+    pipe = simulate(ha, SimConfig(duration=2.0, dt=0.05, max_dt=0.25))
     # sabotage: shrink every tight box to its midpoint neighborhood
     for seg in segments(pipe):
         for v, box in seg.tight.items():
@@ -142,7 +142,7 @@ def test_monte_carlo_detects_shrunken_flowpipe():
 
 def test_monte_carlo_zero_samples():
     ha = decay_automaton()
-    pipe = simulate(ha, SimConfig(t_f=1.0, dt=0.05))
+    pipe = simulate(ha, SimConfig(duration=1.0, dt=0.05))
     report = validate_monte_carlo(ha, pipe, samples=0, seed=0)
     assert report["samples"] == 0 and report["violations"] == []
 
@@ -155,12 +155,12 @@ def test_initial_guard_not_false_rejected():
                          [edge], "l",
                          {"y": Interval(-1.0, 1.0), "v": Interval(0, 0)})
     with pytest.raises(ModelError):
-        simulate(ha, SimConfig(t_f=1.0))
+        simulate(ha, SimConfig(duration=1.0))
 
 
 def test_determinism_bitwise():
     ha = bouncing_ball(y0=10.0, y1=10.01)
-    cfg = SimConfig(t_f=3.0, dt=0.02, max_dt=0.1, tol=1e-7)
+    cfg = SimConfig(duration=3.0, dt=0.02, max_dt=0.1, tol=1e-7)
     p1 = simulate(ha, cfg)
     p2 = simulate(ha, cfg)
     s1 = [(s.t, s.t_end, s.tight["y"], s.hull["v"]) for s in p1.branches[0].segments]
@@ -170,7 +170,7 @@ def test_determinism_bitwise():
 
 def test_width_discipline_on_contractive_system():
     ha = decay_automaton()
-    pipe = simulate(ha, SimConfig(t_f=5.0, dt=0.05, max_dt=0.25, tol=1e-6))
+    pipe = simulate(ha, SimConfig(duration=5.0, dt=0.05, max_dt=0.25, tol=1e-6))
     segs = segments(pipe)
     assert segs[-1].tight["x"].width <= segs[0].tight["x"].width
 
@@ -189,4 +189,4 @@ def test_crossing_extension_steps_start_condensed(monkeypatch):
     ha, cfg = benchmarks.load(benchmarks.REGISTRY["watertank"], duration=3.0)
     pipe = simulate(ha, cfg)
     assert pipe.complete and pipe.stats["crossings"] >= 1
-    assert max(sizes) <= cfg.condense_budget
+    assert max(sizes) <= engine.CONDENSE_BUDGET

@@ -15,11 +15,13 @@ from hyflow import interpolator as gp
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
 from hyflow.engine import SimConfig, simulate
 from hyflow.errors import InvariantViolation, ZenoError
-from hyflow.events import EdgeStatus, ZcCfg
+from hyflow.events import EdgeStatus
 from hyflow.expr import Edge, HybridAutomaton, Reset
-from hyflow.integrator import ODE23, FlowContext, IntegCfg
+from hyflow.integrator import ODE23, FlowContext
 from hyflow.interval import Interval
 from hyflow.trivalent import Trivalent
+
+LOOSE = SimConfig(duration=1.0, tol=1.0, max_dt=1.0)  # keep the requested h
 
 
 def boxes(alloc, **kw):
@@ -79,7 +81,7 @@ def ball_gpoly(y0=10.0, t_lo=1.3, span=0.3):
                 "v": AffineForm(-9.81 * t)}
 
     env0 = at(t_lo)
-    out = gi.guaranteed_step(ctx, env0, span, IntegCfg(tol=1.0, h_max=1.0), alloc)
+    out = gi.guaranteed_step(ctx, env0, span, LOOSE, alloc)
     g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return g, alloc, out.h_used, t_lo
 
@@ -98,7 +100,8 @@ def linear_root_gpoly():
     ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
     alloc = NoiseAllocator()
     env0 = {"x": AffineForm(-1.0)}
-    out = gi.guaranteed_step(ctx, env0, 2.0, IntegCfg(tol=1.0, h_max=2.0), alloc)
+    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
+    out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
     g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return g, alloc, out.h_used
 
@@ -141,7 +144,7 @@ def graze_gpoly():
                       ODE23)
     alloc = NoiseAllocator()
     env0 = {"y": AffineForm(1e-6), "v": AffineForm(-2e-3)}
-    out = gi.guaranteed_step(ctx, env0, 2e-3, IntegCfg(tol=1.0, h_max=1.0), alloc)
+    out = gi.guaranteed_step(ctx, env0, 2e-3, LOOSE, alloc)
     g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return g, alloc, out.h_used
 
@@ -155,11 +158,11 @@ def test_resolve_hull_only_detects_graze():
     assert window.lo >= 0.0 and window.hi <= span
 
 
-def test_separation_action():
-    cfg = ZcCfg(min_separation=1e-3)
-    assert ev.separation_action([1], 0.1, 1e-6, cfg) == ("pass", 0.1)
-    assert ev.separation_action([1, 2], 0.1, 1e-6, cfg) == ("retry", 0.05)
-    act, payload = ev.separation_action([1, 2], 1e-3, 1e-6, cfg)
+def test_separation_action(monkeypatch):
+    monkeypatch.setattr(ev, "MIN_SEPARATION", 1e-3)
+    assert ev.separation_action([1], 0.1) == ("pass", 0.1)
+    assert ev.separation_action([1, 2], 0.1) == ("retry", 0.05)
+    act, payload = ev.separation_action([1, 2], 1e-3)
     assert act == "branch" and payload == [1, 2]
 
 
@@ -174,7 +177,7 @@ def two_clock_automaton():
 
 def test_two_clock_separation_end_to_end():
     ha = two_clock_automaton()
-    pipe = simulate(ha, SimConfig(t_f=1.05, dt=0.05, max_dt=0.5, tol=1e-6))
+    pipe = simulate(ha, SimConfig(duration=1.05, dt=0.05, max_dt=0.5, tol=1e-6))
     # the earlier guard fires alone; exactly one branch, ending in l2
     assert pipe.complete
     assert len(pipe.branches) == 1
@@ -183,15 +186,15 @@ def test_two_clock_separation_end_to_end():
     assert label == "g1" and t_zc.lo <= 1.0 <= t_zc.hi
 
 
-def test_exactly_simultaneous_guards_branch():
+def test_exactly_simultaneous_guards_branch(monkeypatch):
     x = ex.var("x")
     e1 = Edge("l", "l2", ex.comparison(x, Rel.GT, ex.ONE), Reset(), "g1")
     e2 = Edge("l", "l3", ex.comparison(x, Rel.GT, ex.ONE), Reset(), "g2")
     ha = HybridAutomaton(
         ("x",), {"l": {"x": ex.ONE}, "l2": {"x": ex.ONE}, "l3": {"x": ex.ONE}},
         [e1, e2], "l", {"x": Interval(0, 0)})
-    pipe = simulate(ha, SimConfig(t_f=1.05, dt=0.05, max_dt=0.5,
-                                  min_separation=1e-3))
+    monkeypatch.setattr(ev, "MIN_SEPARATION", 1e-3)
+    pipe = simulate(ha, SimConfig(duration=1.05, dt=0.05, max_dt=0.5))
     locs = {b.segments[-1].location for b in pipe.branches if b.complete}
     assert {"l2", "l3"} <= locs
     assert len(pipe.branches) >= 2
@@ -205,8 +208,7 @@ def test_chain_immediate_relay():
     ha = HybridAutomaton(
         ("x",), {"l2": {"x": ex.ONE}, "l3": {"x": ex.ONE}}, [e2], "l2",
         {"x": Interval(2, 2)})
-    out = ev.chain_immediate(ha, "l2", {"x": AffineForm(2.0)}, None, alloc,
-                             ZcCfg())
+    out = ev.chain_immediate(ha, "l2", {"x": AffineForm(2.0)}, None, alloc)
     assert out.branch_options is None
     assert out.location == "l3"
 
@@ -215,12 +217,12 @@ def test_chain_immediate_quiescent_identity():
     ha = ball_automaton()
     alloc = NoiseAllocator()
     env = boxes(alloc, y=(5, 5), v=(0, 0))
-    out = ev.chain_immediate(ha, "fall", env, None, alloc, ZcCfg())
+    out = ev.chain_immediate(ha, "fall", env, None, alloc)
     assert out.location == "fall" and out.branch_options is None
     assert not out.disarmed
 
 
-def test_chain_zeno_detector():
+def test_chain_zeno_detector(monkeypatch):
     # self-loop whose reset re-enters the guard: x > 0 with x := 1
     x = ex.var("x")
     edge = Edge("l", "l", ex.comparison(x, Rel.GT, ex.ZERO),
@@ -228,9 +230,9 @@ def test_chain_zeno_detector():
     ha = HybridAutomaton(("x",), {"l": {"x": ex.ONE}}, [edge], "l",
                          {"x": Interval(2, 2)})
     alloc = NoiseAllocator()
+    monkeypatch.setattr(ev, "MAX_CHAIN", 8)
     with pytest.raises(ZenoError):
-        ev.chain_immediate(ha, "l", {"x": AffineForm(2.0)}, None, alloc,
-                           ZcCfg(max_chain=8))
+        ev.chain_immediate(ha, "l", {"x": AffineForm(2.0)}, None, alloc)
 
 
 def test_edge_cannot_fire_certificate():

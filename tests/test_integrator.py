@@ -11,8 +11,9 @@ from hyflow import affine as af
 from hyflow import expr as ex
 from hyflow import integrator as gi
 from hyflow.affine import AffineForm, NoiseAllocator
+from hyflow.config import SimConfig
 from hyflow.errors import IntegrationError, ModelError
-from hyflow.integrator import EULER, ODE23, RK4, FlowContext, IntegCfg
+from hyflow.integrator import EULER, ODE23, RK4, FlowContext
 from hyflow.interval import Interval
 
 
@@ -51,8 +52,7 @@ def test_picard_constant_flow_is_exact():
     ctx = FlowContext(("x",), {"x": ex.ZERO}, ODE23)
     alloc = NoiseAllocator()
     env = env_point(x=1.0)
-    cfg = IntegCfg()
-    z = gi.picard_enclosure(ctx, env, 0.25, cfg, alloc)
+    z = gi.picard_enclosure(ctx, env, 0.25, alloc)
     assert z is not None
     b = box(z, "x")
     assert b.contains(1.0) and b.width < 1e-12
@@ -61,7 +61,7 @@ def test_picard_constant_flow_is_exact():
 def test_picard_linear_growth():
     ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
     alloc = NoiseAllocator()
-    z = gi.picard_enclosure(ctx, env_point(x=0.0), 0.1, IntegCfg(), alloc)
+    z = gi.picard_enclosure(ctx, env_point(x=0.0), 0.1, alloc)
     b = box(z, "x")
     assert b.lo <= 0.0 and b.hi >= 0.1
 
@@ -70,9 +70,8 @@ def test_picard_decay_contains_analytic_and_recheck():
     ctx = ctx_decay()
     alloc = NoiseAllocator()
     env = env_boxes(alloc, x=(0.9, 1.1))
-    cfg = IntegCfg()
     h = 0.1
-    z = gi.picard_enclosure(ctx, env, h, cfg, alloc)
+    z = gi.picard_enclosure(ctx, env, h, alloc)
     assert z is not None
     b = box(z, "x")
     # analytic trajectories from every sampled start, at several times
@@ -89,7 +88,7 @@ def test_picard_failure_on_blowup():
     x = ex.var("x")
     ctx = FlowContext(("x",), {"x": ex.add(ex.ONE, ex.pow_int(x, 2))}, ODE23)
     alloc = NoiseAllocator()
-    z = gi.picard_enclosure(ctx, env_point(x=20.0), 0.1, IntegCfg(), alloc)
+    z = gi.picard_enclosure(ctx, env_point(x=20.0), 0.1, alloc)
     assert z is None
 
 
@@ -156,7 +155,7 @@ def single_step_quantities(h, alloc=None, width=False):
         env = env_point(x=1.0)
     x_prime, ks = gi.rk_stages(ctx, env, h, alloc)
     err = gi.embedded_error(ctx, env, x_prime, ks, h, alloc)
-    z = gi.picard_enclosure(ctx, env, h, IntegCfg(h_max=1.0), alloc)
+    z = gi.picard_enclosure(ctx, env, h, alloc)
     trunc = gi.truncation_bound(ctx, env, z, h, alloc)
     return err, af.to_interval(trunc["x"]).width
 
@@ -177,7 +176,7 @@ def test_truncation_zero_for_exact_scheme():
     ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
     alloc = NoiseAllocator()
     env = env_point(x=1.0)
-    z = gi.picard_enclosure(ctx, env, 0.2, IntegCfg(h_max=1.0), alloc)
+    z = gi.picard_enclosure(ctx, env, 0.2, alloc)
     trunc = gi.truncation_bound(ctx, env, z, 0.2, alloc)
     assert af.to_interval(trunc["x"]).width < 1e-12
 
@@ -189,7 +188,7 @@ def test_truncation_euler_scale():
     alloc = NoiseAllocator()
     env = env_point(x=1.0)
     for h in (0.1, 0.05, 0.025):
-        z = gi.picard_enclosure(ctx, env, h, IntegCfg(h_max=1.0), alloc)
+        z = gi.picard_enclosure(ctx, env, h, alloc)
         trunc = gi.truncation_bound(ctx, env, z, h, alloc)
         b = af.to_interval(trunc["x"])
         assert b.contains(h * h / 2.0 * math.exp(h) * 0.5) or b.hi >= h * h / 2.0
@@ -200,7 +199,7 @@ def test_truncation_euler_scale():
 
 
 def test_step_control_examples():
-    cfg = IntegCfg(tol=1e-4, h_min=1e-6, h_max=10.0)
+    cfg = SimConfig(duration=1.0, tol=1e-4, max_dt=10.0)
     ok, hn = gi.step_control(1e-4, 1e-4, 0.1, cfg, order=2)
     assert ok and hn == pytest.approx(0.09, rel=1e-12)
     ok, hn = gi.step_control(1e-4 / 8, 1e-4, 0.1, cfg, order=2)
@@ -222,10 +221,10 @@ def test_guaranteed_step_decay_run_to_one():
     ctx = ctx_decay()
     alloc = NoiseAllocator()
     env = env_point(x=1.0)
-    cfg = IntegCfg(tol=1e-8, h_max=0.1)
+    cfg = SimConfig(duration=1.0, tol=1e-8, max_dt=0.1)
     t, h = 0.0, 0.05
     while t < 1.0:
-        h = min(h, 1.0 - t) if 1.0 - t > cfg.h_min else cfg.h_min
+        h = min(h, 1.0 - t) if 1.0 - t > gi.H_MIN else gi.H_MIN
         out = gi.guaranteed_step(ctx, env, h, cfg, alloc)
         # analytic value inside tight enclosure and inside the step hull
         for s in (0.0, 0.5, 1.0):
@@ -241,7 +240,7 @@ def test_guaranteed_step_constant_flow_width_stable():
     ctx = FlowContext(("x",), {"x": ex.ZERO}, ODE23)
     alloc = NoiseAllocator()
     env = env_point(x=2.0)
-    cfg = IntegCfg()
+    cfg = SimConfig(duration=1.0)
     for _ in range(50):
         out = gi.guaranteed_step(ctx, env, 0.1, cfg, alloc)
         env = out.x_next
@@ -257,17 +256,17 @@ def test_guaranteed_step_brusselator_first_step():
     ctx = FlowContext(("x", "y"), flow, ODE23)
     alloc = NoiseAllocator()
     env = env_boxes(alloc, x=(0.9, 1.0), y=(0.0, 0.1))
-    out = gi.guaranteed_step(ctx, env, 0.05, IntegCfg(), alloc)
-    assert out.accepted
+    out = gi.guaranteed_step(ctx, env, 0.05, SimConfig(duration=1.0), alloc)
     for v in ("x", "y"):
         assert box(out.x_next, v).subset_of(box(out.hull, v))
 
 
-def test_guaranteed_step_failure_at_hmin():
+def test_guaranteed_step_failure_at_hmin(monkeypatch):
     x = ex.var("x")
     ctx = FlowContext(("x",), {"x": ex.pow_int(x, 2)}, ODE23)
     alloc = NoiseAllocator()
-    cfg = IntegCfg(h_min=0.05, h_max=0.1)  # cannot shrink enough near blowup
+    monkeypatch.setattr(gi, "H_MIN", 0.05)  # cannot shrink enough near blowup
+    cfg = SimConfig(duration=1.0, max_dt=0.1)
     with pytest.raises(IntegrationError):
         gi.guaranteed_step(ctx, env_point(x=1e7), 0.1, cfg, alloc)
 
@@ -276,5 +275,5 @@ def test_hull_contains_x_next_componentwise():
     ctx = ctx_decay()
     alloc = NoiseAllocator()
     env = env_boxes(alloc, x=(0.5, 0.6))
-    out = gi.guaranteed_step(ctx, env, 0.1, IntegCfg(), alloc)
+    out = gi.guaranteed_step(ctx, env, 0.1, SimConfig(duration=1.0), alloc)
     assert box(out.x_next, "x").subset_of(box(out.hull, "x"))

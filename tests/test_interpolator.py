@@ -12,9 +12,12 @@ from hyflow import expr as ex
 from hyflow import integrator as gi
 from hyflow import interpolator as gp
 from hyflow.affine import AffineForm, NoiseAllocator
+from hyflow.config import SimConfig
 from hyflow.errors import DomainError
-from hyflow.integrator import ODE23, FlowContext, IntegCfg
+from hyflow.integrator import ODE23, FlowContext
 from hyflow.interval import Interval
+
+LOOSE = SimConfig(duration=1.0, tol=1.0, max_dt=1.0)  # keep the requested h
 
 
 def cubic_hermite_reference(x0, d0, x1, d1, h, t):
@@ -32,7 +35,8 @@ def decay_step(h=0.2, x0=1.0):
     ctx = FlowContext(("x",), {"x": ex.neg(ex.var("x"))}, ODE23)
     alloc = NoiseAllocator()
     env0 = {"x": AffineForm(x0)}
-    cfg = IntegCfg(tol=1e-3, h_max=1.0)  # loose: keep the requested h
+    # loose: keep the requested h
+    cfg = SimConfig(duration=1.0, tol=1e-3, max_dt=1.0)
     out = gi.guaranteed_step(ctx, env0, h, cfg, alloc)
     assert out.h_used == h
     g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
@@ -77,7 +81,7 @@ def test_cubic_solution_zero_remainder():
                                    "t": ex.ONE}, ODE23)
     alloc = NoiseAllocator()
     env0 = {"x": AffineForm(0.0), "t": AffineForm(0.0)}
-    out = gi.guaranteed_step(ctx, env0, 1.0, IntegCfg(tol=1.0, h_max=1.0), alloc)
+    out = gi.guaranteed_step(ctx, env0, 1.0, LOOSE, alloc)
     h = out.h_used
     g = gp.gpoly_for_step(ctx, env0, out.x_next, h, out.hull, alloc)
     assert g.rem_scale["x"].width < 1e-12  # vanishing remainder coefficient
@@ -153,7 +157,7 @@ def rotation_step(h=0.1):
     alloc = NoiseAllocator()
     env0 = {v: af.from_interval(Interval(c, c + 0.01), alloc)
             for v, c in (("x", 1.0), ("y", 0.0), ("z", 0.5))}
-    out = gi.guaranteed_step(ctx, env0, h, IntegCfg(tol=1.0, h_max=1.0), alloc)
+    out = gi.guaranteed_step(ctx, env0, h, LOOSE, alloc)
     g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return g, alloc, out.h_used
 
@@ -177,7 +181,7 @@ def creep_width(x0, h=0.1, rate=1e-6):
     ctx = FlowContext(("x",), {"x": ex.const(rate)}, ODE23)
     alloc = NoiseAllocator()
     env0 = {"x": af.from_interval(Interval(x0, x0 + 1e-12), alloc)}
-    out = gi.guaranteed_step(ctx, env0, h, IntegCfg(tol=1.0, h_max=1.0), alloc)
+    out = gi.guaranteed_step(ctx, env0, h, LOOSE, alloc)
     g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     got = gp.eval_gpoly(g, Interval(0.0, out.h_used), alloc)["x"]
     return af.to_interval(got).width
