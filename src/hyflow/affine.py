@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 from . import _round as rd
 from . import interval as iv
@@ -30,10 +31,29 @@ _TINY = 1e-300
 
 
 class Rel(enum.Enum):
-    LT = "<"
-    LE = "<="
-    GT = ">"
-    GE = ">="
+    """The relation of a comparison `x rel 0`. Its value is its text;
+    `holds` is its scalar predicate, `negated` the relation holding exactly
+    where it fails, and `strict` the strict relation of its direction."""
+
+    LT = "<", operator.lt, ">="
+    LE = "<=", operator.le, ">"
+    GT = ">", operator.gt, "<="
+    GE = ">=", operator.ge, "<"
+
+    def __new__(cls, text, holds, negated_text):
+        member = object.__new__(cls)
+        member._value_ = text
+        member.holds = holds
+        member._negated_text = negated_text
+        return member
+
+    @property
+    def negated(self) -> "Rel":
+        return Rel(self._negated_text)
+
+    @property
+    def strict(self) -> "Rel":
+        return Rel(self.value[0])
 
 
 class NoiseAllocator:
@@ -127,10 +147,6 @@ class AffineForm:
 
 
 ZERO = AffineForm(0.0)
-
-
-def from_scalar(c: float) -> AffineForm:
-    return AffineForm(c)
 
 
 def from_interval(box: Interval, alloc: NoiseAllocator) -> AffineForm:
@@ -428,11 +444,8 @@ _UNARY = {
 
 
 def nonlinear_unary(name: str, x: AffineForm, alloc: NoiseAllocator) -> AffineForm:
-    """Apply sin/cos/exp/sqrt/log/recip/abs/neg to an affine form."""
-    if name == "neg":
-        return neg(x)
-    if name == "abs":
-        return _abs_form(x, alloc)
+    """Apply sin/cos/exp/sqrt/log/recip to an affine form: a first-order
+    Taylor model, or the plain range where that is tighter."""
     f0_fn, d0_fn, d2_fn, range_fn = _UNARY[name]
     box = to_interval(x)
     # Hard domain checks: no sound finite enclosure exists outside these.
@@ -464,6 +477,15 @@ def _abs_form(x: AffineForm, alloc: NoiseAllocator) -> AffineForm:
     if box.hi <= 0.0:
         return neg(x)
     return from_interval(Interval(0.0, box.mag), alloc)
+
+
+def _sgn_form(x: AffineForm, alloc: NoiseAllocator) -> AffineForm:
+    box = to_interval(x)
+    if box.lo > 0.0:
+        return AffineForm(1.0)
+    if box.hi < 0.0:
+        return AffineForm(-1.0)
+    return from_interval(Interval(-1.0, 1.0), alloc)
 
 
 def div(x: AffineForm, y: AffineForm, alloc: NoiseAllocator) -> AffineForm:
@@ -528,29 +550,14 @@ def hull(x: AffineForm, y: AffineForm, alloc: NoiseAllocator) -> AffineForm:
 
 
 def compare(x: AffineForm, rel: Rel) -> Trivalent:
-    """Trivalent truth of `x rel 0` over the concretization of x."""
+    """Trivalent truth of `x rel 0` over the concretization of x. Each
+    relation is a threshold, so it holds on the whole range iff it holds at
+    both ends, and nowhere iff at neither."""
     box = to_interval(x)
-    if rel is Rel.LT:
-        if box.hi < 0.0:
-            return Trivalent.TRUE
-        if box.lo >= 0.0:
-            return Trivalent.FALSE
-    elif rel is Rel.LE:
-        if box.hi <= 0.0:
-            return Trivalent.TRUE
-        if box.lo > 0.0:
-            return Trivalent.FALSE
-    elif rel is Rel.GT:
-        if box.lo > 0.0:
-            return Trivalent.TRUE
-        if box.hi <= 0.0:
-            return Trivalent.FALSE
-    elif rel is Rel.GE:
-        if box.lo >= 0.0:
-            return Trivalent.TRUE
-        if box.hi < 0.0:
-            return Trivalent.FALSE
-    return Trivalent.UNKNOWN
+    lo, hi = rel.holds(box.lo, 0.0), rel.holds(box.hi, 0.0)
+    if lo != hi:
+        return Trivalent.UNKNOWN
+    return Trivalent.TRUE if lo else Trivalent.FALSE
 
 
 def condense(x: AffineForm, budget: int, alloc: NoiseAllocator) -> AffineForm:

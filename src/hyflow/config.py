@@ -9,7 +9,7 @@ Time starts at 0.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError
 from .integrator import TABLES
@@ -35,6 +35,7 @@ class SimConfig:
 
 
 FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
+REQUIRED = [f.name for f in fields(SimConfig) if f.default is MISSING]
 
 
 def finite_float(value) -> float | None:

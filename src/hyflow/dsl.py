@@ -10,11 +10,15 @@ The input language covers single-location hybrid models:
     theta' = dtheta;               # flow equations
     on sin(theta) <= -0.5 do { print("Bounce!\n"); dtheta = -dtheta };
 
-Expressions use the usual precedence with functions sin, cos, exp, sqrt,
-log, abs and integer powers via '^'. Every parse error carries the source
-span; a setting value that `config.check_setting` rejects is reported at its
-`set` statement. Multi-location models use the JSON format instead (see
-jsonmodel).
+Expressions use the usual precedence with integer powers via '^' and the
+functions of `expr.FUNCTION_OPS` (sin, cos, exp, sqrt, log, abs and sgn),
+so every expression `expr.to_text` renders parses back to the same node.
+A function name in an expression must be followed by '(', so no variable
+or constant that an expression reads may take one of these names.
+Every parse error carries the source span; a setting value that
+`config.check_setting` rejects is reported at its `set` statement, and a
+model without `set duration` at its end. Multi-location models use the JSON
+format instead (see jsonmodel).
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .affine import Rel
-from .config import FIELD_TYPES, check_setting
+from .config import FIELD_TYPES, REQUIRED, check_setting
 from .errors import ConfigError, ModelError, ParseError
 from .expr import Edge, HybridAutomaton, Reset
 from .interval import Interval
 
 KEYWORDS = {"set", "init", "on", "do", "and", "or", "not", "print"}
-FUNCTIONS = {"sin": ex.sin, "cos": ex.cos, "exp": ex.exp, "sqrt": ex.sqrt,
-             "log": ex.log, "abs": ex.abs_}
+RELATIONS = [r.value for r in Rel]
 
 _SYMBOLS = ("<=", ">=", "==", "<", ">", "=", ";", "'", "{", "}", "(", ")",
             "[", "]", ",", "+", "-", "*", "/", "^")
@@ -260,12 +263,12 @@ class _Parser:
             self.next()
             return ex.const(t.value)
         if t.kind == "ident":
-            if t.text in FUNCTIONS:
+            if t.text in ex.FUNCTION_OPS:
                 self.next()
                 self.expect_symbol("(")
                 arg = self.parse_expr()
                 self.expect_symbol(")")
-                return FUNCTIONS[t.text](arg)
+                return ex.OPS[t.text].make(arg)
             if t.text in KEYWORDS:
                 raise ParseError(f"keyword '{t.text}' cannot start an "
                                  f"expression", t.span, expected=["expression"])
@@ -311,23 +314,21 @@ class _Parser:
                 inner = self.parse_guard()
                 self.expect_symbol(")")
                 if not (self.peek().kind == "symbol"
-                        and self.peek().text in ("<", "<=", ">", ">=")):
+                        and self.peek().text in RELATIONS):
                     return inner
             except ParseError:
                 pass
             self.pos = save
         lhs = self.parse_expr()
         t = self.peek()
-        rels = {"<": Rel.LT, "<=": Rel.LE, ">": Rel.GT, ">=": Rel.GE}
         if t.kind == "symbol" and t.text == "==":
             raise ParseError("equality guards have no sound crossing "
                              "semantics; use inequalities", t.span)
-        if t.kind != "symbol" or t.text not in rels:
-            raise ParseError(f"found {t.text!r}", t.span,
-                             expected=["<", "<=", ">", ">="])
+        if t.kind != "symbol" or t.text not in RELATIONS:
+            raise ParseError(f"found {t.text!r}", t.span, expected=RELATIONS)
         self.next()
         rhs = self.parse_expr()
-        return ex.comparison(lhs, rels[t.text], rhs)
+        return ex.comparison(lhs, Rel(t.text), rhs)
 
     # -------------------------------------------------------- statements
 
@@ -463,6 +464,9 @@ class _Parser:
             raise ParseError(f"found {t.text!r}" if t.kind != "eof"
                              else "unexpected end of input", t.span,
                              expected=["set", "init", "on", "declaration"])
+        for name in REQUIRED:
+            if name not in m.settings:
+                raise ParseError(f"missing `set {name}`", self.peek().span)
         return m
 
 
@@ -491,23 +495,15 @@ def parse_guard_string(text: str):
 # --------------------------------------------------------- pretty printer
 
 
-def _fmt_num(v: float) -> str:
-    return repr(v)
-
-
 def pretty_print(m: DslModel) -> str:
     out = []
     for k in sorted(m.settings):
-        v = m.settings[k]
-        if isinstance(v, str):
-            out.append(f"set {k} = {v};")
-        else:
-            out.append(f"set {k} = {_fmt_num(v)};")
+        out.append(f"set {k} = {m.settings[k]};")  # str(float) is its repr
     for name, box in m.inits.items():
         if box.lo == box.hi:
-            out.append(f"init {name} = {_fmt_num(box.lo)};")
+            out.append(f"init {name} = {box.lo!r};")
         else:
-            out.append(f"init {name} = [{_fmt_num(box.lo)}, {_fmt_num(box.hi)}];")
+            out.append(f"init {name} = [{box.lo!r}, {box.hi!r}];")
     for name, e in m.constants.items():
         out.append(f"{name} = {ex.to_text(e)};")
     for name, e in m.flows.items():

@@ -193,7 +193,8 @@ class _Engine:
                 task.steps += 1
                 self.stats["steps"] += 1
                 self.stats["rejections"] += out.rejections
-                if not self._check_disarmed(task, out):
+                rearm = self._check_disarmed(task, out, task.disarmed)
+                if rearm is None:
                     return  # aborted inside
                 statuses = classify(ha, task.location, task.env, out.x_next,
                                     out.hull, task.alloc, skip=task.disarmed)
@@ -214,11 +215,12 @@ class _Engine:
                     return
                 if len(actives) == 1:
                     done = self._handle_crossing(task, out, actives[0],
-                                                 statuses[actives[0]])
+                                                 statuses[actives[0]], rearm)
                     if done:
                         return
                     continue
-                if hull_only and not self._clear_hull_only(task, out, hull_only):
+                if hull_only and not self._clear_hull_only(task, out,
+                                                           hull_only, rearm):
                     return  # branched inside
                 # plain continuous step
                 task.segments.append(self._segment(
@@ -227,36 +229,41 @@ class _Engine:
                 task.env = env_condense(out.x_next, CONDENSE_BUDGET,
                                         task.alloc)
                 task.h = out.h_next
+                task.disarmed -= rearm
         except (IntegrationError, InvariantViolation, ZenoError, DomainError,
                 ConfigError, ModelError) as e:
             self._finish(task, False, f"{type(e).__name__}: {e}")
 
     # ------------------------------------------------------ event handling
 
-    def _check_disarmed(self, task, out) -> bool:
-        """Certify disarmed edges over the step hull and re-arm the ones
-        whose guards are surely false at the step end. False => aborted."""
+    def _check_disarmed(self, task, out, disarmed) -> set | None:
+        """Certify the `disarmed` edges over the step hull. Returns the
+        edges to re-arm once the step is committed (guard surely false at
+        the step end, or not an edge of this location); None => aborted.
+        Until then the step, its retries and its children keep the disarmed
+        set it started with."""
         ctx = self.ctxs[task.location]
-        for idx in sorted(task.disarmed):
+        rearm = set()
+        for idx in sorted(disarmed):
             edge = self.ha.edges[idx]
             if edge.source != task.location:
-                task.disarmed.discard(idx)
+                rearm.add(idx)
                 continue
             if not edge_cannot_fire(edge, ctx.flow, out.hull, task.alloc):
                 self._finish(task, False,
                              f"InvariantViolation: cannot certify disarmed "
                              f"{edge.label} (guard straddles its boundary and "
                              f"the flow direction is not provable)")
-                return False
+                return None
             tri = ex.eval_guard(edge.guard, out.x_next, task.alloc)
             if tri is Trivalent.FALSE:
-                task.disarmed.discard(idx)
+                rearm.add(idx)
             elif tri is Trivalent.TRUE:
                 self._finish(task, False,
                              f"InvariantViolation: disarmed {edge.label} "
                              f"became surely true despite certificate")
-                return False
-        return True
+                return None
+        return rearm
 
     def _split_per_edge(self, task, out, edge_indices):
         """Simultaneous activation at minimal separation: one child per
@@ -273,9 +280,13 @@ class _Engine:
         else:
             self.tasks.append(task)
 
-    def _handle_crossing(self, task, out, idx, status) -> bool:
+    def _handle_crossing(self, task, out, idx, status, rearm) -> bool:
         """Process the single activated edge. Returns True when the current
-        task ended (split or abort); False to continue stepping."""
+        task ended (split or abort); False to continue stepping.
+
+        Extension steps past the step `out` start where it ends, so they
+        see the edges it re-armed (`rearm`) and certify or re-arm the rest,
+        as a plain step would."""
         cfg, ha = self.cfg, self.ha
         ctx = self.ctxs[task.location]
         edge = ha.edges[idx]
@@ -283,6 +294,7 @@ class _Engine:
         env_end = out.x_next
         span = out.h_used
         missed_branch = False
+        disarmed = task.disarmed - rearm
         if status is EdgeStatus.MAYBE:
             h_ext = out.h_next
             for _ext in range(MAX_EXTENSIONS + 1):
@@ -298,9 +310,11 @@ class _Engine:
                                             f"{edge.label})")
                 task.steps += 1
                 self.stats["steps"] += 1
+                rearm2 = self._check_disarmed(task, out2, disarmed)
+                if rearm2 is None:
+                    return True  # aborted inside
                 others = classify(ha, task.location, env_end, out2.x_next,
-                                  out2.hull, task.alloc,
-                                  skip=set(task.disarmed) | {idx})
+                                  out2.hull, task.alloc, skip=disarmed | {idx})
                 conflict = [j for j, s in others.items()
                             if s is not EdgeStatus.INACTIVE]
                 if conflict:
@@ -310,6 +324,7 @@ class _Engine:
                     return True
                 acc_hull = env_hull(acc_hull, out2.hull, task.alloc)
                 env_end = out2.x_next
+                disarmed -= rearm2
                 span += out2.h_used
                 h_ext = out2.h_next
         gpoly = self._gpoly(task, task.env, env_end, span, acc_hull)
@@ -326,7 +341,7 @@ class _Engine:
         followups = []
         if missed_branch:
             followups.append((task.location, env_end, [],
-                              set(task.disarmed) | {idx}, "missed"))
+                              disarmed | {idx}, "missed"))
         if len(options) == 1 and not followups:
             loc2, env2, prints2, disarmed2 = options[0]
             task.segments.append(seg)
@@ -357,9 +372,10 @@ class _Engine:
             self._queue(child)
         return True
 
-    def _clear_hull_only(self, task, out, hull_only) -> bool:
+    def _clear_hull_only(self, task, out, hull_only, rearm) -> bool:
         """Check hull-only activations. True when all are refuted (the step
-        may be accepted as event-free); False when the task branched."""
+        may be accepted as event-free); False when the task branched, and
+        then the no-crossing child commits the step and re-arms `rearm`."""
         ctx = self.ctxs[task.location]
         suspects = []
         gpoly = None
@@ -410,7 +426,7 @@ class _Engine:
                                env_condense(out.x_next, CONDENSE_BUDGET,
                                             task.alloc),
                                _shift(task.t, out.h_used, out.h_used),
-                               out.h_next, task.disarmed)
+                               out.h_next, task.disarmed - rearm)
         no_cross.segments.append(self._segment(
             task, out.hull, _shift(task.t, out.h_used, out.h_used)))
         self._queue(no_cross)

@@ -6,24 +6,38 @@ subtrees are the same object, so repeated differentiation and substitution
 polynomial in the number of *distinct* subterms. Smart constructors fold
 constants and the cheap identities; there is deliberately no general CAS.
 
+Every operator is declared once, as a row of `OPS`: its constant fold, its
+smart constructor, its affine evaluation, its derivative rule, and the
+templates of its compiled scalar code and of its text. The walkers
+(`derivative`, `substitute`, `eval_affine_many`, `compile_scalar`,
+`to_text`) handle the leaves `const` and `var` and dispatch every other node
+through its row, and the DSL reads its function names from the table. The
+operators are add, sub, mul, div, neg, pow (integer exponent), sin, cos,
+exp, sqrt, log, abs and sgn.
+
 Evaluation is available over affine forms (range-sound, used by the
 guaranteed engine) and as compiled scalar functions (fast, used by the
 independent reference simulator and tests).
+
+The intern table holds its nodes weakly, and each node carries its own
+free-variable and derivative memos, so a dropped model takes its caches
+with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+import weakref
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import affine as af
 from .affine import AffineForm, NoiseAllocator, Rel
-from .errors import ConfigError, DomainError, ModelError
-from .interval import Interval
+from .errors import ConfigError, ModelError
 from .trivalent import Trivalent
-
-_UNARY_OPS = frozenset(["neg", "sin", "cos", "exp", "sqrt", "log", "abs", "sgn"])
-_BINARY_OPS = frozenset(["add", "sub", "mul", "div"])
 
 # Cap on distinct DAG nodes produced while building stage-polynomial
 # derivatives; beyond this the scheme order is impractical for the model.
@@ -31,37 +45,41 @@ NODE_CAP = 200_000
 
 
 class Expr:
-    __slots__ = ("op", "args", "value", "name", "exponent", "eid")
+    """A DAG node. `params` holds an op's non-expression operands (pow's
+    exponent); `_fv` and `_deriv` memoise the free variables and the
+    partial derivatives by variable name."""
 
-    def __init__(self, op, args=(), value=0.0, name="", exponent=0, eid=0):
+    __slots__ = ("op", "args", "value", "name", "params", "eid", "_fv",
+                 "_deriv", "__weakref__")
+
+    def __init__(self, op, args, value, name, params, eid):
         self.op = op
         self.args = args
         self.value = value
         self.name = name
-        self.exponent = exponent
+        self.params = params
         self.eid = eid
+        self._fv = None
+        self._deriv = None
 
     def __repr__(self):
         return f"Expr<{to_text(self)}>"
 
 
-_INTERN: dict = {}
-_FREEVARS: dict = {}
-_DERIV: dict = {}
+_INTERN = weakref.WeakValueDictionary()  # structural key -> live node
+_EIDS = itertools.count()
 
 
-def _node(op, args=(), value=0.0, name="", exponent=0):
+def _node(op, args=(), value=0.0, name="", params=()):
     if op == "const":
         key = (op, value.hex())
     elif op == "var":
         key = (op, name)
-    elif op == "pow":
-        key = (op, args[0].eid, exponent)
     else:
-        key = (op,) + tuple(a.eid for a in args)
+        key = (op, *(a.eid for a in args), *params)
     e = _INTERN.get(key)
     if e is None:
-        e = Expr(op, args, value, name, exponent, len(_INTERN))
+        e = Expr(op, args, value, name, params, next(_EIDS))
         _INTERN[key] = e
     return e
 
@@ -87,9 +105,22 @@ def _is_const(e, v=None):
     return e.op == "const" and (v is None or e.value == v)
 
 
+def _fold(op, args, params=()):
+    """The constant node of `op` on constant `args`; None when an argument
+    is not constant or the value is outside the op's domain (the node is
+    then kept, and evaluation reports the range)."""
+    if all(a.op == "const" for a in args):
+        try:
+            return const(OPS[op].fold(*(a.value for a in args), *params))
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    return None
+
+
 def add(a: Expr, b: Expr) -> Expr:
-    if a.op == "const" and b.op == "const":
-        return const(a.value + b.value)
+    c = _fold("add", (a, b))
+    if c is not None:
+        return c
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -100,8 +131,9 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if a is b:
         return ZERO
-    if a.op == "const" and b.op == "const":
-        return const(a.value - b.value)
+    c = _fold("sub", (a, b))
+    if c is not None:
+        return c
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -110,8 +142,9 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if a.op == "const" and b.op == "const":
-        return const(a.value * b.value)
+    c = _fold("mul", (a, b))
+    if c is not None:
+        return c
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return ZERO
     if _is_const(a, 1.0):
@@ -130,17 +163,13 @@ def div(a: Expr, b: Expr) -> Expr:
         return a
     if _is_const(a, 0.0):
         return ZERO
-    if a.op == "const" and b.op == "const" and b.value != 0.0:
-        return const(a.value / b.value)
-    return _node("div", (a, b))
+    return _fold("div", (a, b)) or _node("div", (a, b))
 
 
 def neg(a: Expr) -> Expr:
-    if a.op == "const":
-        return const(-a.value)
     if a.op == "neg":
         return a.args[0]
-    return _node("neg", (a,))
+    return _fold("neg", (a,)) or _node("neg", (a,))
 
 
 def pow_int(a: Expr, n: int) -> Expr:
@@ -149,67 +178,98 @@ def pow_int(a: Expr, n: int) -> Expr:
         return ONE
     if n == 1:
         return a
-    if a.op == "const":
-        try:
-            return const(a.value**n)
-        except (OverflowError, ZeroDivisionError):
-            pass
-    return _node("pow", (a,), exponent=n)
+    return _fold("pow", (a,), (n,)) or _node("pow", (a,), params=(n,))
 
 
 def _unary(op, a: Expr) -> Expr:
-    if a.op == "const":
-        fns = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-               "sqrt": math.sqrt, "log": math.log, "abs": abs,
-               "sgn": lambda v: math.copysign(1.0, v), "neg": lambda v: -v}
-        try:
-            return const(fns[op](a.value))
-        except (ValueError, OverflowError):
-            pass  # domain error surfaces at evaluation with a range message
-    return _node(op, (a,))
+    return _fold(op, (a,)) or _node(op, (a,))
 
 
-def sin(a):
-    return _unary("sin", a)
+sin = partial(_unary, "sin")
+cos = partial(_unary, "cos")
+exp = partial(_unary, "exp")
+sqrt = partial(_unary, "sqrt")
+log = partial(_unary, "log")
+abs_ = partial(_unary, "abs")
+sgn = partial(_unary, "sgn")
 
 
-def cos(a):
-    return _unary("cos", a)
+class Op(NamedTuple):
+    """One operator's meaning. Each callable takes the argument values in
+    order, then the node's `params`; `deriv` takes the node itself and the
+    arguments' derivatives."""
+
+    fold: Callable    # floats -> float: the constant fold
+    make: Callable    # Exprs -> Expr: the smart constructor
+    affine: Callable  # forms, then the allocator -> AffineForm
+    deriv: Callable   # (node, argument derivatives) -> Expr
+    py: str           # compile_scalar code over the arguments' names
+    text: str         # to_text rendering, parseable by the DSL
 
 
-def exp(a):
-    return _unary("exp", a)
+def _d_div(e, da, db):
+    a, b = e.args
+    return div(sub(mul(da, b), mul(a, db)), pow_int(b, 2))
 
 
-def sqrt(a):
-    return _unary("sqrt", a)
+def _d_pow(e, da):
+    (a,), (k,) = e.args, e.params
+    return mul(mul(const(float(k)), pow_int(a, k - 1)), da)
 
 
-def log(a):
-    return _unary("log", a)
+def _function(name, fold, deriv):
+    """The row of a unary function written `name(u)` in both languages and
+    evaluated over affine forms by its Taylor model."""
+    return Op(fold, partial(_unary, name), partial(af.nonlinear_unary, name),
+              deriv, f"_m.{name}({{0}})", f"{name}({{0}})")
 
 
-def abs_(a):
-    return _unary("abs", a)
+OPS = {
+    "add": Op(operator.add, add, lambda x, y, alloc: x + y,
+              lambda e, da, db: add(da, db), "{0} + {1}", "({0} + {1})"),
+    "sub": Op(operator.sub, sub, lambda x, y, alloc: x - y,
+              lambda e, da, db: sub(da, db), "{0} - {1}", "({0} - {1})"),
+    # af.mul is looked up at each call, so a wrapper installed on the
+    # affine module (perfbench's call counter) sees these products too
+    "mul": Op(operator.mul, mul, lambda x, y, alloc: af.mul(x, y, alloc),
+              lambda e, da, db: add(mul(da, e.args[1]), mul(e.args[0], db)),
+              "{0} * {1}", "({0} * {1})"),
+    "div": Op(operator.truediv, div, af.div, _d_div, "{0} / {1}",
+              "({0} / {1})"),
+    # linear: needs no fresh noise symbol, so the allocator goes unused
+    "neg": Op(operator.neg, neg, lambda x, alloc: af.neg(x),
+              lambda e, da: neg(da), "-({0})", "(-{0})"),
+    "pow": Op(operator.pow, pow_int, af.pow_int, _d_pow, "({0}) ** {1}",
+              "({0}^{1})"),
+    "sin": _function("sin", math.sin,
+                     lambda e, da: mul(cos(e.args[0]), da)),
+    "cos": _function("cos", math.cos,
+                     lambda e, da: neg(mul(sin(e.args[0]), da))),
+    "exp": _function("exp", math.exp, lambda e, da: mul(e, da)),
+    "sqrt": _function("sqrt", math.sqrt,
+                      lambda e, da: div(da, mul(const(2.0), e))),
+    "log": _function("log", math.log, lambda e, da: div(da, e.args[0])),
+    # abs differentiates as sgn(u)*u'; over a range straddling zero the sgn
+    # node evaluates to [-1, 1], the interval hull of both branch slopes
+    "abs": Op(abs, abs_, af._abs_form, lambda e, da: mul(sgn(e.args[0]), da),
+              "abs({0})", "abs({0})"),
+    # piecewise constant: its derivative is zero almost everywhere
+    "sgn": Op(lambda v: 1.0 if v >= 0.0 else -1.0, sgn, af._sgn_form,
+              lambda e, da: ZERO, "(1.0 if {0} >= 0.0 else -1.0)",
+              "sgn({0})"),
+}
 
-
-def sgn(a):
-    return _unary("sgn", a)
+# The ops written `name(u)`, which the DSL parses as functions; the other
+# six have operator syntax.
+FUNCTION_OPS = frozenset(OPS) - {"add", "sub", "mul", "div", "neg", "pow"}
 
 
 def free_vars(e: Expr) -> frozenset:
-    got = _FREEVARS.get(e.eid)
-    if got is not None:
-        return got
-    for node in _postorder(e, lambda n: n.eid in _FREEVARS):
-        if node.op == "var":
-            fv = frozenset((node.name,))
-        elif node.op == "const":
-            fv = frozenset()
-        else:
-            fv = frozenset().union(*(_FREEVARS[a.eid] for a in node.args))
-        _FREEVARS[node.eid] = fv
-    return _FREEVARS[e.eid]
+    if e._fv is None:
+        for n in _postorder(e, lambda node: node._fv is not None):
+            n._fv = (frozenset((n.name,)) if n.op == "var"
+                     else frozenset().union(*(a._fv for a in n.args)))
+    return e._fv
 
 
 def _postorder(root, skip):
@@ -244,83 +304,31 @@ def count_nodes(*roots) -> int:
 
 
 def derivative(e: Expr, v: str) -> Expr:
-    """Partial derivative of `e` with respect to variable `v`.
-
-    abs is differentiated as sgn(u)*u'; over a range straddling zero the
-    sgn node evaluates to [-1, 1], which is the interval hull of both
-    branch derivatives.
-    """
-    key = (e.eid, v)
-    got = _DERIV.get(key)
-    if got is not None:
-        return got
-    for n in _postorder(e, lambda node: (node.eid, v) in _DERIV):
-        op = n.op
-        if op == "const":
+    """Partial derivative of `e` with respect to variable `v`."""
+    for n in _postorder(e, lambda node: v in (node._deriv or ())):
+        if n.op == "const":
             d = ZERO
-        elif op == "var":
+        elif n.op == "var":
             d = ONE if n.name == v else ZERO
         else:
-            da = _DERIV[(n.args[0].eid, v)]
-            if op == "add":
-                d = add(da, _DERIV[(n.args[1].eid, v)])
-            elif op == "sub":
-                d = sub(da, _DERIV[(n.args[1].eid, v)])
-            elif op == "mul":
-                a, b = n.args
-                d = add(mul(da, b), mul(a, _DERIV[(b.eid, v)]))
-            elif op == "div":
-                a, b = n.args
-                db = _DERIV[(b.eid, v)]
-                d = div(sub(mul(da, b), mul(a, db)), pow_int(b, 2))
-            elif op == "neg":
-                d = neg(da)
-            elif op == "pow":
-                a = n.args[0]
-                d = mul(mul(const(float(n.exponent)), pow_int(a, n.exponent - 1)), da)
-            elif op == "sin":
-                d = mul(cos(n.args[0]), da)
-            elif op == "cos":
-                d = neg(mul(sin(n.args[0]), da))
-            elif op == "exp":
-                d = mul(n, da)
-            elif op == "sqrt":
-                d = div(da, mul(const(2.0), n))
-            elif op == "log":
-                d = div(da, n.args[0])
-            elif op == "abs":
-                d = mul(sgn(n.args[0]), da)
-            elif op == "sgn":
-                d = ZERO  # piecewise-constant almost everywhere
-            else:  # pragma: no cover
-                raise ModelError(f"cannot differentiate {op}")
-        _DERIV[(n.eid, v)] = d
-    return _DERIV[key]
+            d = OPS[n.op].deriv(n, *(a._deriv[v] for a in n.args))
+        if n._deriv is None:
+            n._deriv = {}
+        n._deriv[v] = d
+    return e._deriv[v]
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Replace variables per `mapping` (name -> Expr), rebuilding the DAG."""
     memo: dict = {}
     for n in _postorder(e, lambda node: node.eid in memo):
-        op = n.op
-        if op == "var":
+        if n.op == "var":
             memo[n.eid] = mapping.get(n.name, n)
-        elif op == "const":
+        elif n.op == "const":
             memo[n.eid] = n
-        elif op == "add":
-            memo[n.eid] = add(memo[n.args[0].eid], memo[n.args[1].eid])
-        elif op == "sub":
-            memo[n.eid] = sub(memo[n.args[0].eid], memo[n.args[1].eid])
-        elif op == "mul":
-            memo[n.eid] = mul(memo[n.args[0].eid], memo[n.args[1].eid])
-        elif op == "div":
-            memo[n.eid] = div(memo[n.args[0].eid], memo[n.args[1].eid])
-        elif op == "neg":
-            memo[n.eid] = neg(memo[n.args[0].eid])
-        elif op == "pow":
-            memo[n.eid] = pow_int(memo[n.args[0].eid], n.exponent)
         else:
-            memo[n.eid] = _unary(op, memo[n.args[0].eid])
+            memo[n.eid] = OPS[n.op].make(*(memo[a.eid] for a in n.args),
+                                         *n.params)
     return memo[e.eid]
 
 
@@ -350,28 +358,9 @@ def eval_affine_many(exprs, env: dict, alloc: NoiseAllocator) -> list:
                 r = env.get(n.name)
                 if r is None:
                     raise ModelError(f"unbound variable '{n.name}' in expression")
-            elif op == "add":
-                r = memo[n.args[0].eid] + memo[n.args[1].eid]
-            elif op == "sub":
-                r = memo[n.args[0].eid] - memo[n.args[1].eid]
-            elif op == "mul":
-                r = af.mul(memo[n.args[0].eid], memo[n.args[1].eid], alloc)
-            elif op == "div":
-                r = af.div(memo[n.args[0].eid], memo[n.args[1].eid], alloc)
-            elif op == "neg":
-                r = af.neg(memo[n.args[0].eid])
-            elif op == "pow":
-                r = af.pow_int(memo[n.args[0].eid], n.exponent, alloc)
-            elif op == "sgn":
-                box = af.to_interval(memo[n.args[0].eid])
-                if box.lo > 0.0:
-                    r = AffineForm(1.0)
-                elif box.hi < 0.0:
-                    r = AffineForm(-1.0)
-                else:
-                    r = af.from_interval(Interval(-1.0, 1.0), alloc)
             else:
-                r = af.nonlinear_unary(op, memo[n.args[0].eid], alloc)
+                r = OPS[op].affine(*[memo[a.eid] for a in n.args], *n.params,
+                                   alloc)
             memo[n.eid] = r
         out.append(memo[root.eid])
     return out
@@ -405,25 +394,8 @@ def compile_scalar(exprs, var_order):
                 continue
             if n.op == "var":
                 raise ModelError(f"variable '{n.name}' not in scalar signature")
-            a = [names[x.eid] for x in n.args]
-            if n.op == "add":
-                rhs = f"{a[0]} + {a[1]}"
-            elif n.op == "sub":
-                rhs = f"{a[0]} - {a[1]}"
-            elif n.op == "mul":
-                rhs = f"{a[0]} * {a[1]}"
-            elif n.op == "div":
-                rhs = f"{a[0]} / {a[1]}"
-            elif n.op == "neg":
-                rhs = f"-({a[0]})"
-            elif n.op == "pow":
-                rhs = f"({a[0]}) ** {n.exponent}"
-            elif n.op == "abs":
-                rhs = f"abs({a[0]})"
-            elif n.op == "sgn":
-                rhs = f"(1.0 if {a[0]} >= 0.0 else -1.0)"
-            else:
-                rhs = f"_m.{n.op}({a[0]})"
+            rhs = OPS[n.op].py.format(*(names[a.eid] for a in n.args),
+                                      *n.params)
             t = f"_t{counter[0]}"
             counter[0] += 1
             names[n.eid] = t
@@ -443,26 +415,14 @@ def to_text(e: Expr) -> str:
     """Deterministic infix rendering, parseable by the DSL expression parser."""
     memo: dict = {}
     for n in _postorder(e, lambda node: node.eid in memo):
-        op = n.op
-        if op == "const":
+        if n.op == "const":
             v = n.value
             memo[n.eid] = repr(v) if v >= 0 else f"({v!r})"
-        elif op == "var":
+        elif n.op == "var":
             memo[n.eid] = n.name
-        elif op == "add":
-            memo[n.eid] = f"({memo[n.args[0].eid]} + {memo[n.args[1].eid]})"
-        elif op == "sub":
-            memo[n.eid] = f"({memo[n.args[0].eid]} - {memo[n.args[1].eid]})"
-        elif op == "mul":
-            memo[n.eid] = f"({memo[n.args[0].eid]} * {memo[n.args[1].eid]})"
-        elif op == "div":
-            memo[n.eid] = f"({memo[n.args[0].eid]} / {memo[n.args[1].eid]})"
-        elif op == "neg":
-            memo[n.eid] = f"(-{memo[n.args[0].eid]})"
-        elif op == "pow":
-            memo[n.eid] = f"({memo[n.args[0].eid]}^{n.exponent})"
         else:
-            memo[n.eid] = f"{op}({memo[n.args[0].eid]})"
+            memo[n.eid] = OPS[n.op].text.format(
+                *(memo[a.eid] for a in n.args), *n.params)
     return memo[e.eid]
 
 
@@ -477,8 +437,7 @@ class Comparison:
     rel: Rel
 
     def negate(self):
-        flip = {Rel.LT: Rel.GE, Rel.LE: Rel.GT, Rel.GT: Rel.LE, Rel.GE: Rel.LT}
-        return Comparison(self.expr, flip[self.rel])
+        return Comparison(self.expr, self.rel.negated)
 
 
 @dataclass(frozen=True)
@@ -510,15 +469,8 @@ def eval_guard(g: Guard, env: dict, alloc: NoiseAllocator) -> Trivalent:
 
 def compile_guard_scalar(g: Guard, var_order):
     if isinstance(g, Comparison):
-        fn = compile_scalar((g.expr,), var_order)
-        rel = g.rel
-        if rel is Rel.LT:
-            return lambda x: fn(x)[0] < 0.0
-        if rel is Rel.LE:
-            return lambda x: fn(x)[0] <= 0.0
-        if rel is Rel.GT:
-            return lambda x: fn(x)[0] > 0.0
-        return lambda x: fn(x)[0] >= 0.0
+        fn, holds = compile_scalar((g.expr,), var_order), g.rel.holds
+        return lambda x: holds(fn(x)[0], 0.0)
     parts = [compile_guard_scalar(item, var_order) for item in g.items]
     if g.kind == "and":
         return lambda x: all(p(x) for p in parts)
@@ -706,8 +658,7 @@ def guard_strictness_transform(edge: Edge) -> Edge:
     if not isinstance(g, Comparison):
         return Edge(edge.source, edge.target, g, edge.reset, edge.label,
                     False, "compound guard: cannot verify boundary exit")
-    strict_rel = {Rel.LE: Rel.LT, Rel.GE: Rel.GT}.get(g.rel, g.rel)
-    new_guard = Comparison(g.expr, strict_rel)
+    new_guard = Comparison(g.expr, g.rel.strict)
     reset = edge.reset
     warning = ""
     boundary = False

@@ -177,10 +177,6 @@ class FlowContext:
 # ------------------------------------------------------------ env helpers
 
 
-def env_box(env: Env) -> dict:
-    return {v: af.to_interval(f) for v, f in env.items()}
-
-
 def env_subset(a: Env, b: Env, names) -> bool:
     for v in names:
         if not af.to_interval(a[v]).subset_of(af.to_interval(b[v])):

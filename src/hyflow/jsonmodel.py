@@ -15,15 +15,16 @@ Schema (expressions and guards are strings in the DSL expression syntax):
     }
 
 The `config` keys are the fields of `config.SimConfig`, each value checked
-by `config.check_setting`. Validation failures raise SchemaError with a
-JSON-pointer path.
+by `config.check_setting`; `duration` is required. `edges`, an edge's
+`reset`, `prints` and `label`, and `config` may be left out. Validation
+failures raise SchemaError with a JSON-pointer path.
 """
 
 from __future__ import annotations
 
 import json
 
-from .config import FIELD_TYPES, check_setting, finite_float
+from .config import FIELD_TYPES, REQUIRED, check_setting, finite_float
 from .dsl import parse_expr_string, parse_guard_string
 from .errors import ConfigError, ParseError, SchemaError
 from .expr import Edge, HybridAutomaton, Reset
@@ -41,6 +42,11 @@ def _need(obj, key, kind, path):
             f"'{key}' must be {kind.__name__}, got {type(val).__name__}",
             f"{path}/{key}")
     return val
+
+
+def _optional(obj, key, kind, default, path):
+    """`obj[key]` checked like `_need`, or `default` when it is absent."""
+    return _need(obj, key, kind, path) if key in obj else default
 
 
 def _expr(text, path):
@@ -92,7 +98,7 @@ def parse_json_automaton(text: str):
                               f"{path}/flow")
         flows[name] = flow
     edges = []
-    for i, e in enumerate(doc.get("edges", [])):
+    for i, e in enumerate(_optional(doc, "edges", list, [], "")):
         path = f"/edges/{i}"
         src = _need(e, "from", str, path)
         dst = _need(e, "to", str, path)
@@ -103,13 +109,15 @@ def parse_json_automaton(text: str):
             raise SchemaError(f"unknown target location '{dst}'", f"{path}/to")
         guard = _guard(_need(e, "guard", str, path), f"{path}/guard")
         assigns = []
-        for v, rhs in e.get("reset", {}).items():
+        for v, rhs in _optional(e, "reset", dict, {}, path).items():
             if v not in variables:
                 raise SchemaError(f"reset assigns undeclared variable '{v}'",
                                   f"{path}/reset")
             assigns.append((v, _expr(rhs, f"{path}/reset/{v}")))
-        prints = tuple(e.get("prints", []))
-        label = e.get("label", f"edge{i}")
+        prints = tuple(_optional(e, "prints", list, [], path))
+        if not all(isinstance(p, str) for p in prints):
+            raise SchemaError("must be a list of strings", f"{path}/prints")
+        label = _optional(e, "label", str, f"edge{i}", path)
         edges.append(Edge(src, dst, guard, Reset(tuple(assigns), prints),
                           label))
     init = _need(doc, "init", dict, "")
@@ -131,10 +139,7 @@ def parse_json_automaton(text: str):
         if bounds[0] > bounds[1]:
             raise SchemaError(f"inverted range {pair}", f"/init/box/{v}")
         box[v] = Interval(*bounds)
-    config = doc.get("config", {})
-    if not isinstance(config, dict):
-        raise SchemaError(f"expected object, got {type(config).__name__}",
-                          "/config")
+    config = _optional(doc, "config", dict, {}, "")
     settings = {}
     for k, v in config.items():
         if k not in FIELD_TYPES:
@@ -144,5 +149,8 @@ def parse_json_automaton(text: str):
             settings[k] = check_setting(k, v)
         except ConfigError as e:
             raise SchemaError(str(e), f"/config/{k}") from None
+    for k in REQUIRED:
+        if k not in settings:
+            raise SchemaError(f"missing key '{k}'", "/config")
     ha = HybridAutomaton(tuple(variables), flows, edges, init_loc, box)
     return ha, settings

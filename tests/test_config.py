@@ -76,3 +76,21 @@ def test_json_config_must_be_an_object():
     with pytest.raises(SchemaError) as info:
         parse_json_automaton(JSON_MODEL % '[{"duration": 1.0}]')
     assert info.value.path == "/config"
+
+
+def test_dsl_model_without_duration_is_located():
+    with pytest.raises(ParseError) as info:
+        D.parse_dsl("init x = 0;\nx' = -x;\n")
+    assert "missing `set duration`" in str(info.value)
+    assert info.value.span.line == 3
+
+
+def test_json_model_without_duration_is_located():
+    with pytest.raises(SchemaError) as info:
+        parse_json_automaton(JSON_MODEL % '{"dt": 0.01}')
+    assert info.value.path == "/config"
+    assert "duration" in str(info.value)
+    no_config = JSON_MODEL.replace(',\n  "config": %s', "")
+    with pytest.raises(SchemaError) as info:
+        parse_json_automaton(no_config)
+    assert info.value.path == "/config"

@@ -101,6 +101,16 @@ def test_malformed_inputs_have_spans(src):
     assert 1 <= info.value.span.line <= len(lines) + 1
 
 
+@pytest.mark.parametrize("name", sorted(ex.FUNCTION_OPS))
+def test_function_names_are_reserved_in_expressions(name):
+    src = f"set duration = 1;\ninit x = 0;\n{name} = 2;\nx' = {name};\n"
+    with pytest.raises(ParseError) as info:
+        D.parse_dsl(src)
+    assert info.value.expected == ("'('",)
+    span = info.value.span
+    assert (span.line, span.col) == (4, 6 + len(name))
+
+
 def test_round_trip_structural_identity():
     m1 = D.parse_dsl(PENDULUM)
     printed = D.pretty_print(m1)
@@ -191,6 +201,15 @@ def test_json_empty_edges_ok():
     ('"location": "heat"', ('"location": "oven"', "/init/location")),
     ('"T": [20, 20.1]', ('"T": [20]', "/init/box/T")),
     ('"duration": 15.0', ('"unknown_key": 1', "/config")),
+    ('"edges": [', ('"edges": 5, "unused": [', "/edges")),
+    ('"guard": "T >= 21"', ('"guard": "T >= 21", "reset": []',
+                            "/edges/0/reset")),
+    ('"guard": "T >= 21"', ('"guard": "T >= 21", "prints": 5',
+                            "/edges/0/prints")),
+    ('"guard": "T >= 21"', ('"guard": "T >= 21", "prints": [1]',
+                            "/edges/0/prints")),
+    ('"guard": "T >= 21"', ('"guard": "T >= 21", "label": 3',
+                            "/edges/0/label")),
 ])
 def test_json_schema_errors_carry_paths(mutation, path_piece):
     bad_text, expected_path = path_piece

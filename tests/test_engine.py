@@ -190,3 +190,31 @@ def test_crossing_extension_steps_start_condensed(monkeypatch):
     pipe = simulate(ha, cfg)
     assert pipe.complete and pipe.stats["crossings"] >= 1
     assert max(sizes) <= engine.CONDENSE_BUDGET
+
+
+def test_extension_watches_the_edges_its_step_rearmed():
+    # The ball falls from y = 0.5 with g = 1 and bounces at t = 1 and t = 3.
+    # Its boundary q*q has width, so after the first bounce `bounce` is
+    # disarmed, and the first step re-arms it. In that same step `reach`
+    # (z = w + t - 1 >= 2.501, w in [0, 2.5]) becomes MAYBE, and its
+    # crossing extends to t ~ 3.5, past the second bounce. The extension
+    # must classify the re-armed `bounce` again, so a flowpipe that calls
+    # itself complete contains every sampled trajectory.
+    y, v, z, w, q = (ex.var(n) for n in "yvzwq")
+    bounce = ex.Edge("fall", "fall", ex.comparison(y, Rel.LE, ex.mul(q, q)),
+                     Reset((("v", ex.neg(v)), ("z", w)), ()), "bounce")
+    reach = ex.Edge("fall", "rest", ex.comparison(z, Rel.GE, ex.const(2.501)),
+                    Reset((), ()), "reach")
+    still = {n: ex.ZERO for n in "yvzwq"}
+    ha = HybridAutomaton(
+        tuple("yvzwq"),
+        {"fall": {**still, "y": v, "v": ex.const(-1.0), "z": ex.ONE},
+         "rest": still},
+        [reach, bounce], "fall",
+        {"y": Interval(0.5, 0.5), "v": Interval(0, 0),
+         "z": Interval(-100, -100), "w": Interval(0.0, 2.5),
+         "q": Interval(0.0, 0.1)})
+    pipe = simulate(ha, SimConfig(duration=5.0, dt=0.1, max_dt=0.5, tol=1e-6))
+    assert all(b.crossings[0][1] == "bounce" for b in pipe.branches)
+    assert (not pipe.complete
+            or validate_monte_carlo(ha, pipe, 16, seed=1)["contained"] == 16)
