@@ -500,7 +500,9 @@ def pow_int(x: AffineForm, n: int, alloc: NoiseAllocator) -> AffineForm:
     if n == 0:
         return AffineForm(1.0)
     if n < 0:
-        return nonlinear_unary("recip", pow_int(x, -n, alloc), alloc)
+        # reciprocal first: a wide positive x can have a square whose affine
+        # range reaches below zero, and then its reciprocal is refused
+        return pow_int(nonlinear_unary("recip", x, alloc), -n, alloc)
     # binary exponentiation; squaring uses the sharp centered form
     result = None
     base = x

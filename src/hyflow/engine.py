@@ -7,13 +7,28 @@ event resolutions fork the flowpipe into branches (disjunctive analysis);
 every branch is explored depth-first up to a cap, and an aborted branch is
 reported rather than silently dropped, so the union of branches remains a
 sound over-approximation of all trajectories whenever `complete` is true.
+
+Every step ends in a list of successors, one per set of trajectories it
+hands on. A live successor (`_Next`) continues from a location, state,
+time and step size after its own segment, and carries its crossing if it
+jumped; an aborted one is the reason (a string) its trajectories are no
+longer followed. A plain step gives one successor. A crossing gives one
+per option of the immediate-transition chain after its reset, then, when
+its window outran the extension limit, the trajectories that have not
+crossed yet. A hull-only disjunction gives one per option of each suspect
+edge, then the no-crossing step. Edges that stay simultaneous at the
+minimal separation give the successors of each edge's crossing of the same
+step. `_commit` is the one routine that turns successors into tasks: a lone
+live successor continues the current task in place (no fork, and it does
+not count against the branch cap); otherwise each live successor is forked
+and queued in order, and each aborted one is finished as a branch.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import _round as rd
 from . import affine as af
@@ -46,7 +61,8 @@ class FlowpipeSegment:
     tight: dict          # var -> Interval at t
     hull: dict           # var -> Interval over [t, t_end]
     location: str
-    events: tuple = ()   # labels/prints of the crossing ending this segment
+    events: tuple = ()   # label and prints of the crossing ending it, and of
+                         # the immediate hops after it
 
 
 @dataclass
@@ -80,8 +96,21 @@ class _Task:
     crossings: list
     disarmed: set
     parent: int | None
-    forced_edge: int | None = None
     steps: int = 0
+
+
+@dataclass
+class _Next:
+    """A live successor of a step: its trajectories continue from `env` at
+    `t` in `location` with step size `h`, after `segment` and, when they
+    jumped, `crossing` (abs time, label)."""
+    location: str
+    env: dict
+    t: Interval
+    h: float
+    disarmed: set
+    segment: FlowpipeSegment
+    crossing: tuple | None = None
 
 
 def _shift(t: Interval, lo: float, hi: float) -> Interval:
@@ -128,22 +157,15 @@ class _Engine:
     # ----------------------------------------------------------- plumbing
 
     def _finish(self, task: _Task, complete: bool, reason: str = ""):
-        b = Branch(len(self.branches), task.parent, task.segments, complete,
-                   reason, task.crossings)
-        self.branches.append(b)
-        return b
-
-    def _spawn(self, task: _Task, location, env, t, h, disarmed,
-               forced_edge=None) -> _Task:
-        return _Task(location, env, t, h, task.alloc.fork(),
-                     list(task.segments), list(task.crossings), set(disarmed),
-                     task.parent, forced_edge, task.steps)
+        self.branches.append(Branch(len(self.branches), task.parent,
+                                    task.segments, complete, reason,
+                                    task.crossings))
 
     def _resolve_chain(self, task, location, env, entered_by, prints,
                        tolerate=frozenset(), depth=0):
         """Run the immediate-transition chain; returns a list of
         (location, env, prints, disarmed) alternatives (one when the chain
-        is unambiguous)."""
+        is unambiguous), each with the prints of every hop it took."""
         if depth > MAX_CHAIN:
             raise ZenoError("immediate-transition chain kept branching")
         out = chain_immediate(self.ha, location, env, entered_by, task.alloc,
@@ -158,90 +180,118 @@ class _Engine:
             )
         return results
 
-    def _gpoly(self, task, env_start, env_end, span, hull_env):
-        ctx = self.ctxs[task.location]
+    def _gpoly(self, task, env_end, span, hull_env):
+        """Two-node interpolant from the task's state over [0, span]."""
         hull_c = env_condense(hull_env, HULL_CONDENSE, task.alloc)
-        return build_gpoly(ctx, [(0.0, env_start), (span, env_end)], span,
-                           hull_c, task.alloc)
+        return build_gpoly(self.ctxs[task.location],
+                           [(0.0, task.env), (span, env_end)], span, hull_c,
+                           task.alloc)
 
-    def _segment(self, task, hull_env, t_end, events=()) -> FlowpipeSegment:
+    def _segment(self, task, hull_env, t_end) -> FlowpipeSegment:
         ctx = self.ctxs[task.location]
         tight = _padded_box(ctx, task.env, task.t.width, task.alloc)
         hull = _padded_box(ctx, hull_env, t_end.width, task.alloc)
-        return FlowpipeSegment(task.t, t_end, tight, hull, task.location,
-                               tuple(events))
+        return FlowpipeSegment(task.t, t_end, tight, hull, task.location)
 
     # ------------------------------------------------------------ the loop
 
     def run(self, task: _Task):
-        """Advance one branch until completion, abort, or a split (children
-        are queued)."""
-        cfg, ha = self.cfg, self.ha
+        """Advance one branch until completion, abort, or a fork (the
+        successors are queued)."""
         try:
-            while True:
-                if task.t.lo > cfg.duration:
-                    task.segments.append(self._segment(task, task.env, task.t))
-                    self._finish(task, True)
-                    return
+            while task.t.lo <= self.cfg.duration:
                 if task.steps >= MAX_STEPS:
                     self._finish(task, False, "step budget exhausted")
                     return
-                ctx = self.ctxs[task.location]
-                out = guaranteed_step(
-                    ctx, task.env, task.h, cfg, task.alloc,
-                    diag=f"(t >= {task.t.lo:.6g}, location '{task.location}')")
-                task.steps += 1
-                self.stats["steps"] += 1
-                self.stats["rejections"] += out.rejections
-                rearm = self._check_disarmed(task, out, task.disarmed)
-                if rearm is None:
-                    return  # aborted inside
-                statuses = classify(ha, task.location, task.env, out.x_next,
-                                    out.hull, task.alloc, skip=task.disarmed)
-                if task.forced_edge is not None:
-                    statuses = {task.forced_edge:
-                                statuses.get(task.forced_edge,
-                                             EdgeStatus.INACTIVE)}
-                actives = sorted(i for i, s in statuses.items()
-                                 if s in (EdgeStatus.SURE, EdgeStatus.MAYBE))
-                hull_only = sorted(i for i, s in statuses.items()
-                                   if s is EdgeStatus.HULL_ONLY)
-                if len(actives) > 1:
-                    action, payload = separation_action(actives, out.h_used)
-                    if action == "retry":
-                        task.h = payload
-                        continue
-                    self._split_per_edge(task, out, payload)
+                if not self._commit(task, self._successors(task)):
                     return
-                if len(actives) == 1:
-                    done = self._handle_crossing(task, out, actives[0],
-                                                 statuses[actives[0]], rearm)
-                    if done:
-                        return
-                    continue
-                if hull_only and not self._clear_hull_only(task, out,
-                                                           hull_only, rearm):
-                    return  # branched inside
-                # plain continuous step
-                task.segments.append(self._segment(
-                    task, out.hull, _shift(task.t, out.h_used, out.h_used)))
-                task.t = _shift(task.t, out.h_used, out.h_used)
-                task.env = env_condense(out.x_next, CONDENSE_BUDGET,
-                                        task.alloc)
-                task.h = out.h_next
-                task.disarmed -= rearm
+            task.segments.append(self._segment(task, task.env, task.t))
+            self._finish(task, True)
         except (IntegrationError, InvariantViolation, ZenoError, DomainError,
                 ConfigError, ModelError) as e:
             self._finish(task, False, f"{type(e).__name__}: {e}")
 
+    def _commit(self, task, succs) -> bool:
+        """Turn a step's successors into tasks. True when `task` goes on: a
+        lone live successor is committed in place. Otherwise each live
+        successor is forked off `task` and queued in order, each aborted
+        one is finished as a branch, and `task` is done."""
+        if len(succs) == 1 and isinstance(succs[0], _Next):
+            self._enter(task, succs[0])
+            return True
+        for s in succs:
+            child = replace(task, alloc=task.alloc.fork(),
+                            segments=list(task.segments),
+                            crossings=list(task.crossings))
+            if not isinstance(s, _Next):
+                self._finish(child, False, s)
+                continue
+            self._enter(child, s)
+            if len(self.branches) + len(self.tasks) >= BRANCH_CAP:
+                self._finish(child, False, "BranchCap: disjunctive analysis "
+                                           "exceeded the branch cap")
+            else:
+                self.tasks.append(child)
+        return False
+
+    def _enter(self, task, s: _Next):
+        task.segments.append(s.segment)
+        if s.crossing is not None:
+            task.crossings.append(s.crossing)
+        task.location, task.t, task.h = s.location, s.t, s.h
+        task.env = env_condense(s.env, CONDENSE_BUDGET, task.alloc)
+        task.disarmed = set(s.disarmed)
+
+    def _step(self, task, env, h, disarmed, diag, skip=frozenset()):
+        """One guaranteed step from `env` in the task's location: certify
+        the `disarmed` edges over it and classify the others (but `skip`).
+        Returns (outcome, edges to re-arm once committed, statuses)."""
+        out = guaranteed_step(self.ctxs[task.location], env, h, self.cfg,
+                              task.alloc, diag=diag)
+        task.steps += 1
+        self.stats["steps"] += 1
+        self.stats["rejections"] += out.rejections
+        rearm = self._check_disarmed(task, out, disarmed)
+        statuses = classify(self.ha, task.location, env, out.x_next,
+                            out.hull, task.alloc, skip=disarmed | skip)
+        return out, rearm, statuses
+
+    def _successors(self, task) -> list:
+        """Take one step from `task`; returns how it ends."""
+        h = task.h
+        while True:
+            out, rearm, statuses = self._step(
+                task, task.env, h, task.disarmed,
+                f"(t >= {task.t.lo:.6g}, location '{task.location}')")
+            actives = sorted(i for i, s in statuses.items()
+                             if s in (EdgeStatus.SURE, EdgeStatus.MAYBE))
+            action, payload = separation_action(actives, out.h_used)
+            if action != "retry":
+                break
+            h = payload
+        if actives:
+            # one edge, or edges still simultaneous at the minimal
+            # separation: each crossing of this same step is a successor
+            return [s for idx in actives
+                    for s in self._crossing(task, out, idx, statuses[idx],
+                                            rearm)]
+        hull_only = sorted(i for i, s in statuses.items()
+                           if s is EdgeStatus.HULL_ONLY)
+        succs = self._hull_only(task, out, hull_only)
+        t_end = _shift(task.t, out.h_used, out.h_used)
+        succs.append(_Next(task.location, out.x_next, t_end, out.h_next,
+                           task.disarmed - rearm,
+                           self._segment(task, out.hull, t_end)))
+        return succs
+
     # ------------------------------------------------------ event handling
 
-    def _check_disarmed(self, task, out, disarmed) -> set | None:
-        """Certify the `disarmed` edges over the step hull. Returns the
-        edges to re-arm once the step is committed (guard surely false at
-        the step end, or not an edge of this location); None => aborted.
-        Until then the step, its retries and its children keep the disarmed
-        set it started with."""
+    def _check_disarmed(self, task, out, disarmed) -> set:
+        """Certify the `disarmed` edges over the step hull (raises
+        InvariantViolation when one may fire). Returns the edges to re-arm
+        once the step is committed (guard surely false at the step end, or
+        not an edge of this location); until then the step, its retries
+        and its successors keep the disarmed set it started with."""
         ctx = self.ctxs[task.location]
         rearm = set()
         for idx in sorted(disarmed):
@@ -250,187 +300,110 @@ class _Engine:
                 rearm.add(idx)
                 continue
             if not edge_cannot_fire(edge, ctx.flow, out.hull, task.alloc):
-                self._finish(task, False,
-                             f"InvariantViolation: cannot certify disarmed "
-                             f"{edge.label} (guard straddles its boundary and "
-                             f"the flow direction is not provable)")
-                return None
+                raise InvariantViolation(
+                    f"cannot certify disarmed {edge.label} (guard straddles "
+                    f"its boundary and the flow direction is not provable)")
             tri = ex.eval_guard(edge.guard, out.x_next, task.alloc)
             if tri is Trivalent.FALSE:
                 rearm.add(idx)
             elif tri is Trivalent.TRUE:
-                self._finish(task, False,
-                             f"InvariantViolation: disarmed {edge.label} "
-                             f"became surely true despite certificate")
-                return None
+                raise InvariantViolation(
+                    f"disarmed {edge.label} became surely true despite "
+                    f"certificate")
         return rearm
 
-    def _split_per_edge(self, task, out, edge_indices):
-        """Simultaneous activation at minimal separation: one child per
-        edge, each honoring only its own edge for this step."""
-        for idx in edge_indices:
-            child = self._spawn(task, task.location, task.env, task.t,
-                                out.h_used, task.disarmed, forced_edge=idx)
-            self._queue(child)
+    def _crossing(self, task, out, idx, status, rearm) -> list:
+        """Successors of edge `idx` activated by the step `out`.
 
-    def _queue(self, task):
-        if len(self.branches) + len(self.tasks) >= BRANCH_CAP:
-            self._finish(task, False, "BranchCap: disjunctive analysis "
-                                      "exceeded the branch cap")
-        else:
-            self.tasks.append(task)
-
-    def _handle_crossing(self, task, out, idx, status, rearm) -> bool:
-        """Process the single activated edge. Returns True when the current
-        task ended (split or abort); False to continue stepping.
-
-        Extension steps past the step `out` start where it ends, so they
-        see the edges it re-armed (`rearm`) and certify or re-arm the rest,
-        as a plain step would."""
-        cfg, ha = self.cfg, self.ha
-        ctx = self.ctxs[task.location]
-        edge = ha.edges[idx]
-        acc_hull = out.hull
-        env_end = out.x_next
-        span = out.h_used
-        missed_branch = False
+        A MAYBE crossing extends the step until the guard is surely true.
+        Extension steps start where `out` ends, so they see the edges it
+        re-armed (`rearm`) and certify or re-arm the rest, as a plain step
+        would. When another edge wakes up during the extension, the step
+        ends in one aborted successor that names both edges."""
+        edge = self.ha.edges[idx]
+        acc_hull, env_end = out.hull, out.x_next
+        span, h_ext = out.h_used, out.h_next
         disarmed = task.disarmed - rearm
+        missed = False
         if status is EdgeStatus.MAYBE:
-            h_ext = out.h_next
-            for _ext in range(MAX_EXTENSIONS + 1):
+            for ext in range(MAX_EXTENSIONS + 1):
                 tri = ex.eval_guard(edge.guard, env_end, task.alloc)
                 if tri is Trivalent.TRUE:
                     break
-                if _ext == MAX_EXTENSIONS:
-                    missed_branch = True
+                if ext == MAX_EXTENSIONS:
+                    missed = True
                     break
                 env_end = env_condense(env_end, CONDENSE_BUDGET, task.alloc)
-                out2 = guaranteed_step(ctx, env_end, h_ext, cfg, task.alloc,
-                                       diag=f"(extending across guard of "
-                                            f"{edge.label})")
-                task.steps += 1
-                self.stats["steps"] += 1
-                rearm2 = self._check_disarmed(task, out2, disarmed)
-                if rearm2 is None:
-                    return True  # aborted inside
-                others = classify(ha, task.location, env_end, out2.x_next,
-                                  out2.hull, task.alloc, skip=disarmed | {idx})
-                conflict = [j for j, s in others.items()
-                            if s is not EdgeStatus.INACTIVE]
-                if conflict:
-                    # another edge wakes up while extending: fall back to a
-                    # per-edge disjunction over the original step state
-                    self._split_per_edge(task, out, sorted({idx, *conflict}))
-                    return True
+                out2, rearm2, others = self._step(
+                    task, env_end, h_ext, disarmed,
+                    f"(extending across guard of {edge.label})", {idx})
+                woken = [self.ha.edges[j].label for j, s in others.items()
+                         if s is not EdgeStatus.INACTIVE]
+                if woken:
+                    t = _shift(task.t, span, span + out2.h_used)
+                    return [f"EventConflict: {', '.join(woken)} may fire "
+                            f"while the crossing of {edge.label} extends, "
+                            f"at t in [{t.lo:.6g}, {t.hi:.6g}]"]
                 acc_hull = env_hull(acc_hull, out2.hull, task.alloc)
                 env_end = out2.x_next
                 disarmed -= rearm2
                 span += out2.h_used
                 h_ext = out2.h_next
-        gpoly = self._gpoly(task, task.env, env_end, span, acc_hull)
+        gpoly = self._gpoly(task, env_end, span, acc_hull)
         t_zc = tight_interval(gpoly, edge.guard, Interval(0.0, span),
-                              cfg.zc_precision, task.alloc)
+                              self.cfg.zc_precision, task.alloc)
+        h_jump = min(out.h_used, self.cfg.dt)
+        succs = self._jump(task, gpoly, acc_hull, idx, t_zc, h_jump)
+        if missed:
+            # trajectories that have not crossed by the window's end go on
+            t_end = _shift(task.t, span, span)
+            succs.append(_Next(task.location, env_end, t_end, h_jump,
+                               disarmed | {idx},
+                               self._segment(task, acc_hull, t_end)))
+        return succs
+
+    def _jump(self, task, gpoly, hull_env, idx, t_zc, h, tags=()) -> list:
+        """Successors of taking edge `idx` within `t_zc` (local to the
+        step): one per option of the immediate-transition chain after the
+        reset, each with its own prints; an endless chain aborts."""
+        edge = self.ha.edges[idx]
         result = cross(edge, idx, gpoly, t_zc, task.alloc)
         self.stats["crossings"] += 1
-        seg = self._segment(task, acc_hull, _shift(task.t, span, span),
-                            events=(edge.label,) + tuple(result.prints))
+        seg = self._segment(task, hull_env,
+                            _shift(task.t, gpoly.span, gpoly.span))
         abs_zc = _shift(task.t, t_zc.lo, t_zc.hi)
-        options = self._resolve_chain(task, result.post_location,
-                                      result.post_env, idx,
-                                      list(result.prints))
-        followups = []
-        if missed_branch:
-            followups.append((task.location, env_end, [],
-                              disarmed | {idx}, "missed"))
-        if len(options) == 1 and not followups:
-            loc2, env2, prints2, disarmed2 = options[0]
-            task.segments.append(seg)
-            task.crossings.append((abs_zc, edge.label))
-            task.location = loc2
-            task.env = env_condense(env2, CONDENSE_BUDGET, task.alloc)
-            task.t = abs_zc
-            task.h = min(out.h_used, cfg.dt)
-            task.disarmed = set(disarmed2)
-            task.forced_edge = None
-            return False
-        for loc2, env2, prints2, disarmed2 in options:
-            child = self._spawn(task, loc2,
-                                env_condense(env2, CONDENSE_BUDGET,
-                                             task.alloc),
-                                abs_zc, min(out.h_used, cfg.dt), disarmed2)
-            child.segments.append(seg)
-            child.crossings.append((abs_zc, edge.label))
-            self._queue(child)
-        for loc2, env2, prints2, disarmed2, _kind in followups:
-            child = self._spawn(task, loc2,
-                                env_condense(env2, CONDENSE_BUDGET,
-                                             task.alloc),
-                                _shift(task.t, span, span),
-                                min(out.h_used, cfg.dt), disarmed2)
-            child.segments.append(self._segment(
-                task, acc_hull, _shift(task.t, span, span)))
-            self._queue(child)
-        return True
+        try:
+            options = self._resolve_chain(task, result.post_location,
+                                          result.post_env, idx,
+                                          list(result.prints))
+        except ZenoError as e:
+            return [f"ZenoError: {e}"]
+        return [_Next(loc, env, abs_zc, h, disarmed,
+                      replace(seg, events=(edge.label, *tags, *prints)),
+                      (abs_zc, edge.label))
+                for loc, env, prints, disarmed in options]
 
-    def _clear_hull_only(self, task, out, hull_only, rearm) -> bool:
-        """Check hull-only activations. True when all are refuted (the step
-        may be accepted as event-free); False when the task branched, and
-        then the no-crossing child commits the step and re-arms `rearm`."""
+    def _hull_only(self, task, out, hull_only) -> list:
+        """Hull-only activations: each edge that neither the monotonicity
+        certificate nor bisection refutes may have fired inside its window,
+        and contributes the successors of that crossing."""
         ctx = self.ctxs[task.location]
-        suspects = []
+        succs = []
         gpoly = None
-        windows = {}
         for idx in hull_only:
             edge = self.ha.edges[idx]
             if edge_cannot_fire(edge, ctx.flow, out.hull, task.alloc):
                 continue
             if gpoly is None:
-                gpoly = self._gpoly(task, task.env, out.x_next, out.h_used,
-                                    out.hull)
+                gpoly = self._gpoly(task, out.x_next, out.h_used, out.hull)
             verdict, window = resolve_hull_only(
                 gpoly, edge.guard, Interval(0.0, out.h_used),
                 self.cfg.zc_precision, task.alloc)
-            if verdict == "none":
-                continue
-            suspects.append(idx)
-            windows[idx] = window
-        if not suspects:
-            return True
-        # disjunction: each suspect may have fired inside its window, or
-        # nothing fired at all
-        for idx in suspects:
-            edge = self.ha.edges[idx]
-            window = windows[idx]
-            result = cross(edge, idx, gpoly, window, task.alloc)
-            self.stats["crossings"] += 1
-            abs_zc = _shift(task.t, window.lo, window.hi)
-            try:
-                options = self._resolve_chain(task, result.post_location,
-                                              result.post_env, idx,
-                                              list(result.prints))
-            except ZenoError:
-                options = []
-            for loc2, env2, prints2, disarmed2 in options:
-                child = self._spawn(task, loc2,
-                                    env_condense(env2, CONDENSE_BUDGET,
-                                                 task.alloc),
-                                    abs_zc, min(out.h_used, self.cfg.dt),
-                                    disarmed2)
-                child.segments.append(self._segment(
-                    task, out.hull, _shift(task.t, out.h_used, out.h_used),
-                    events=(edge.label, "possible-crossing")
-                           + tuple(result.prints)))
-                child.crossings.append((abs_zc, edge.label))
-                self._queue(child)
-        no_cross = self._spawn(task, task.location,
-                               env_condense(out.x_next, CONDENSE_BUDGET,
-                                            task.alloc),
-                               _shift(task.t, out.h_used, out.h_used),
-                               out.h_next, task.disarmed - rearm)
-        no_cross.segments.append(self._segment(
-            task, out.hull, _shift(task.t, out.h_used, out.h_used)))
-        self._queue(no_cross)
-        return False
+            if verdict != "none":
+                succs += self._jump(task, gpoly, out.hull, idx, window,
+                                    min(out.h_used, self.cfg.dt),
+                                    ("possible-crossing",))
+        return succs
 
 
 def _split_box(box: dict, variables, k: int):

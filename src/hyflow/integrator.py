@@ -126,9 +126,6 @@ TRUNC_REJECT_FACTOR = 10.0  # reject a step whose truncation width > this*tol
 class StepOutcome:
     x_next: Env          # tight enclosure at t + h_used
     hull: Env            # a priori enclosure over [t, t + h_used]
-    stages: list         # stage values k_i (list of Env)
-    err_est: float       # embedded scalar estimate driving step control
-    trunc: Env           # truncation-error enclosure added into x_next
     h_used: float
     h_next: float
     rejections: int = 0
@@ -474,8 +471,7 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
                     hull[v] = z[v]
                 else:
                     hull[v] = af.hull(z[v], x_next[v], alloc)
-            return StepOutcome(x_next, hull, ks, est, trunc, h, h_next,
-                               rejections)
+            return StepOutcome(x_next, hull, h, h_next, rejections)
         if at_floor:
             raise IntegrationError(
                 f"error estimate {est:g} above tolerance {cfg.tol:g} at minimal "

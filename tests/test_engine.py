@@ -198,8 +198,7 @@ def test_extension_watches_the_edges_its_step_rearmed():
     # disarmed, and the first step re-arms it. In that same step `reach`
     # (z = w + t - 1 >= 2.501, w in [0, 2.5]) becomes MAYBE, and its
     # crossing extends to t ~ 3.5, past the second bounce. The extension
-    # must classify the re-armed `bounce` again, so a flowpipe that calls
-    # itself complete contains every sampled trajectory.
+    # must classify the re-armed `bounce` again, and meets it near t = 3.
     y, v, z, w, q = (ex.var(n) for n in "yvzwq")
     bounce = ex.Edge("fall", "fall", ex.comparison(y, Rel.LE, ex.mul(q, q)),
                      Reset((("v", ex.neg(v)), ("z", w)), ()), "bounce")
@@ -215,6 +214,129 @@ def test_extension_watches_the_edges_its_step_rearmed():
          "z": Interval(-100, -100), "w": Interval(0.0, 2.5),
          "q": Interval(0.0, 0.1)})
     pipe = simulate(ha, SimConfig(duration=5.0, dt=0.1, max_dt=0.5, tol=1e-6))
-    assert all(b.crossings[0][1] == "bounce" for b in pipe.branches)
-    assert (not pipe.complete
-            or validate_monte_carlo(ha, pipe, 16, seed=1)["contained"] == 16)
+    # the step ends in one aborted successor that names both edges and the
+    # time; no child replays it
+    assert len(pipe.branches) == 1 and not pipe.complete
+    reason = pipe.branches[0].abort_reason
+    assert "bounce" in reason and "reach" in reason and "t in [" in reason
+
+
+# ------------------------------------------- disjunctions and their successors
+
+
+def graze(reset):
+    """y rises to a peak within 5e-4 of the guard y >= 0 at t = 0.875, so
+    the step over the peak activates `loop` on its hull only."""
+    y, v = ex.var("y"), ex.var("v")
+    loop = ex.Edge("l", "l", ex.comparison(y, Rel.GE, ex.ZERO),
+                   Reset(reset), "loop")
+    return HybridAutomaton(("y", "v"), {"l": {"y": v, "v": ex.const(-1.0)}},
+                           [loop], "l",
+                           {"y": Interval(-0.3833125, -0.3823125),
+                            "v": Interval(0.875, 0.875)})
+
+
+GRAZE_CFG = SimConfig(duration=2, dt=0.25, max_dt=0.25, tol=1)
+
+
+def test_hull_only_graze_forks_a_crossing_and_a_no_crossing_child():
+    ha = graze((("y", ex.const(-1.0)),))
+    pipe = simulate(ha, GRAZE_CFG)
+    assert pipe.complete and len(pipe.branches) == 2
+    crossed = [b for b in pipe.branches if b.crossings]
+    assert len(crossed) == 1
+    assert ("loop", "possible-crossing") in [s.events for s in
+                                             crossed[0].segments]
+    # samples peaking above 0 jump and the others do not: each child holds
+    # some of them (6 and 10 of 16 at seed 1)
+    mc = validate_monte_carlo(ha, pipe, 16, seed=1)
+    assert mc["contained"] == 16, mc["violations"][:1]
+
+
+def test_zeno_behind_a_hull_only_suspect_is_reported():
+    # the reset y := 1 lands inside the guard again: the chain is endless
+    pipe = simulate(graze((("y", ex.ONE),)), GRAZE_CFG)
+    assert not pipe.complete
+    assert [b.abort_reason.split(":")[0] for b in pipe.branches
+            if not b.complete] == ["ZenoError"]
+
+
+def relay(w_guard):
+    """`go` jumps from l1 to l2 at x = 1; in l2, `relay` (w > w_guard) is
+    taken at once when surely true, and splits the chain when unknown."""
+    x, w = ex.var("x"), ex.var("w")
+    go = ex.Edge("l1", "l2", ex.comparison(x, Rel.GE, ex.ONE),
+                 Reset((("x", ex.ZERO),), ("jump",)), "go")
+    hop = ex.Edge("l2", "l3", ex.comparison(w, Rel.GT, ex.const(w_guard)),
+                  Reset((), ("relay",)), "relay")
+    flows = {loc: {"x": ex.ONE, "w": ex.ZERO} for loc in ("l1", "l2", "l3")}
+    return HybridAutomaton(("x", "w"), flows, [go, hop], "l1",
+                           {"x": Interval(0, 0), "w": Interval(-0.5, 0.5)})
+
+
+RELAY_CFG = SimConfig(duration=1.5, dt=0.05, max_dt=0.25)
+
+
+def test_chain_hops_record_their_prints():
+    pipe = simulate(relay(-1.0), RELAY_CFG)
+    assert pipe.complete and len(pipe.branches) == 1
+    assert [s.events for s in pipe.branches[0].segments if s.events] == [
+        ("go", "jump", "relay")]
+    assert pipe.branches[0].segments[-1].location == "l3"
+
+
+def test_ambiguous_chain_branches_through_simulate():
+    ha = relay(0.0)
+    pipe = simulate(ha, RELAY_CFG)
+    assert pipe.complete and len(pipe.branches) == 2
+    assert {b.segments[-1].location for b in pipe.branches} == {"l2", "l3"}
+    assert all(b.crossings[0][1] == "go" for b in pipe.branches)
+    mc = validate_monte_carlo(ha, pipe, 16, seed=1)
+    assert mc["contained"] == 16, mc["violations"][:1]
+
+
+def test_missed_crossing_follow_up(monkeypatch):
+    # y peaks within [-0.1, 0.1] of the guard y >= 0 at t = 1, so the
+    # crossing stays MAYBE over every extension step; past the extension
+    # limit the trajectories that have not crossed go on in `up`
+    y, v = ex.var("y"), ex.var("v")
+    top = ex.Edge("up", "down", ex.comparison(y, Rel.GE, ex.ZERO),
+                  Reset((("v", ex.const(-1.0)),)), "top")
+    ha = HybridAutomaton(("y", "v"), {"up": {"y": v, "v": ex.const(-1.0)},
+                                      "down": {"y": v, "v": ex.ZERO}},
+                         [top], "up",
+                         {"y": Interval(-0.6, -0.4), "v": Interval(1, 1)})
+    monkeypatch.setattr(engine, "MAX_EXTENSIONS", 2)
+    pipe = simulate(ha, SimConfig(duration=3, dt=0.25, max_dt=0.25))
+    assert pipe.complete and len(pipe.branches) == 2
+    ends = {b.segments[-1].location: b for b in pipe.branches}
+    assert not ends["up"].crossings
+    assert [label for _, label in ends["down"].crossings] == ["top"]
+    mc = validate_monte_carlo(ha, pipe, 16, seed=1)
+    assert mc["contained"] == 16, mc["violations"][:1]
+
+
+def test_extension_rejections_are_counted(monkeypatch):
+    # x' = x^2 speeds up while the crossing of x >= 1.8 extends, so the
+    # extension steps reject sizes their predecessors proposed
+    x = ex.var("x")
+    hit = ex.Edge("a", "b", ex.comparison(x, Rel.GE, ex.const(1.8)),
+                  Reset((("x", ex.ZERO),)), "hit")
+    ha = HybridAutomaton(("x",), {"a": {"x": ex.mul(x, x)},
+                                  "b": {"x": ex.ZERO}},
+                         [hit], "a", {"x": Interval(1.0, 1.1)})
+    rejected = []
+    step = engine.guaranteed_step
+
+    def recording(*args, **kwargs):
+        out = step(*args, **kwargs)
+        rejected.append((kwargs["diag"].startswith("(extending"),
+                         out.rejections))
+        return out
+
+    monkeypatch.setattr(engine, "guaranteed_step", recording)
+    pipe = simulate(ha, SimConfig(duration=0.9, dt=0.05, max_dt=0.1))
+    assert pipe.complete
+    assert sum(r for extending, r in rejected if extending) > 0
+    assert pipe.stats["rejections"] == sum(r for _, r in rejected)
+    assert pipe.stats["steps"] == len(rejected)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from hyflow import affine as af
-from hyflow import benchmarks
+from hyflow import benchmarks, engine
 from hyflow import events as ev
 from hyflow import expr as ex
 from hyflow import integrator as gi
@@ -194,10 +194,23 @@ def test_exactly_simultaneous_guards_branch(monkeypatch):
         ("x",), {"l": {"x": ex.ONE}, "l2": {"x": ex.ONE}, "l3": {"x": ex.ONE}},
         [e1, e2], "l", {"x": Interval(0, 0)})
     monkeypatch.setattr(ev, "MIN_SEPARATION", 1e-3)
+    starts = []
+    step = engine.guaranteed_step
+
+    def recording(ctx, env, h, *args, **kwargs):
+        box = tuple((v, af.to_interval(f).lo, af.to_interval(f).hi)
+                    for v, f in sorted(env.items()))
+        starts.append((ctx, box, h))
+        return step(ctx, env, h, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "guaranteed_step", recording)
     pipe = simulate(ha, SimConfig(duration=1.05, dt=0.05, max_dt=0.5))
     locs = {b.segments[-1].location for b in pipe.branches if b.complete}
     assert {"l2", "l3"} <= locs
     assert len(pipe.branches) >= 2
+    # both edges cross in the step that found them simultaneous: no step
+    # is taken twice from the same state with the same size
+    assert pipe.stats["steps"] == len(starts) == len(set(starts))
 
 
 def test_chain_immediate_relay():

@@ -14,7 +14,7 @@ from hyflow import dsl as D
 from hyflow import expr as ex
 from hyflow.engine import simulate, validate_monte_carlo
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
-from hyflow.errors import DomainError, ModelError
+from hyflow.errors import ModelError
 from hyflow.interval import Interval
 from hyflow.trivalent import Trivalent
 
@@ -145,14 +145,9 @@ def test_every_op_has_a_case():
     assert {op for op, _ in OP_CASES} == set(ex.OPS)
 
 
-# affine.pow_int squares U into a range reaching below zero, so the
-# reciprocal is refused although U >= 0.75: a known defect, and this case
-# xpasses once it is mended
-WIDE_RECIPROCAL = pytest.param(
-    "pow", (U, -2), id="pow_wide_reciprocal",
-    marks=pytest.mark.xfail(strict=True, raises=DomainError,
-                            reason="pow_int(u, -2) refuses a positive u "
-                                   "whose sharp square straddles zero"))
+# U's affine square reaches below zero although U >= 0.75, so U^-2 holds
+# only when the reciprocal is taken before the power
+WIDE_RECIPROCAL = pytest.param("pow", (U, -2), id="pow_wide_reciprocal")
 
 
 @pytest.mark.parametrize(
