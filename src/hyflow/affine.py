@@ -245,11 +245,6 @@ def _add(x: AffineForm, y: AffineForm, sign: float) -> AffineForm:
     return _mk(center, dev, _finish_slack(slack, esum, ecnt))
 
 
-def combine(a: float, x: AffineForm, b: float, y: AffineForm, c: float) -> AffineForm:
-    """Exact linear combination a*x + b*y + c with rounding folded into slack."""
-    return add_const(_add(scale(x, a), scale(y, b), 1.0), c)
-
-
 def add_const(x: AffineForm, c: float) -> AffineForm:
     if c == 0.0:
         return x

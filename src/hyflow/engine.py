@@ -12,16 +12,24 @@ Every step ends in a list of successors, one per set of trajectories it
 hands on. A live successor (`_Next`) continues from a location, state,
 time and step size after its own segment, and carries its crossing if it
 jumped; an aborted one is the reason (a string) its trajectories are no
-longer followed. A plain step gives one successor. A crossing gives one
-per option of the immediate-transition chain after its reset, then, when
-its window outran the extension limit, the trajectories that have not
-crossed yet. A hull-only disjunction gives one per option of each suspect
-edge, then the no-crossing step. Edges that stay simultaneous at the
-minimal separation give the successors of each edge's crossing of the same
-step. `_commit` is the one routine that turns successors into tasks: a lone
-live successor continues the current task in place (no fork, and it does
-not count against the branch cap); otherwise each live successor is forked
-and queued in order, and each aborted one is finished as a branch.
+longer followed.
+
+One routine, `_crossing`, decides every edge the step hull does not
+refute, from the guard's verdict at the step end (`classify`). While the
+verdict is UNKNOWN the step extends, up to MAX_EXTENSIONS steps; a surely
+true end brackets the crossing window with `tight_interval`, any other end
+with `resolve_hull_only`. Each window gives one successor per option of
+the immediate-transition chain after the reset. When the end is not surely
+true, the trajectories that have not crossed go on too. While several
+edges are surely or maybe crossed in one step, the step is halved, down to
+MIN_SEPARATION; then each edge is decided from that step, in index order.
+A step that no edge surely or maybe crosses ends in the successors of its
+suspect edges, then in the step itself.
+
+`_commit` is the one routine that turns successors into tasks: a lone live
+successor continues the current task in place (no fork, and it does not
+count against the branch cap); otherwise each live successor is forked and
+queued in order, and each aborted one is finished as a branch.
 """
 
 from __future__ import annotations
@@ -37,9 +45,8 @@ from .affine import NoiseAllocator
 from .errors import (ConfigError, DomainError, HyflowError, IntegrationError,
                      InvariantViolation, ModelError, ZenoError)
 from .config import SimConfig
-from .events import (MAX_CHAIN, MAX_EXTENSIONS, EdgeStatus, chain_immediate,
-                     classify, cross, edge_cannot_fire, resolve_hull_only,
-                     separation_action, tight_interval)
+from .events import (chain_immediate, classify, cross, edge_cannot_fire,
+                     resolve_hull_only, tight_interval)
 from .expr import HybridAutomaton, prepare_automaton
 from .integrator import (TABLES, FlowContext, env_condense, env_hull,
                          guaranteed_step)
@@ -49,7 +56,9 @@ from .reference import ReferenceSimulator
 from .trivalent import Trivalent
 
 CONDENSE_BUDGET = 100  # noise symbols per variable kept at each step start
-HULL_CONDENSE = 30     # noise symbols per variable of an interpolant's hull
+MIN_SEPARATION = 1e-5  # step below which simultaneous edges branch; above
+                       # integrator.H_MIN, so a halved step is never clamped
+MAX_EXTENSIONS = 24    # steps a crossing may extend past its step
 BRANCH_CAP = 64        # branches, finished plus queued, before BranchCap
 MAX_STEPS = 100_000    # steps per branch before it aborts
 
@@ -161,32 +170,6 @@ class _Engine:
                                     task.segments, complete, reason,
                                     task.crossings))
 
-    def _resolve_chain(self, task, location, env, entered_by, prints,
-                       tolerate=frozenset(), depth=0):
-        """Run the immediate-transition chain; returns a list of
-        (location, env, prints, disarmed) alternatives (one when the chain
-        is unambiguous), each with the prints of every hop it took."""
-        if depth > MAX_CHAIN:
-            raise ZenoError("immediate-transition chain kept branching")
-        out = chain_immediate(self.ha, location, env, entered_by, task.alloc,
-                              tolerate)
-        if out.branch_options is None:
-            return [(out.location, out.env, prints + out.prints, out.disarmed)]
-        results = []
-        for loc2, env2, entered2, prints2, tol2 in out.branch_options:
-            results.extend(
-                self._resolve_chain(task, loc2, env2, entered2,
-                                    prints + prints2, tol2, depth + 1)
-            )
-        return results
-
-    def _gpoly(self, task, env_end, span, hull_env):
-        """Two-node interpolant from the task's state over [0, span]."""
-        hull_c = env_condense(hull_env, HULL_CONDENSE, task.alloc)
-        return build_gpoly(self.ctxs[task.location],
-                           [(0.0, task.env), (span, env_end)], span, hull_c,
-                           task.alloc)
-
     def _segment(self, task, hull_env, t_end) -> FlowpipeSegment:
         ctx = self.ctxs[task.location]
         tight = _padded_box(ctx, task.env, task.t.width, task.alloc)
@@ -245,43 +228,37 @@ class _Engine:
     def _step(self, task, env, h, disarmed, diag, skip=frozenset()):
         """One guaranteed step from `env` in the task's location: certify
         the `disarmed` edges over it and classify the others (but `skip`).
-        Returns (outcome, edges to re-arm once committed, statuses)."""
+        Returns (outcome, edges to re-arm once committed, verdicts at the
+        step end of the edges its hull does not refute)."""
         out = guaranteed_step(self.ctxs[task.location], env, h, self.cfg,
                               task.alloc, diag=diag)
         task.steps += 1
         self.stats["steps"] += 1
         self.stats["rejections"] += out.rejections
         rearm = self._check_disarmed(task, out, disarmed)
-        statuses = classify(self.ha, task.location, env, out.x_next,
-                            out.hull, task.alloc, skip=disarmed | skip)
-        return out, rearm, statuses
+        ends = classify(self.ha, task.location, env, out.x_next, out.hull,
+                        task.alloc, skip=disarmed | skip)
+        return out, rearm, ends
 
     def _successors(self, task) -> list:
         """Take one step from `task`; returns how it ends."""
         h = task.h
         while True:
-            out, rearm, statuses = self._step(
+            out, rearm, ends = self._step(
                 task, task.env, h, task.disarmed,
                 f"(t >= {task.t.lo:.6g}, location '{task.location}')")
-            actives = sorted(i for i, s in statuses.items()
-                             if s in (EdgeStatus.SURE, EdgeStatus.MAYBE))
-            action, payload = separation_action(actives, out.h_used)
-            if action != "retry":
+            actives = [i for i in sorted(ends)
+                       if ends[i] is not Trivalent.FALSE]
+            if len(actives) < 2 or out.h_used / 2.0 < MIN_SEPARATION:
                 break
-            h = payload
-        if actives:
-            # one edge, or edges still simultaneous at the minimal
-            # separation: each crossing of this same step is a successor
-            return [s for idx in actives
-                    for s in self._crossing(task, out, idx, statuses[idx],
-                                            rearm)]
-        hull_only = sorted(i for i, s in statuses.items()
-                           if s is EdgeStatus.HULL_ONLY)
-        succs = self._hull_only(task, out, hull_only)
-        t_end = _shift(task.t, out.h_used, out.h_used)
-        succs.append(_Next(task.location, out.x_next, t_end, out.h_next,
-                           task.disarmed - rearm,
-                           self._segment(task, out.hull, t_end)))
+            h = out.h_used / 2.0
+        succs = [s for idx in sorted(ends)
+                 for s in self._crossing(task, out, idx, ends[idx], rearm)]
+        if not actives:
+            t_end = _shift(task.t, out.h_used, out.h_used)
+            succs.append(_Next(task.location, out.x_next, t_end, out.h_next,
+                               task.disarmed - rearm,
+                               self._segment(task, out.hull, t_end)))
         return succs
 
     # ------------------------------------------------------ event handling
@@ -312,54 +289,70 @@ class _Engine:
                     f"certificate")
         return rearm
 
-    def _crossing(self, task, out, idx, status, rearm) -> list:
-        """Successors of edge `idx` activated by the step `out`.
+    def _crossing(self, task, out, idx, end, rearm) -> list:
+        """Successors of edge `idx` after the step `out`, whose end gives
+        its guard the verdict `end`.
 
-        A MAYBE crossing extends the step until the guard is surely true.
-        Extension steps start where `out` ends, so they see the edges it
-        re-armed (`rearm`) and certify or re-arm the rest, as a plain step
-        would. When another edge wakes up during the extension, the step
-        ends in one aborted successor that names both edges."""
-        edge = self.ha.edges[idx]
-        acc_hull, env_end = out.hull, out.x_next
+        While the verdict is UNKNOWN the step extends, up to MAX_EXTENSIONS
+        steps, and stops at a surely true or surely false end. Extension
+        steps start where `out` ends, so they see the edges it re-armed
+        (`rearm`) and certify or re-arm the rest, as a plain step would.
+        When another edge wakes up during the extension, the step ends in
+        one aborted successor that names both edges. A surely true end
+        brackets the crossing with `tight_interval`. Any other end first
+        tries the monotonicity certificate, then brackets the times not
+        refuted with `resolve_hull_only`, if any. The trajectories that
+        have not crossed go on as well. When the step's own end left the
+        crossing undecided (`maybe`), they go on from the extension's end,
+        with the edge re-armed after a surely false end and disarmed after
+        the limit; when the step's own end is surely false, `_successors`
+        hands them on with the step."""
+        edge, ctx = self.ha.edges[idx], self.ctxs[task.location]
+        maybe = end is Trivalent.UNKNOWN
+        hull, env_end = out.hull, out.x_next
         span, h_ext = out.h_used, out.h_next
         disarmed = task.disarmed - rearm
-        missed = False
-        if status is EdgeStatus.MAYBE:
-            for ext in range(MAX_EXTENSIONS + 1):
-                tri = ex.eval_guard(edge.guard, env_end, task.alloc)
-                if tri is Trivalent.TRUE:
-                    break
-                if ext == MAX_EXTENSIONS:
-                    missed = True
-                    break
-                env_end = env_condense(env_end, CONDENSE_BUDGET, task.alloc)
-                out2, rearm2, others = self._step(
-                    task, env_end, h_ext, disarmed,
-                    f"(extending across guard of {edge.label})", {idx})
-                woken = [self.ha.edges[j].label for j, s in others.items()
-                         if s is not EdgeStatus.INACTIVE]
-                if woken:
-                    t = _shift(task.t, span, span + out2.h_used)
-                    return [f"EventConflict: {', '.join(woken)} may fire "
-                            f"while the crossing of {edge.label} extends, "
-                            f"at t in [{t.lo:.6g}, {t.hi:.6g}]"]
-                acc_hull = env_hull(acc_hull, out2.hull, task.alloc)
-                env_end = out2.x_next
-                disarmed -= rearm2
-                span += out2.h_used
-                h_ext = out2.h_next
-        gpoly = self._gpoly(task, env_end, span, acc_hull)
-        t_zc = tight_interval(gpoly, edge.guard, Interval(0.0, span),
-                              self.cfg.zc_precision, task.alloc)
+        for _ in range(MAX_EXTENSIONS):
+            if end is not Trivalent.UNKNOWN:
+                break
+            env_end = env_condense(env_end, CONDENSE_BUDGET, task.alloc)
+            out2, rearm2, others = self._step(
+                task, env_end, h_ext, disarmed,
+                f"(extending across guard of {edge.label})", {idx})
+            if others:
+                t = _shift(task.t, span, span + out2.h_used)
+                woken = ", ".join(self.ha.edges[j].label for j in others)
+                return [f"EventConflict: {woken} may fire while the crossing "
+                        f"of {edge.label} extends, at t in "
+                        f"[{t.lo:.6g}, {t.hi:.6g}]"]
+            hull = env_hull(hull, out2.hull, task.alloc)
+            env_end = out2.x_next
+            disarmed -= rearm2
+            span += out2.h_used
+            h_ext = out2.h_next
+            end = ex.eval_guard(edge.guard, env_end, task.alloc)
         h_jump = min(out.h_used, self.cfg.dt)
-        succs = self._jump(task, gpoly, acc_hull, idx, t_zc, h_jump)
-        if missed:
-            # trajectories that have not crossed by the window's end go on
+        succs = []
+        if end is Trivalent.TRUE or not edge_cannot_fire(
+                edge, ctx.flow, hull, task.alloc):
+            gpoly = build_gpoly(ctx, [(0.0, task.env), (span, env_end)], span,
+                                hull, task.alloc)
+            args = (gpoly, edge.guard, Interval(0.0, span),
+                    self.cfg.zc_precision, task.alloc)
+            if end is Trivalent.TRUE:
+                window = tight_interval(*args)
+            else:
+                window = resolve_hull_only(*args)[1]
+            if window is not None:
+                tags = ("possible-crossing",) if end is Trivalent.FALSE else ()
+                succs = self._jump(task, gpoly, hull, idx, window, h_jump,
+                                   tags)
+        if maybe and end is not Trivalent.TRUE:
             t_end = _shift(task.t, span, span)
+            if end is Trivalent.UNKNOWN:
+                disarmed = disarmed | {idx}
             succs.append(_Next(task.location, env_end, t_end, h_jump,
-                               disarmed | {idx},
-                               self._segment(task, acc_hull, t_end)))
+                               disarmed, self._segment(task, hull, t_end)))
         return succs
 
     def _jump(self, task, gpoly, hull_env, idx, t_zc, h, tags=()) -> list:
@@ -373,37 +366,15 @@ class _Engine:
                             _shift(task.t, gpoly.span, gpoly.span))
         abs_zc = _shift(task.t, t_zc.lo, t_zc.hi)
         try:
-            options = self._resolve_chain(task, result.post_location,
-                                          result.post_env, idx,
-                                          list(result.prints))
+            options = chain_immediate(self.ha, result.post_location,
+                                      result.post_env, idx, task.alloc,
+                                      prints=result.prints)
         except ZenoError as e:
             return [f"ZenoError: {e}"]
         return [_Next(loc, env, abs_zc, h, disarmed,
                       replace(seg, events=(edge.label, *tags, *prints)),
                       (abs_zc, edge.label))
                 for loc, env, prints, disarmed in options]
-
-    def _hull_only(self, task, out, hull_only) -> list:
-        """Hull-only activations: each edge that neither the monotonicity
-        certificate nor bisection refutes may have fired inside its window,
-        and contributes the successors of that crossing."""
-        ctx = self.ctxs[task.location]
-        succs = []
-        gpoly = None
-        for idx in hull_only:
-            edge = self.ha.edges[idx]
-            if edge_cannot_fire(edge, ctx.flow, out.hull, task.alloc):
-                continue
-            if gpoly is None:
-                gpoly = self._gpoly(task, out.x_next, out.h_used, out.hull)
-            verdict, window = resolve_hull_only(
-                gpoly, edge.guard, Interval(0.0, out.h_used),
-                self.cfg.zc_precision, task.alloc)
-            if verdict != "none":
-                succs += self._jump(task, gpoly, out.hull, idx, window,
-                                    min(out.h_used, self.cfg.dt),
-                                    ("possible-crossing",))
-        return succs
 
 
 def _split_box(box: dict, variables, k: int):
@@ -531,11 +502,14 @@ def _branch_contains(branch, traj, order, t_f, h_ref, rel_tol):
             checks.append((t, seg.tight))
         lo, hi = seg.t.lo, seg.t_end.hi
         # a segment's hull covers each trajectory only until its own jump,
-        # so stop hull sampling at the first crossing window opening inside
-        # this segment's span (post-jump times belong to later segments)
-        for w in windows:
-            if lo < w.lo <= hi:
-                hi = w.lo
+        # so stop hull sampling at the first padded crossing window that
+        # overlaps the span, even one that opens before the segment starts
+        # (post-jump times belong to later segments); the window of the
+        # jump the segment starts from does not stop it
+        for c, _ in branch.crossings:
+            if lo < c.lo and c.lo - pad <= hi:
+                hi = c.lo - pad
+                break
         if hi > lo:
             for k in range(5):
                 checks.append((lo + (hi - lo) * k / 4.0, seg.hull))

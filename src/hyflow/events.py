@@ -1,24 +1,32 @@
 """Guaranteed zero-crossing detection and discrete-jump handling.
 
-Edge activations are classified with trivalent guard evaluations on the
-tight enclosures and the step hull. Crossing times are narrowed by ordered
-bisection over the guaranteed interpolant: the lower pass discards
-sub-spans where the guard is surely false, the upper pass discards spans
-where it is surely true, so every trajectory's first crossing time lies in
-the returned interval. One routine (`_boundary`) runs every pass of
-`tight_interval` and `resolve_hull_only`; it interpolates only the guard's
+A step classifies each armed edge by trivalent guard evaluations: the
+guard must be surely false at the step start, an edge whose guard is
+surely false over the step hull cannot fire, and every other edge is
+reported with the guard's verdict at the step end. That verdict is all the
+engine needs to decide a crossing: TRUE means every trajectory has crossed
+by the end, UNKNOWN that some may not have yet, FALSE that any crossing
+turned back within the step.
+
+Crossing times are narrowed by ordered bisection over the guaranteed
+interpolant. `tight_interval` brackets a crossing whose guard is surely
+true at the span end: its lower pass discards sub-spans where the guard is
+surely false, its upper pass spans where it is surely true.
+`resolve_hull_only` brackets a possible crossing that need not have
+happened by the span end: both its passes discard surely false spans. One
+routine (`_boundary`) runs every pass; it interpolates only the guard's
 free variables, and a verdict memo scoped to one call lets a second pass
 reuse the spans the first one evaluated (each pass still counts every span
 it visits against its budget, so the memo changes cost, never a result).
-Special cases (hull-only activations, simultaneous edges, immediate chains)
-degrade to disjunctive branches, never to silent continuations.
+After a jump, `chain_immediate` follows the transitions whose guards are
+already true and splits on an ambiguous one, so every special case becomes
+a disjunctive branch, never a silent continuation.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import affine as af
 from . import expr as ex
@@ -29,16 +37,7 @@ from .interval import Interval
 from .trivalent import Trivalent
 
 
-class EdgeStatus(enum.Enum):
-    INACTIVE = "inactive"
-    SURE = "sure"
-    MAYBE = "maybe"
-    HULL_ONLY = "hull-only"
-
-
 MAX_CHAIN = 16              # immediate transitions before a ZenoError
-MIN_SEPARATION = 1e-5       # step below which simultaneous edges branch
-MAX_EXTENSIONS = 24         # steps a MAYBE crossing may extend past its step
 MAX_BISECTION_EVALS = 600   # interpolant spans one bisection pass may visit
 
 
@@ -53,12 +52,16 @@ class CrossingResult:
 
 
 def classify(ha, location, env_start, env_end, env_hull, alloc, skip=()):
-    """EdgeStatus per outgoing edge; `skip` lists disarmed edge indices.
+    """Edge index -> the guard's verdict at the step end, for each outgoing
+    edge not in `skip` (the disarmed ones) that the step hull does not
+    refute. TRUE: every trajectory has crossed by the end. UNKNOWN: the
+    crossing may not be over yet. FALSE: any crossing within the step
+    turned back before its end (the hull alone activates the edge).
 
     Raises InvariantViolation when an armed guard is not surely false at the
     step start (the guard/reset pair then needs reformulation).
     """
-    statuses = {}
+    ends = {}
     for idx, edge in ha.outgoing(location):
         if idx in skip:
             continue
@@ -68,18 +71,9 @@ def classify(ha, location, env_start, env_end, env_hull, alloc, skip=()):
                 f"guard of {edge.label} not surely false at step start in "
                 f"location '{location}'"
             )
-        gh = ex.eval_guard(edge.guard, env_hull, alloc)
-        if gh is Trivalent.FALSE:
-            statuses[idx] = EdgeStatus.INACTIVE
-            continue
-        g1 = ex.eval_guard(edge.guard, env_end, alloc)
-        if g1 is Trivalent.TRUE:
-            statuses[idx] = EdgeStatus.SURE
-        elif g1 is Trivalent.UNKNOWN:
-            statuses[idx] = EdgeStatus.MAYBE
-        else:
-            statuses[idx] = EdgeStatus.HULL_ONLY
-    return statuses
+        if ex.eval_guard(edge.guard, env_hull, alloc) is not Trivalent.FALSE:
+            ends[idx] = ex.eval_guard(edge.guard, env_end, alloc)
+    return ends
 
 
 def edge_cannot_fire(edge, flow, hull_env, alloc) -> bool:
@@ -196,83 +190,49 @@ def resolve_hull_only(gpoly: GPoly, guard, span: Interval, precision: float,
     return "branch", Interval(lower, max(lower, upper))
 
 
-def separation_action(active_indices, h: float):
-    """Policy for more than one activated edge in a step: retry with half
-    the step until the activations separate, else branch per edge.
-    MIN_SEPARATION lies above integrator.H_MIN, so a retried step is never
-    clamped up to the step floor."""
-    if len(active_indices) <= 1:
-        return "pass", h
-    half = h / 2.0
-    if half >= MIN_SEPARATION:
-        return "retry", half
-    return "branch", list(active_indices)
-
-
-@dataclass
-class ChainOutcome:
-    location: str
-    env: dict
-    prints: list
-    disarmed: set
-    # populated instead of the fields above when the chain is ambiguous:
-    # list of (location, env, entered_by_edge_index_or_None, prints, tolerate)
-    branch_options: list | None = None
-
-
 def chain_immediate(ha, location: str, env: dict, entered_by: int | None,
-                    alloc: NoiseAllocator,
-                    tolerate: frozenset = frozenset()) -> ChainOutcome:
+                    alloc: NoiseAllocator, tolerate: frozenset = frozenset(),
+                    prints: tuple = (), hops: int = 0) -> list:
     """Follow discrete transitions whose guards are already true, until a
-    quiescent location.
+    quiescent location; returns the (location, env, prints, disarmed)
+    alternatives, one when the chain is unambiguous, each with `prints`
+    and the prints of every hop it took.
 
-    Boundary-straddling edges are left disarmed rather than taken: either
-    the just-taken edge when its reset provably lands on the guard
-    boundary, or edges in `tolerate` (the not-taken side of an earlier
-    ambiguous branch, whose trajectories by assumption have not crossed).
-    Disarmed edges are re-checked every step by the engine's monotonicity
-    certificate. Raises ZenoError when the chain exceeds the cap.
+    A guard that is neither surely true nor surely false splits the chain:
+    the trajectories that take the edge go on from its target, the others
+    from here with the edge tolerated. Boundary-straddling edges are left
+    disarmed rather than taken: either the just-taken edge when its reset
+    provably lands on the guard boundary, or edges in `tolerate` (the
+    not-taken side of an ambiguous hop, whose trajectories by assumption
+    have not crossed). Disarmed edges are re-checked every step by the
+    engine's monotonicity certificate. Raises ZenoError when a chain takes
+    more than MAX_CHAIN hops, `hops` of them before this call.
     """
-    prints: list = []
-    for _hop in range(MAX_CHAIN + 1):
-        disarmed = set()
-        take = None
-        branch = None
-        for idx, edge in ha.outgoing(location):
-            tri = ex.eval_guard(edge.guard, env, alloc)
-            if tri is Trivalent.TRUE:
-                take = (idx, edge)
-                break
-            if tri is Trivalent.UNKNOWN:
-                if (idx == entered_by and edge.boundary_reset) or idx in tolerate:
-                    disarmed.add(idx)
-                    continue
-                if branch is None:
-                    branch = (idx, edge)
-        if take is None and branch is not None:
-            idx, edge = branch
-            taken_env = edge.reset.apply_affine(env, alloc)
-            return ChainOutcome(
-                location, env, prints, set(),
-                branch_options=[
-                    (edge.target, taken_env, idx,
-                     prints + list(edge.reset.prints), frozenset()),
-                    (location, env, entered_by, list(prints),
-                     tolerate | {idx}),
-                ],
-            )
-        if take is None:
-            return ChainOutcome(location, env, prints, disarmed)
-        if _hop == MAX_CHAIN:
+    disarmed = set()
+    take = branch = None
+    for idx, edge in ha.outgoing(location):
+        tri = ex.eval_guard(edge.guard, env, alloc)
+        if tri is Trivalent.TRUE:
+            take = (idx, edge)
             break
-        idx, edge = take
-        env = edge.reset.apply_affine(env, alloc)
-        prints.extend(edge.reset.prints)
-        location = edge.target
-        entered_by = idx
-        tolerate = frozenset()
-    raise ZenoError(
-        f"more than {MAX_CHAIN} immediate transitions from location "
-        f"'{location}'; suspected Zeno behavior or a reset that does not "
-        f"exit its guard"
-    )
+        if tri is Trivalent.UNKNOWN:
+            if (idx == entered_by and edge.boundary_reset) or idx in tolerate:
+                disarmed.add(idx)
+            elif branch is None:
+                branch = (idx, edge)
+    if take is None and branch is None:
+        return [(location, env, prints, disarmed)]
+    if hops == MAX_CHAIN:
+        raise ZenoError(
+            f"more than {MAX_CHAIN} immediate transitions from location "
+            f"'{location}'; suspected Zeno behavior or a reset that does "
+            f"not exit its guard")
+    idx, edge = take or branch
+    options = chain_immediate(ha, edge.target,
+                              edge.reset.apply_affine(env, alloc), idx, alloc,
+                              prints=(*prints, *edge.reset.prints),
+                              hops=hops + 1)
+    if take is None:
+        options += chain_immediate(ha, location, env, entered_by, alloc,
+                                   tolerate | {idx}, prints, hops)
+    return options

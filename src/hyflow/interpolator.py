@@ -157,8 +157,3 @@ def eval_gpoly(g: GPoly, t: AffineForm | Interval, alloc: NoiseAllocator,
         out[v] = acc
     return out
 
-
-def gpoly_for_step(ctx: FlowContext, env_start: dict, env_end: dict, h: float,
-                   hull_env: dict, alloc: NoiseAllocator) -> GPoly:
-    """Two-node (cubic) guaranteed interpolant over one accepted step."""
-    return build_gpoly(ctx, [(0.0, env_start), (h, env_end)], h, hull_env, alloc)

@@ -64,7 +64,7 @@ def test_combine_cancellation():
 
 def test_combine_scale_and_shift():
     x = make_form(2.0, [1.0])
-    r = af.combine(2.0, x, 0.0, af.ZERO, 1.0)
+    r = af.add_const(af.scale(x, 2.0), 1.0)
     assert r.center == 5.0
     assert list(r.dev.values()) == [2.0]
 
@@ -187,7 +187,7 @@ def test_division():
 def test_combine_range_soundness(cx, cy, dx, dy, a, b, c, seed):
     x = make_form(cx, dx)
     y = make_form(cy, dy)
-    r = af.combine(a, x, b, y, c)
+    r = af.add_const(af.scale(x, a) + af.scale(y, b), c)
     rng = random.Random(seed)
     ids = set(x.dev) | set(y.dev)
     for _ in range(20):

@@ -253,6 +253,27 @@ def test_hull_only_graze_forks_a_crossing_and_a_no_crossing_child():
     assert mc["contained"] == 16, mc["violations"][:1]
 
 
+def test_graze_beside_a_sure_crossing_is_decided_too():
+    # the clock c surely crosses 0.95 in the step over the graze's peak;
+    # samples peaking above 0 take `loop` first, so the graze must fork
+    # its own crossing, not be dropped for `tick`'s (when it was dropped,
+    # the flowpipe had one branch and held 9 of 16 samples)
+    v, c = ex.var("v"), ex.var("c")
+    ha = graze((("y", ex.const(-1.0)),))
+    tick = ex.Edge("l", "m", ex.comparison(c, Rel.GE, ex.const(0.95)),
+                   Reset(), "tick")
+    flow = {"y": v, "v": ex.const(-1.0), "c": ex.ONE}
+    ha = HybridAutomaton(("y", "v", "c"), {"l": flow, "m": flow},
+                         [*ha.edges, tick], "l",
+                         {**ha.initial_box, "c": Interval(0, 0)})
+    pipe = simulate(ha, GRAZE_CFG)
+    assert pipe.complete and len(pipe.branches) == 2
+    assert sorted([label for _, label in b.crossings]
+                  for b in pipe.branches) == [["loop", "tick"], ["tick"]]
+    mc = validate_monte_carlo(ha, pipe, 16, seed=1)
+    assert mc["contained"] == 16, mc["violations"][:1]
+
+
 def test_zeno_behind_a_hull_only_suspect_is_reported():
     # the reset y := 1 lands inside the guard again: the chain is endless
     pipe = simulate(graze((("y", ex.ONE),)), GRAZE_CFG)
@@ -295,23 +316,48 @@ def test_ambiguous_chain_branches_through_simulate():
     assert mc["contained"] == 16, mc["violations"][:1]
 
 
-def test_missed_crossing_follow_up(monkeypatch):
-    # y peaks within [-0.1, 0.1] of the guard y >= 0 at t = 1, so the
-    # crossing stays MAYBE over every extension step; past the extension
-    # limit the trajectories that have not crossed go on in `up`
+def peak():
+    """y peaks within [-0.1, 0.1] of the guard y >= 0 at t = 1, so the
+    crossing of `top` stays MAYBE until y is surely below 0 again."""
     y, v = ex.var("y"), ex.var("v")
     top = ex.Edge("up", "down", ex.comparison(y, Rel.GE, ex.ZERO),
                   Reset((("v", ex.const(-1.0)),)), "top")
-    ha = HybridAutomaton(("y", "v"), {"up": {"y": v, "v": ex.const(-1.0)},
-                                      "down": {"y": v, "v": ex.ZERO}},
-                         [top], "up",
-                         {"y": Interval(-0.6, -0.4), "v": Interval(1, 1)})
+    return HybridAutomaton(("y", "v"), {"up": {"y": v, "v": ex.const(-1.0)},
+                                        "down": {"y": v, "v": ex.ZERO}},
+                           [top], "up",
+                           {"y": Interval(-0.6, -0.4), "v": Interval(1, 1)})
+
+
+PEAK_CFG = SimConfig(duration=3, dt=0.25, max_dt=0.25)
+
+
+def test_missed_crossing_follow_up(monkeypatch):
+    # past the extension limit the trajectories that have not crossed go
+    # on in `up`
+    ha = peak()
     monkeypatch.setattr(engine, "MAX_EXTENSIONS", 2)
-    pipe = simulate(ha, SimConfig(duration=3, dt=0.25, max_dt=0.25))
+    pipe = simulate(ha, PEAK_CFG)
     assert pipe.complete and len(pipe.branches) == 2
     ends = {b.segments[-1].location: b for b in pipe.branches}
     assert not ends["up"].crossings
     assert [label for _, label in ends["down"].crossings] == ["top"]
+    mc = validate_monte_carlo(ha, pipe, 16, seed=1)
+    assert mc["contained"] == 16, mc["violations"][:1]
+
+
+def test_graze_that_turns_away_stops_extending():
+    # the extension stops once y is surely below 0 again (t ~ 1.447), and
+    # the crossing is a possible one over the extension; before, it ran
+    # every extension step and its window reached t = 6.75
+    ha = peak()
+    pipe = simulate(ha, PEAK_CFG)
+    assert pipe.complete and len(pipe.branches) == 2
+    ends = {b.segments[-1].location: b for b in pipe.branches}
+    assert not ends["up"].crossings
+    [(window, label)] = ends["down"].crossings
+    assert label == "top" and 0.5 < window.lo and window.hi < 1.5
+    assert ("top", "possible-crossing") in [s.events for s in
+                                            ends["down"].segments]
     mc = validate_monte_carlo(ha, pipe, 16, seed=1)
     assert mc["contained"] == 16, mc["violations"][:1]
 
@@ -340,3 +386,38 @@ def test_extension_rejections_are_counted(monkeypatch):
     assert sum(r for extending, r in rejected if extending) > 0
     assert pipe.stats["rejections"] == sum(r for _, r in rejected)
     assert pipe.stats["steps"] == len(rejected)
+
+
+# ------------------------------------------------------------ the validator
+
+
+class _JumpAt15ms:
+    """x = t until a jump at t = 0.015, then x = 10 + t."""
+
+    def state_at(self, t):
+        return [t if t < 0.015 else 10.0 + t]
+
+
+def test_validator_stops_at_a_window_that_opens_before_the_segment():
+    # the crossing [0.01, 0.02], padded by 2 * h_ref = 0.02, opens at
+    # -0.01, before the pre-jump segment starts at 0: that segment's hull
+    # must not be checked against post-jump states, while the post-jump
+    # segment's hull still is, past the window it starts in
+    def branch(post_hull_hi):
+        seg = engine.FlowpipeSegment
+        pre = seg(Interval(0.0, 0.0), Interval(0.5, 0.5),
+                  {"x": Interval(0.0, 0.0)}, {"x": Interval(0.0, 0.02)},
+                  "l", ("jump",))
+        post = seg(Interval(0.01, 0.02), Interval(0.51, 0.52),
+                   {"x": Interval(10.01, 10.02)},
+                   {"x": Interval(10.0, post_hull_hi)}, "l")
+        return engine.Branch(0, None, [pre, post], True, "",
+                             [(Interval(0.01, 0.02), "jump")])
+
+    def check(b):
+        return engine._branch_contains(b, _JumpAt15ms(), ["x"], 1.0,
+                                       h_ref=0.01, rel_tol=1e-7)
+
+    assert check(branch(10.6)) == (True, None)
+    ok, detail = check(branch(10.3))
+    assert not ok and detail["kind"] == "hull" and detail["t"] > 0.3

@@ -15,7 +15,6 @@ from hyflow import interpolator as gp
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
 from hyflow.engine import SimConfig, simulate
 from hyflow.errors import InvariantViolation, ZenoError
-from hyflow.events import EdgeStatus
 from hyflow.expr import Edge, HybridAutomaton, Reset
 from hyflow.integrator import ODE23, FlowContext
 from hyflow.interval import Interval
@@ -45,17 +44,16 @@ def test_classify_patterns():
     sure_end = boxes(alloc, y=(-1.0, -0.5), v=(-5, -5))
     hull = boxes(alloc, y=(-1.0, 2.0), v=(-5, -5))
     assert ev.classify(ha, "fall", start, sure_end, hull, alloc) == {
-        0: EdgeStatus.SURE}
+        0: Trivalent.TRUE}
     maybe_end = boxes(alloc, y=(-0.5, 0.5), v=(-5, -5))
     assert ev.classify(ha, "fall", start, maybe_end, hull, alloc) == {
-        0: EdgeStatus.MAYBE}
+        0: Trivalent.UNKNOWN}
     ho_end = boxes(alloc, y=(0.5, 1.0), v=(-5, -5))
     ho_hull = boxes(alloc, y=(-0.2, 2.0), v=(-5, -5))
     assert ev.classify(ha, "fall", start, ho_end, ho_hull, alloc) == {
-        0: EdgeStatus.HULL_ONLY}
+        0: Trivalent.FALSE}
     inactive_hull = boxes(alloc, y=(0.4, 2.0), v=(-5, -5))
-    assert ev.classify(ha, "fall", start, ho_end, inactive_hull, alloc) == {
-        0: EdgeStatus.INACTIVE}
+    assert ev.classify(ha, "fall", start, ho_end, inactive_hull, alloc) == {}
     assert ev.classify(ha, "fall", start, ho_end, ho_hull, alloc,
                        skip={0}) == {}
 
@@ -82,7 +80,8 @@ def ball_gpoly(y0=10.0, t_lo=1.3, span=0.3):
 
     env0 = at(t_lo)
     out = gi.guaranteed_step(ctx, env0, span, LOOSE, alloc)
-    g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
+                       out.h_used, out.hull, alloc)
     return g, alloc, out.h_used, t_lo
 
 
@@ -102,7 +101,8 @@ def linear_root_gpoly():
     env0 = {"x": AffineForm(-1.0)}
     cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
     out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
-    g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
+                       out.h_used, out.hull, alloc)
     return g, alloc, out.h_used
 
 
@@ -145,7 +145,8 @@ def graze_gpoly():
     alloc = NoiseAllocator()
     env0 = {"y": AffineForm(1e-6), "v": AffineForm(-2e-3)}
     out = gi.guaranteed_step(ctx, env0, 2e-3, LOOSE, alloc)
-    g = gp.gpoly_for_step(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
+                       out.h_used, out.hull, alloc)
     return g, alloc, out.h_used
 
 
@@ -156,14 +157,6 @@ def test_resolve_hull_only_detects_graze():
                                            1e-7, alloc)
     assert verdict == "branch"
     assert window.lo >= 0.0 and window.hi <= span
-
-
-def test_separation_action(monkeypatch):
-    monkeypatch.setattr(ev, "MIN_SEPARATION", 1e-3)
-    assert ev.separation_action([1], 0.1) == ("pass", 0.1)
-    assert ev.separation_action([1, 2], 0.1) == ("retry", 0.05)
-    act, payload = ev.separation_action([1, 2], 1e-3)
-    assert act == "branch" and payload == [1, 2]
 
 
 def two_clock_automaton():
@@ -193,7 +186,7 @@ def test_exactly_simultaneous_guards_branch(monkeypatch):
     ha = HybridAutomaton(
         ("x",), {"l": {"x": ex.ONE}, "l2": {"x": ex.ONE}, "l3": {"x": ex.ONE}},
         [e1, e2], "l", {"x": Interval(0, 0)})
-    monkeypatch.setattr(ev, "MIN_SEPARATION", 1e-3)
+    monkeypatch.setattr(engine, "MIN_SEPARATION", 1e-3)
     starts = []
     step = engine.guaranteed_step
 
@@ -211,6 +204,8 @@ def test_exactly_simultaneous_guards_branch(monkeypatch):
     # both edges cross in the step that found them simultaneous: no step
     # is taken twice from the same state with the same size
     assert pipe.stats["steps"] == len(starts) == len(set(starts))
+    # that step was halved down to the minimal separation first
+    assert any(1e-3 <= h < 2e-3 for *_, h in starts)
 
 
 def test_chain_immediate_relay():
@@ -221,18 +216,19 @@ def test_chain_immediate_relay():
     ha = HybridAutomaton(
         ("x",), {"l2": {"x": ex.ONE}, "l3": {"x": ex.ONE}}, [e2], "l2",
         {"x": Interval(2, 2)})
-    out = ev.chain_immediate(ha, "l2", {"x": AffineForm(2.0)}, None, alloc)
-    assert out.branch_options is None
-    assert out.location == "l3"
+    [(location, _env, _prints, _disarmed)] = ev.chain_immediate(
+        ha, "l2", {"x": AffineForm(2.0)}, None, alloc)
+    assert location == "l3"
 
 
 def test_chain_immediate_quiescent_identity():
     ha = ball_automaton()
     alloc = NoiseAllocator()
     env = boxes(alloc, y=(5, 5), v=(0, 0))
-    out = ev.chain_immediate(ha, "fall", env, None, alloc)
-    assert out.location == "fall" and out.branch_options is None
-    assert not out.disarmed
+    [(location, _env, _prints, disarmed)] = ev.chain_immediate(
+        ha, "fall", env, None, alloc)
+    assert location == "fall"
+    assert not disarmed
 
 
 def test_chain_zeno_detector(monkeypatch):

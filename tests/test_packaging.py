@@ -1,8 +1,10 @@
 """Project metadata: every console-script entry point and every name a
-module exports must resolve."""
+module exports must resolve, and every entry point the benchmark's layer
+trace patches must be called where it is patched."""
 
 import importlib
 import pkgutil
+import sys
 import tomllib
 from pathlib import Path
 
@@ -24,3 +26,19 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"hyflow.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"hyflow.{info.name}.{name}"
+
+
+def test_layer_trace_entry_points_are_called_where_patched():
+    # the benchmark's layer trace patches each entry point in the module
+    # that calls it by that global name; a refactor that renames or stops
+    # calling one must fail here, not only in a benchmark run
+    perfbench = str(PYPROJECT.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import layertrace
+        from test_perfbench import misplaced
+    finally:
+        sys.path.remove(perfbench)
+    for mod_name, attr, layer in layertrace.ENTRY_POINTS:
+        assert hasattr(importlib.import_module(mod_name), attr), layer
+    assert misplaced(layertrace.ENTRY_POINTS) == []
