@@ -360,7 +360,7 @@ class _Engine:
         step): one per option of the immediate-transition chain after the
         reset, each with its own prints; an endless chain aborts."""
         edge = self.ha.edges[idx]
-        result = cross(edge, idx, gpoly, t_zc, task.alloc)
+        result = cross(edge, gpoly, t_zc, task.alloc)
         self.stats["crossings"] += 1
         seg = self._segment(task, hull_env,
                             _shift(task.t, gpoly.span, gpoly.span))

@@ -43,9 +43,7 @@ MAX_BISECTION_EVALS = 600   # interpolant spans one bisection pass may visit
 
 @dataclass
 class CrossingResult:
-    t_zc: Interval       # crossing-time enclosure, local to the step start
     state_zc: dict       # enclosure of the pre-reset state at the crossing
-    edge_index: int
     post_env: dict
     post_location: str
     prints: tuple
@@ -158,13 +156,11 @@ def tight_interval(gpoly: GPoly, guard, span: Interval, precision: float,
     return Interval(lower, upper)
 
 
-def cross(edge, edge_index: int, gpoly: GPoly, t_zc: Interval,
-          alloc: NoiseAllocator) -> CrossingResult:
+def cross(edge, gpoly: GPoly, t_zc: Interval, alloc: NoiseAllocator) -> CrossingResult:
     """Evaluate the interpolant at the crossing time and apply the reset."""
     state_zc = eval_gpoly(gpoly, t_zc, alloc)
     post = edge.reset.apply_affine(state_zc, alloc)
-    return CrossingResult(t_zc, state_zc, edge_index, post, edge.target,
-                          edge.reset.prints)
+    return CrossingResult(state_zc, post, edge.target, edge.reset.prints)
 
 
 def resolve_hull_only(gpoly: GPoly, guard, span: Interval, precision: float,

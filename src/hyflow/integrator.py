@@ -16,6 +16,11 @@ a priori enclosure over the whole step:
 * `step_control` drives the step size from the classical embedded-pair
   estimate; soundness never depends on it.
 
+A Butcher table declares only its coefficients. Its order p, and the order
+of its embedded estimate, are derived when it is built, by checking the
+rooted-tree order conditions up to order 5 in exact rationals: ode23 is
+(3, 2), rk4 (4, 4) and euler (1, 1).
+
 State environments are plain dicts variable -> AffineForm.
 """
 
@@ -54,66 +59,86 @@ def _coef(fr: Fraction):
     return mid, rd.next_up(max(mid - lo, hi - mid))
 
 
+def _graft(t):
+    """Each rooted tree made by adding one leaf to the tree t (the sorted
+    tuple of its root's subtrees)."""
+    yield tuple(sorted(t + ((),)))
+    for i, u in enumerate(t):
+        yield from (tuple(sorted(t[:i] + (v,) + t[i + 1:])) for v in _graft(u))
+
+
+_TREES = [{()}]  # rooted trees by order - 1: 1, 1, 2, 4 and 9 of them
+while len(_TREES) < 5:
+    _TREES.append({g for t in _TREES[-1] for g in _graft(t)})
+
+
+def _order(a, w) -> int:
+    """Largest p <= 5 for which the weights w on the stages a meet every
+    rooted-tree condition sum_i w_i Phi_i(t) = 1/gamma(t) of order <= p."""
+    def phi(t):  # (Phi_i(t) for each stage i, gamma(t), node count of t)
+        out, gamma, nodes = [Fraction(1)] * len(w), 1, 1
+        for u in t:
+            pu, gu, nu = phi(u)
+            out = [o * sum(x * y for x, y in zip(a[i], pu))
+                   for i, o in enumerate(out)]
+            gamma, nodes = gamma * gu, nodes + nu
+        return out, gamma * nodes, nodes
+
+    for p, trees in enumerate(_TREES):
+        for pt, gamma, _ in map(phi, trees):
+            if sum(x * y for x, y in zip(w, pt)) * gamma != 1:
+                return p
+    return len(_TREES)
+
+
 @dataclass(frozen=True)
 class ButcherTable:
     """Explicit Runge-Kutta tableau with exact rational coefficients.
 
-    `order` is the order used for the truncation bound; it must not exceed
-    the scheme's true order (a lower value is sound, just more
-    conservative). `bhat` holds embedded weights for the error estimate; one
-    extra weight means a first-same-as-last stage evaluated at the step
-    result.
+    Only coefficients are declared. `bhat` holds embedded weights for the
+    error estimate; one extra weight means a first-same-as-last stage, the
+    row b, evaluated at the step result. The orders are derived when the
+    table is built: `order` (truncation bound) is the largest p <= 5 for
+    which b meets every rooted-tree order condition exactly in `Fraction`,
+    and `est_order` (step control) the same for bhat, or `order` without
+    it. A table below order 1 is a ModelError.
     """
 
     name: str
     a: tuple  # tuple of tuples of Fraction, strictly lower triangular
     b: tuple
-    c: tuple
-    order: int
     bhat: tuple | None = None
 
     def __post_init__(self):
-        if sum(self.b) != 1:
-            raise ModelError(f"table {self.name}: sum(b) != 1")
-        for i, row in enumerate(self.a):
-            if len(row) != i:
-                raise ModelError(f"table {self.name}: a is not strictly lower triangular")
-            if sum(row) != self.c[i]:
-                raise ModelError(f"table {self.name}: row sum != c[{i}]")
+        s = len(self.b)
+        if [len(row) for row in self.a] != list(range(s)):
+            raise ModelError(f"table {self.name}: a is not strictly lower triangular")
+        if len(self.bhat or self.b) not in (s, s + 1):
+            raise ModelError(f"table {self.name}: bhat needs {s} or {s + 1} weights")
+        derived = {"order": _order(self.a, self.b),
+                   "est_order": _order((*self.a, self.b), self.bhat or self.b),
+                   "a_float": tuple(tuple(map(float, r)) for r in self.a),
+                   "b_float": tuple(map(float, self.b)),
+                   "bhat_float": tuple(map(float, self.bhat or ()))}
+        if min(derived["order"], derived["est_order"]) < 1:
+            raise ModelError(f"table {self.name}: weights below order 1")
+        for k, v in derived.items():
+            object.__setattr__(self, k, v)
 
     @property
     def stages(self):
         return len(self.b)
 
-    def a_float(self):
-        return tuple(tuple(float(x) for x in row) for row in self.a)
-
-    def b_float(self):
-        return tuple(float(x) for x in self.b)
-
 
 F = Fraction
 
-ODE23 = ButcherTable(
-    name="ode23",
-    a=((), (F(1, 2),), (F(0), F(3, 4))),
-    b=(F(2, 9), F(1, 3), F(4, 9)),
-    c=(F(0), F(1, 2), F(3, 4)),
-    order=2,
-    bhat=(F(7, 24), F(1, 4), F(1, 3), F(1, 8)),
-)
-
-RK4 = ButcherTable(
-    name="rk4",
-    a=((), (F(1, 2),), (F(0), F(1, 2)), (F(0), F(0), F(1))),
-    b=(F(1, 6), F(1, 3), F(1, 3), F(1, 6)),
-    c=(F(0), F(1, 2), F(1, 2), F(1)),
-    order=4,
-)
-
-EULER = ButcherTable(name="euler", a=((),), b=(F(1),), c=(F(0),), order=1)
-
-TABLES = {"ode23": ODE23, "rk4": RK4, "euler": EULER}
+ODE23 = ButcherTable("ode23", ((), (F(1, 2),), (F(0), F(3, 4))),
+                     (F(2, 9), F(1, 3), F(4, 9)),
+                     bhat=(F(7, 24), F(1, 4), F(1, 3), F(1, 8)))
+RK4 = ButcherTable("rk4", ((), (F(1, 2),), (F(0), F(1, 2)), (F(0), F(0), F(1))),
+                   (F(1, 6), F(1, 3), F(1, 3), F(1, 6)))
+EULER = ButcherTable("euler", ((),), (F(1),))
+TABLES = {t.name: t for t in (ODE23, RK4, EULER)}
 
 H_MIN = 1e-6                # smallest step size
 PICARD_MAX_ITERS = 20       # candidate boxes tried per Picard enclosure
@@ -166,7 +191,7 @@ class FlowContext:
         if self._phi_deriv is None:
             t = self.table
             self._phi_deriv = ex.stage_poly_derivative(
-                t.a_float(), t.b_float(), self.flow, self.variables, t.order + 1
+                t.a_float, t.b_float, self.flow, self.variables, t.order + 1
             )
         return self._phi_deriv
 
@@ -361,7 +386,7 @@ def embedded_error(ctx: FlowContext, env: Env, x_next: Env, ks: list, h: float,
     f = ctx.scalar_flow()
     x0 = [env[v].center for v in ctx.variables]
     n = len(x0)
-    a_f = t.a_float()
+    a_f, b_f, bhat = t.a_float, t.b_float, t.bhat_float
     try:
         k = [f(x0)]
         for i in range(1, t.stages):
@@ -369,10 +394,8 @@ def embedded_error(ctx: FlowContext, env: Env, x_next: Env, ks: list, h: float,
             state = [x0[j] + h * sum(row[m] * k[m][j] for m in range(i))
                      for j in range(n)]
             k.append(f(state))
-        b_f = t.b_float()
         xn = [x0[j] + h * sum(b_f[i] * k[i][j] for i in range(t.stages))
               for j in range(n)]
-        bhat = [float(w) for w in t.bhat]
         if len(bhat) == t.stages + 1:
             k.append(f(xn))
         zn = [x0[j] + h * sum(bhat[i] * k[i][j] for i in range(len(bhat)))
@@ -415,15 +438,14 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
 # ------------------------------------------------------------ step control
 
 
-def step_control(err: float, tol: float, h: float, cfg: SimConfig,
-                 order: int) -> tuple:
-    """(accept, next step size); growth uses the classical (tol/err)^(1/(p+1))
-    rule with a 0.9 safety factor, rejection halves."""
-    if err <= tol:
+def step_control(err: float, h: float, cfg: SimConfig, order: int) -> tuple:
+    """(accept, next step size) against `cfg.tol`; growth uses the classical
+    (tol/err)^(1/(p+1)) rule with a 0.9 safety factor, rejection halves."""
+    if err <= cfg.tol:
         if err == 0.0:
             h_next = cfg.max_dt
         else:
-            h_next = 0.9 * h * (tol / err) ** (1.0 / (order + 1))
+            h_next = 0.9 * h * (cfg.tol / err) ** (1.0 / (order + 1))
         return True, min(max(h_next, H_MIN), cfg.max_dt)
     return False, max(h / 2.0, H_MIN)
 
@@ -458,7 +480,7 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
         est = embedded_error(ctx, env, x_prime, ks, h, alloc)
         if est is None:
             est = max(af.to_interval(trunc[v]).width for v in ctx.variables) / 2.0
-        accept, h_next = step_control(est, cfg.tol, h, cfg, ctx.table.order)
+        accept, h_next = step_control(est, h, cfg, ctx.table.est_order)
         if accept:
             worst = max(af.to_interval(trunc[v]).width for v in ctx.variables)
             if worst > TRUNC_REJECT_FACTOR * cfg.tol and not at_floor:

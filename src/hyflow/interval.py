@@ -13,7 +13,7 @@ import math
 from . import _round as rd
 from .errors import DomainError
 
-__all__ = ["Interval", "hull_iv"]
+__all__ = ["Interval"]
 
 # Conservative bounds on pi/2, pi, 2*pi used by the trig range analysis.
 _PI = math.pi
@@ -68,10 +68,6 @@ class Interval:
 
     def subset_of(self, other: "Interval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
-
-
-def hull_iv(a: Interval, b: Interval) -> Interval:
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def add(a: Interval, b: Interval) -> Interval:

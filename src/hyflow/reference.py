@@ -10,18 +10,9 @@ ordinary floating point.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from . import expr as ex
 from .errors import ModelError
-
-
-@dataclass
-class RefEvent:
-    t: float
-    edge_label: str
-    state_before: tuple
-    state_after: tuple
 
 
 class ReferenceTrajectory:
@@ -33,7 +24,6 @@ class ReferenceTrajectory:
         self.times: list = []
         self.states: list = []
         self.derivs: list = []
-        self.events: list = []
         # jump indices: grid positions where a discontinuity starts
         self._jumps: set = set()
 
@@ -104,7 +94,7 @@ class ReferenceSimulator:
             out[pos] = v
         return out
 
-    def _chain(self, loc, x, t, traj):
+    def _chain(self, loc, x):
         for _ in range(self.max_chain):
             hit = None
             for idx, edge in self.ha.outgoing(loc):
@@ -114,9 +104,7 @@ class ReferenceSimulator:
             if hit is None:
                 return loc, x
             idx, edge = hit
-            before = tuple(x)
             x = self._apply_reset(idx, x)
-            traj.events.append(RefEvent(t, edge.label, before, tuple(x)))
             loc = edge.target
         raise ModelError("reference simulation: immediate-transition chain too long")
 
@@ -125,7 +113,7 @@ class ReferenceSimulator:
         loc = self.ha.initial_location
         x = list(x0)
         t = t0
-        loc, x = self._chain(loc, x, t, traj)
+        loc, x = self._chain(loc, x)
         f = self._flows[loc]
         traj._append(t, x, f(x))
         guard_idx = [idx for idx, _ in self.ha.outgoing(loc)]
@@ -176,11 +164,9 @@ class ReferenceSimulator:
             x_evt = at(hi_tau)
             traj._append(t_evt, x_evt, f(x_evt))
             traj._jumps.add(len(traj.times) - 1)
-            before = tuple(x_evt)
             x = self._apply_reset(fired, x_evt)
-            traj.events.append(RefEvent(t_evt, edge.label, before, tuple(x)))
             loc = edge.target
-            loc, x = self._chain(loc, x, t_evt, traj)
+            loc, x = self._chain(loc, x)
             f = self._flows[loc]
             guard_idx = [idx for idx, _ in self.ha.outgoing(loc)]
             t = t_evt

@@ -363,12 +363,12 @@ def test_graze_that_turns_away_stops_extending():
 
 
 def test_extension_rejections_are_counted(monkeypatch):
-    # x' = x^2 speeds up while the crossing of x >= 1.8 extends, so the
+    # x' = x^3 speeds up while the crossing of x >= 1.5 extends, so the
     # extension steps reject sizes their predecessors proposed
     x = ex.var("x")
-    hit = ex.Edge("a", "b", ex.comparison(x, Rel.GE, ex.const(1.8)),
+    hit = ex.Edge("a", "b", ex.comparison(x, Rel.GE, ex.const(1.5)),
                   Reset((("x", ex.ZERO),)), "hit")
-    ha = HybridAutomaton(("x",), {"a": {"x": ex.mul(x, x)},
+    ha = HybridAutomaton(("x",), {"a": {"x": ex.mul(x, ex.mul(x, x))},
                                   "b": {"x": ex.ZERO}},
                          [hit], "a", {"x": Interval(1.0, 1.1)})
     rejected = []
@@ -381,7 +381,8 @@ def test_extension_rejections_are_counted(monkeypatch):
         return out
 
     monkeypatch.setattr(engine, "guaranteed_step", recording)
-    pipe = simulate(ha, SimConfig(duration=0.9, dt=0.05, max_dt=0.1))
+    pipe = simulate(ha, SimConfig(duration=0.9, dt=0.05, max_dt=0.2,
+                                  tol=1e-4))
     assert pipe.complete
     assert sum(r for extending, r in rejected if extending) > 0
     assert pipe.stats["rejections"] == sum(r for _, r in rejected)

@@ -120,7 +120,7 @@ def test_cross_applies_reset():
     edge = ex.prepare_automaton(ha)[0].edges[0]
     guard = edge.guard
     t_zc = ev.tight_interval(g, guard, Interval(0.0, span), 1e-6, alloc)
-    res = ev.cross(edge, 0, g, t_zc, alloc)
+    res = ev.cross(edge, g, t_zc, alloc)
     vy = af.to_interval(res.post_env["y"])
     vv = af.to_interval(res.post_env["v"])
     assert vy.lo == vy.hi == 0.0  # pinned by the strictness transform

@@ -3,7 +3,9 @@ against an independent scalar implementation of the embedded pair,
 order-of-convergence of both error quantities, and analytic containment
 through full integrations."""
 
+import dataclasses
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -37,12 +39,51 @@ def box(env, v):
 
 
 def test_table_validation():
-    from fractions import Fraction as Fr
-
+    with pytest.raises(ModelError):  # sum(b) != 1: below order 1
+        gi.ButcherTable("bad", ((),), (F(1, 2),))
     with pytest.raises(ModelError):
-        gi.ButcherTable("bad", ((),), (Fr(1, 2),), (Fr(0),), 1)
+        gi.ButcherTable("bad", ((F(1),),), (F(1),))
+    with pytest.raises(ModelError):  # bhat below order 1
+        gi.ButcherTable("bad", ((),), (F(1),), bhat=(F(1, 2),))
+    with pytest.raises(TypeError):  # an order is derived, never declared
+        gi.ButcherTable("bad", ((),), (F(1),), order=3)
     assert ODE23.stages == 3 and RK4.stages == 4
     assert ODE23.bhat is not None and len(ODE23.bhat) == 4
+
+
+def test_table_fields_are_the_coefficients():
+    assert [f.name for f in dataclasses.fields(ODE23)] == ["name", "a", "b",
+                                                           "bhat"]
+    assert gi.TABLES == {"ode23": ODE23, "rk4": RK4, "euler": EULER}
+
+
+def test_orders_are_derived_from_the_rooted_trees():
+    assert [len(level) for level in gi._TREES] == [1, 1, 2, 4, 9]
+    assert (ODE23.order, ODE23.est_order) == (3, 2)
+    assert (RK4.order, RK4.est_order) == (4, 4)
+    assert (EULER.order, EULER.est_order) == (1, 1)
+    midpoint = gi.ButcherTable("midpoint", ((), (F(1, 2),)), (F(0), F(1)))
+    assert (midpoint.order, midpoint.est_order) == (2, 2)
+    # Dormand-Prince 5(4): every fifth-order tree condition holds, and
+    # its first-same-as-last estimate is of order 4
+    dopri = gi.ButcherTable(
+        "dopri5",
+        ((), (F(1, 5),), (F(3, 40), F(9, 40)),
+         (F(44, 45), F(-56, 15), F(32, 9)),
+         (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+         (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176),
+          F(-5103, 18656)),
+         (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
+          F(11, 84))),
+        (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
+         F(11, 84), F(0)),
+        bhat=(F(5179, 57600), F(0), F(7571, 16695), F(393, 640),
+              F(-92097, 339200), F(187, 2100), F(1, 40)))
+    assert (dopri.order, dopri.est_order) == (5, 4)
+    # ode23 with two weights moved by 1/100 (their sum kept) is first order
+    off = gi.ButcherTable("off", ODE23.a, (F(2, 9), F(1, 3) + F(1, 100),
+                                           F(4, 9) - F(1, 100)))
+    assert off.order == 1
 
 
 # ----------------------------------------------------------------- picard
@@ -167,9 +208,12 @@ def test_embedded_error_order_three_scaling():
 
 
 def test_truncation_width_order_scaling_on_set():
+    # halving h divides the O(h^(p+1)) bound by about 2^(p+1): within half
+    # an order of it, so that order p - 1 or p + 1 would fail
+    p = ODE23.order
     widths = [single_step_quantities(h, width=True)[1] for h in (0.2, 0.1, 0.05)]
     for big, small in zip(widths, widths[1:]):
-        assert 6.0 <= big / small <= 10.0, widths
+        assert 2 ** (p + 0.5) <= big / small <= 2 ** (p + 1.5), widths
 
 
 def test_truncation_zero_for_exact_scheme():
@@ -200,17 +244,17 @@ def test_truncation_euler_scale():
 
 def test_step_control_examples():
     cfg = SimConfig(duration=1.0, tol=1e-4, max_dt=10.0)
-    ok, hn = gi.step_control(1e-4, 1e-4, 0.1, cfg, order=2)
+    ok, hn = gi.step_control(1e-4, 0.1, cfg, order=2)
     assert ok and hn == pytest.approx(0.09, rel=1e-12)
-    ok, hn = gi.step_control(1e-4 / 8, 1e-4, 0.1, cfg, order=2)
+    ok, hn = gi.step_control(1e-4 / 8, 0.1, cfg, order=2)
     assert ok and hn == pytest.approx(0.18, rel=1e-12)
-    ok, hn = gi.step_control(2e-4, 1e-4, 0.1, cfg, order=2)
+    ok, hn = gi.step_control(2e-4, 0.1, cfg, order=2)
     assert not ok and hn == 0.05
-    ok, hn = gi.step_control(0.0, 1e-4, 0.1, cfg, order=2)
+    ok, hn = gi.step_control(0.0, 0.1, cfg, order=2)
     assert ok and hn == 10.0
     # rejection never grows the step
     for err in (2e-4, 1e-3, 1e+2):
-        ok, hn = gi.step_control(err, 1e-4, 0.1, cfg, order=2)
+        ok, hn = gi.step_control(err, 0.1, cfg, order=2)
         assert not ok and hn <= 0.1
 
 
@@ -259,6 +303,23 @@ def test_guaranteed_step_brusselator_first_step():
     out = gi.guaranteed_step(ctx, env, 0.05, SimConfig(duration=1.0), alloc)
     for v in ("x", "y"):
         assert box(out.x_next, v).subset_of(box(out.hull, v))
+
+
+def test_guaranteed_step_encloses_riccati_at_order_three():
+    # x' = x^2 from x0 in [0.9, 1.0]: x(t) = 1/(1/x0 - t); one ode23 step,
+    # whose truncation bound uses order 3, encloses the solutions from both
+    # ends of the box (compared in rationals), at the step end and over it
+    x = ex.var("x")
+    ctx = FlowContext(("x",), {"x": ex.pow_int(x, 2)}, ODE23)
+    alloc = NoiseAllocator()
+    env = env_boxes(alloc, x=(0.9, 1.0))
+    out = gi.guaranteed_step(ctx, env, 0.05, SimConfig(duration=1.0), alloc)
+    assert out.h_used > 0.0
+    tight, hull = box(out.x_next, "x"), box(out.hull, "x")
+    for x0 in (F(0.9), F(1)):
+        assert F(tight.lo) <= 1 / (1 / x0 - F(out.h_used)) <= F(tight.hi)
+        for s in (0.0, 0.25, 0.5, 1.0):
+            assert F(hull.lo) <= 1 / (1 / x0 - F(s * out.h_used)) <= F(hull.hi)
 
 
 def test_guaranteed_step_failure_at_hmin(monkeypatch):

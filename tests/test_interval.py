@@ -126,4 +126,3 @@ def test_mid_width_mag():
     assert b.mid == 1.0
     assert b.width >= 4.0
     assert b.mag == 3.0
-    assert iv.hull_iv(Interval(0, 1), Interval(2, 3)) == Interval(0, 3)

@@ -104,12 +104,10 @@ FAST = {
                    "crossing at Monte-Carlo seed 1 (perfbench/NOTES.md)",
                    "1 of 16 samples escape the tight box"),
     "sinusoidal_ball": None,
-    "pendulum": ("after 533 steps the disarmed event0 cannot be certified: "
+    "pendulum": ("after 368 steps the disarmed event0 cannot be certified: "
                  "its guard straddles the boundary and the flow direction "
                  "is not provable", "cannot certify disarmed event0"),
-    "lorenz": ("A4: ODE23's declared order 2 understates its true order 3; "
-               "Picard fails at the minimal step size near t=0.87",
-               "Picard enclosure failed"),
+    "lorenz": None,
 }
 SLOW = {
     "car": None,
