@@ -211,8 +211,14 @@ class _Engine:
                 continue
             self._enter(child, s)
             if len(self.branches) + len(self.tasks) >= BRANCH_CAP:
+                w, v, t = max(((b.width, v, seg.t)
+                               for seg in child.segments
+                               for v, b in seg.tight.items()),
+                              key=lambda wvt: wvt[0])
                 self._finish(child, False, "BranchCap: disjunctive analysis "
-                                           "exceeded the branch cap")
+                             f"exceeded the branch cap; its widest tight "
+                             f"box is {w:.3g} in {v} at t in "
+                             f"[{t.lo:.6g}, {t.hi:.6g}]")
             else:
                 self.tasks.append(child)
         return False

@@ -1,5 +1,6 @@
 """Affine-form core: worked examples plus the sampled range-soundness,
-cancellation, hull-containment and condense properties."""
+cancellation, hull-containment, condense and private-symbol fold
+properties."""
 
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyflow import affine as af
+from hyflow import expr as ex
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
 from hyflow.errors import DomainError
 from hyflow.interval import Interval
@@ -281,6 +283,85 @@ def test_condense_never_shrinks(cx, dx, budget):
     assert len(c.dev) <= budget
     bx, bc = af.to_interval(x), af.to_interval(c)
     assert bc.lo <= bx.lo + 1e-12 and bc.hi >= bx.hi - 1e-12
+
+
+@st.composite
+def forms_sharing_symbols(draw):
+    """2-3 forms over symbols 0..2, each read by any of them, plus up to 5
+    symbols of their own each."""
+    coef = st.floats(-2, 2).filter(lambda c: abs(c) > 1e-3)
+    forms, fresh = {}, 3
+    for k in range(draw(st.integers(2, 3))):
+        dev = {i: draw(coef) for i in range(3) if draw(st.booleans())}
+        for _ in range(draw(st.integers(0, 5))):
+            dev[fresh] = draw(coef)
+            fresh += 1
+        forms[f"x{k}"] = AffineForm(draw(st.floats(-3, 3)), dev,
+                                    draw(st.sampled_from([0.0, 1e-3])))
+    return forms
+
+
+@st.composite
+def sum_product_sin_dags(draw, names):
+    """Two roots of a random DAG of sums, products and sin over `names`."""
+    nodes = [ex.var(v) for v in names]
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(["add", "mul", "sin"]))
+        a = draw(st.sampled_from(nodes))
+        if op == "sin":
+            nodes.append(ex.sin(a))
+        else:
+            b = draw(st.sampled_from(nodes))
+            nodes.append(ex.add(a, b) if op == "add" else ex.mul(a, b))
+    return nodes[-2:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 10_000))
+def test_fold_private_is_exact(data, seed):
+    forms = data.draw(forms_sharing_symbols())
+    roots = data.draw(sum_product_sin_dags(list(forms)))
+    readers: dict = {}
+    for f in forms.values():
+        for i in f.dev:
+            readers[i] = readers.get(i, 0) + 1
+    alloc = NoiseAllocator(1000)
+    folded, folds = af.fold_private(forms, alloc)
+    for k, f in forms.items():
+        g = folded[k]
+        b, bg = af.to_interval(f), af.to_interval(g)
+        assert bg.lo <= b.lo + 1e-12 and bg.hi >= b.hi - 1e-12
+        assert {i: c for i, c in f.dev.items() if readers[i] > 1} == {
+            i: c for i, c in g.dev.items() if readers.get(i, 0) > 1}
+        assert len(set(g.dev) - set(f.dev)) <= 1
+
+    got = [af.unfold(r, folds)
+           for r in ex.eval_affine_many(roots, folded, alloc)]
+    ref = ex.eval_affine_many(roots, forms, NoiseAllocator(1000))
+    for r, r_ref in zip(got, ref):
+        b, b_ref = af.to_interval(r), af.to_interval(r_ref)
+        tol = 1e-12 * b_ref.mag + 1e-300  # subnormal rounding terms
+        assert abs(b.lo - b_ref.lo) <= tol and abs(b.hi - b_ref.hi) <= tol
+
+    # at a valuation of the original symbols the folded forms take the
+    # original values with each fold symbol at sum(c_j eps_j)/C, and the
+    # unfolded result holds the true value up to its own fresh symbols
+    fn = ex.compile_scalar(roots, list(forms))
+    rng = random.Random(seed)
+    for _ in range(20):
+        v = rand_valuation(rng, readers)
+        on_fold = dict(v)
+        for s, (c, private) in folds.items():
+            on_fold[s] = sum(cj * v[j] for j, cj in private.items()) / c
+        slack = {k: rng.uniform(-1, 1) for k in forms}
+        point = [af.sample(forms[k], v, slack[k]) for k in forms]
+        for k, x in zip(forms, point):
+            assert math.isclose(af.sample(folded[k], on_fold, slack[k]), x,
+                                rel_tol=1e-12, abs_tol=1e-12)
+        for r, val in zip(got, fn(point)):
+            loose = r.slack + sum(abs(c) for i, c in r.dev.items()
+                                  if i not in readers)
+            assert abs(val - af.sample(r, v)) <= loose + 1e-9
 
 
 def test_hull_pointwise_soundness_shared_symbols():

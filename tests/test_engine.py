@@ -282,6 +282,19 @@ def test_zeno_behind_a_hull_only_suspect_is_reported():
             if not b.complete] == ["ZenoError"]
 
 
+def test_branch_cap_names_the_widest_tight_box(monkeypatch):
+    # with room for one queued branch, the graze's second child is capped;
+    # its reason names its widest tight box, variable and time
+    monkeypatch.setattr(engine, "BRANCH_CAP", 1)
+    pipe = simulate(graze((("y", ex.const(-1.0)),)), GRAZE_CFG)
+    capped = [b for b in pipe.branches if b.abort_reason.startswith("BranchCap")]
+    assert len(capped) == 1
+    w, v, t = max(((b.width, v, s.t) for s in capped[0].segments
+                   for v, b in s.tight.items()), key=lambda wvt: wvt[0])
+    assert capped[0].abort_reason.endswith(
+        f"widest tight box is {w:.3g} in {v} at t in [{t.lo:.6g}, {t.hi:.6g}]")
+
+
 def relay(w_guard):
     """`go` jumps from l1 to l2 at x = 1; in l2, `relay` (w > w_guard) is
     taken at once when surely true, and splits the chain when unknown."""

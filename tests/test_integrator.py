@@ -5,6 +5,7 @@ through full integrations."""
 
 import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +13,10 @@ import pytest
 from hyflow import affine as af
 from hyflow import expr as ex
 from hyflow import integrator as gi
+from hyflow import interval as iv
 from hyflow.affine import AffineForm, NoiseAllocator
 from hyflow.config import SimConfig
+from hyflow.engine import CONDENSE_BUDGET
 from hyflow.errors import IntegrationError, ModelError
 from hyflow.integrator import EULER, ODE23, RK4, FlowContext
 from hyflow.interval import Interval
@@ -237,6 +240,70 @@ def test_truncation_euler_scale():
         b = af.to_interval(trunc["x"])
         assert b.contains(h * h / 2.0 * math.exp(h) * 0.5) or b.hi >= h * h / 2.0
         assert b.width / h**2 < 2.0
+
+
+def rotation_start(alloc, n_private=150):
+    """x' = -y, y' = x from a start set of more than CONDENSE_BUDGET
+    symbols: one shared by x and y, and n_private of each one's own."""
+    rng = random.Random(5)
+    shared = alloc.fresh()
+    env = {}
+    for v, center in (("x", 1.0), ("y", 0.5)):
+        dev = {shared: rng.uniform(-1e-3, 1e-3)}
+        for _ in range(n_private):
+            dev[alloc.fresh()] = rng.uniform(-1e-4, 1e-4)
+        env[v] = AffineForm(center, dev)
+    ctx = FlowContext(("x", "y"), {"x": ex.neg(ex.var("y")), "y": ex.var("x")},
+                      ODE23)
+    return ctx, env
+
+
+def unfolded_truncation(ctx, env, z_env, h, alloc):
+    """The truncation bound evaluated over every symbol of the start set and
+    the enclosure, without folding: the reference the fold must match."""
+    p = ctx.table.order
+    fp, phi = ctx.f_deriv(p), ctx.phi_deriv()
+    a_vals = ex.eval_affine_many([fp[v] for v in ctx.variables], z_env, alloc)
+    denv = gi.env_remap(env, alloc)
+    denv[ex.TAU] = af.from_interval(Interval(0.0, h), alloc)
+    b_vals = ex.eval_affine_many([phi[v] for v in ctx.variables], denv, alloc)
+    fact = float(math.factorial(p + 1))
+    scale = iv.div(iv.pow_int(Interval(h, h), p + 1), Interval(fact, fact))
+    return {v: af.mul(af.from_interval(scale, alloc),
+                      av - gi.inflate_form(bv, 1e-12, 1e-306), alloc)
+            for v, av, bv in zip(ctx.variables, a_vals, b_vals)}
+
+
+def test_folded_truncation_matches_the_unfolded_bound():
+    alloc = NoiseAllocator()
+    ctx, env = rotation_start(alloc)
+    assert all(len(f.dev) > CONDENSE_BUDGET for f in env.values())
+    h = 0.1
+    z = gi.picard_enclosure(ctx, env, h, alloc)
+    got = gi.truncation_bound(ctx, env, z, h, alloc)
+    ref = unfolded_truncation(ctx, env, z, h, alloc)
+    for v in ctx.variables:
+        assert box(got, v).width == pytest.approx(box(ref, v).width, rel=1e-12)
+        # the remainder keeps its correlation with the start set
+        assert set(env[v].dev) <= set(got[v].dev)
+
+
+def test_guaranteed_step_encloses_rotation_from_many_symbols():
+    alloc = NoiseAllocator()
+    ctx, env = rotation_start(alloc)
+    start = set(env["x"].dev) | set(env["y"].dev)
+    out = gi.guaranteed_step(ctx, env, 0.1, SimConfig(duration=1.0), alloc)
+    c, s = math.cos(out.h_used), math.sin(out.h_used)
+    rng = random.Random(6)
+    for _ in range(50):
+        val = {i: rng.uniform(-1, 1) for i in start}
+        x0, y0 = af.sample(env["x"], val), af.sample(env["y"], val)
+        for v, exact in (("x", c * x0 - s * y0), ("y", s * x0 + c * y0)):
+            form = out.x_next[v]
+            # the symbols the step added range freely; the start's are fixed
+            loose = form.slack + sum(abs(k) for i, k in form.dev.items()
+                                     if i not in start)
+            assert abs(exact - af.sample(form, val)) <= loose + 1e-15
 
 
 # ------------------------------------------------------------ step control

@@ -1,9 +1,11 @@
 """The built-in benchmark registry: every entry loads to its pinned
 configuration, both model formats accept every setting, and each entry
 either completes with full Monte-Carlo containment or is a strict xfail
-that names its cause. The minutes-long entries are marked `slow` (run them
-with `pytest -m slow`)."""
+that names its cause. The fast entries that complete keep their final and
+peak widths under pinned ceilings. The minutes-long entries are marked
+`slow` (run them with `pytest -m slow`)."""
 
+import functools
 import json
 
 import pytest
@@ -125,6 +127,27 @@ SLOW = {
 }
 
 
+# final and peak tight-box widths of each FAST entry whose flowpipe
+# completes, pinned before the truncation bound folded private symbols; a
+# width may shrink, but not grow by more than WIDTH_SLACK of its pin
+WIDTH_CEILINGS = {
+    "bouncing_ball": (0.00822420, 0.00822420),
+    "wolfgram": (0.493363, 0.493363),
+    "hybrid3d": (0.0106074, 0.0351990),
+    "diode_oscillator": (0.169412, 0.184192),
+    "thermostat": (0.168996, 0.235538),
+    "sinusoidal_ball": (3.33258e-05, 5.17314e-05),
+    "lorenz": (3.26915, 4.05200),
+}
+WIDTH_SLACK = 1e-3
+
+
+@functools.cache
+def simulated(name):
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY[name])
+    return ha, simulate(ha, cfg)
+
+
 def cases(table, *marks):
     for name, known in table.items():
         cause, signature = known or (None, None)
@@ -152,9 +175,21 @@ def failure(ha, pipe) -> str | None:
 @pytest.mark.parametrize("name, signature",
                          [*cases(FAST), *cases(SLOW, pytest.mark.slow)])
 def test_entry_completes_and_contains_samples(name, signature):
-    ha, cfg = benchmarks.load(benchmarks.REGISTRY[name])
-    why = failure(ha, simulate(ha, cfg))
+    why = failure(*simulated(name))
     # pytest.fail, not assert: the xfail absorbs only an AssertionError
     if why is not None and signature is not None and signature not in why:
         pytest.fail(f"{name} fails for another cause: {why}")
     assert why is None, why
+
+
+@pytest.mark.parametrize("name", WIDTH_CEILINGS)
+def test_entry_widths_stay_under_their_ceilings(name):
+    _ha, pipe = simulated(name)
+    assert pipe.complete
+    final = max(max(b.width for b in br.segments[-1].tight.values())
+                for br in pipe.branches)
+    peak = max(max(b.width for b in seg.tight.values())
+               for br in pipe.branches for seg in br.segments)
+    final_pin, peak_pin = WIDTH_CEILINGS[name]
+    assert final <= final_pin * (1.0 + WIDTH_SLACK), (final, final_pin)
+    assert peak <= peak_pin * (1.0 + WIDTH_SLACK), (peak, peak_pin)
