@@ -232,22 +232,19 @@ class _Parser:
             if self.peek().kind == "symbol" and self.peek().text == "-":
                 self.next()
                 sign = -1
-            t = self.peek()
-            if t.kind == "symbol" and t.text == "(":
+            if self.peek().kind == "symbol" and self.peek().text == "(":
                 self.next()
-                inner = self.parse_power_exponent()
+                n = self.parse_power_exponent()
                 self.expect_symbol(")")
-                return ex.pow_int(base, sign * inner)
-            if t.kind != "number" or t.value != int(t.value):
-                raise ParseError("exponent must be an integer literal",
-                                 t.span, expected=["integer"])
-            self.next()
-            return ex.pow_int(base, sign * int(t.value))
+            else:
+                n = self.parse_power_exponent(signed=False)
+            return ex.pow_int(base, sign * n)
         return base
 
-    def parse_power_exponent(self):
+    def parse_power_exponent(self, signed=True):
+        """An integer literal, after a minus sign when `signed`."""
         sign = 1
-        if self.peek().kind == "symbol" and self.peek().text == "-":
+        if signed and self.peek().kind == "symbol" and self.peek().text == "-":
             self.next()
             sign = -1
         t = self.peek()
@@ -528,7 +525,7 @@ def _inline_constants(m: DslModel) -> dict:
     resolved: dict = {}
     visiting: set = set()
 
-    def resolve(name, stack):
+    def resolve(name):
         if name in resolved:
             return resolved[name]
         if name in visiting:
@@ -538,14 +535,14 @@ def _inline_constants(m: DslModel) -> dict:
         sub = {}
         for v in ex.free_vars(e):
             if v in m.constants:
-                sub[v] = resolve(v, stack + [name])
+                sub[v] = resolve(v)
         out = ex.substitute(e, sub) if sub else e
         visiting.discard(name)
         resolved[name] = out
         return out
 
     for name in m.constants:
-        resolve(name, [])
+        resolve(name)
     return resolved
 
 
@@ -565,17 +562,18 @@ def lower_to_automaton(m: DslModel):
     consts = _inline_constants(m)
     sub = dict(consts)
     flows = {v: ex.substitute(e, sub) for v, e in m.flows.items()}
-    events = [(ev_.guard, ev_.assigns, ev_.prints) for ev_ in m.events]
-    guards = [_subst_guard(g, sub) for g, _, _ in events]
-    resets = [tuple((n, ex.substitute(e, sub)) for n, e in assigns)
-              for _, assigns, _ in events]
+    loc = "main"
+    edges = [Edge(loc, loc, _subst_guard(evt.guard, sub),
+                  Reset(tuple((n, ex.substitute(e, sub))
+                              for n, e in evt.assigns), evt.prints),
+                  f"event{k}")
+             for k, evt in enumerate(m.events)]
     used = set()
     for e in flows.values():
         used |= ex.free_vars(e)
-    for g in guards:
-        used |= ex.guard_free_vars(g)
-    for r in resets:
-        for n, e in r:
+    for edge in edges:
+        used |= ex.guard_free_vars(edge.guard)
+        for n, e in edge.reset.assigns:
             used |= ex.free_vars(e) | {n}
     inits = dict(m.inits)
     if ex.TIME_VAR in consts:
@@ -597,11 +595,6 @@ def lower_to_automaton(m: DslModel):
             f"initialized variables without a flow equation: "
             f"{sorted(extra_init)}")
     variables = tuple(inits)  # declaration order
-    loc = "main"
-    edges = []
-    for k, (g, reset, prints) in enumerate(zip(guards, resets,
-                                               (p for _, _, p in events))):
-        edges.append(Edge(loc, loc, g, Reset(reset, prints), f"event{k}"))
     ha = HybridAutomaton(variables, {loc: flows}, edges, loc,
                          {v: inits[v] for v in variables})
     return ha, dict(m.settings)

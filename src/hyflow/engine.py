@@ -35,7 +35,6 @@ queued in order, and each aborted one is finished as a branch.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field, replace
 
 from . import _round as rd
@@ -159,7 +158,7 @@ class _Engine:
         self.ctxs = {loc: FlowContext(ha.variables, flow, table)
                      for loc, flow in ha.flows.items()}
         self.stats = {"steps": 0, "rejections": 0, "crossings": 0,
-                      "branches": 0, "wall_time": 0.0}
+                      "branches": 0}
         self.branches: list = []
         self.tasks: list = []
 
@@ -338,43 +337,42 @@ class _Engine:
             h_ext = out2.h_next
             end = ex.eval_guard(edge.guard, env_end, task.alloc)
         h_jump = min(out.h_used, self.cfg.dt)
-        succs = []
+        window = None
         if end is Trivalent.TRUE or not edge_cannot_fire(
                 edge, ctx.flow, hull, task.alloc):
-            gpoly = build_gpoly(ctx, [(0.0, task.env), (span, env_end)], span,
-                                hull, task.alloc)
-            args = (gpoly, edge.guard, Interval(0.0, span),
-                    self.cfg.zc_precision, task.alloc)
-            if end is Trivalent.TRUE:
-                window = tight_interval(*args)
-            else:
-                window = resolve_hull_only(*args)[1]
-            if window is not None:
-                tags = ("possible-crossing",) if end is Trivalent.FALSE else ()
-                succs = self._jump(task, gpoly, hull, idx, window, h_jump,
-                                   tags)
-        if maybe and end is not Trivalent.TRUE:
-            t_end = _shift(task.t, span, span)
+            gpoly = build_gpoly(ctx, task.env, env_end, span, hull, task.alloc)
+            narrow = (tight_interval if end is Trivalent.TRUE
+                      else resolve_hull_only)
+            window = narrow(gpoly, edge.guard, Interval(0.0, span),
+                            self.cfg.zc_precision, task.alloc)
+        stays = maybe and end is not Trivalent.TRUE
+        if window is None and not stays:
+            return []
+        t_end = _shift(task.t, span, span)
+        seg = self._segment(task, hull, t_end)
+        succs = []
+        if window is not None:
+            tags = ("possible-crossing",) if end is Trivalent.FALSE else ()
+            succs = self._jump(task, gpoly, seg, idx, window, h_jump, tags)
+        if stays:
             if end is Trivalent.UNKNOWN:
                 disarmed = disarmed | {idx}
             succs.append(_Next(task.location, env_end, t_end, h_jump,
-                               disarmed, self._segment(task, hull, t_end)))
+                               disarmed, seg))
         return succs
 
-    def _jump(self, task, gpoly, hull_env, idx, t_zc, h, tags=()) -> list:
+    def _jump(self, task, gpoly, seg, idx, t_zc, h, tags=()) -> list:
         """Successors of taking edge `idx` within `t_zc` (local to the
-        step): one per option of the immediate-transition chain after the
-        reset, each with its own prints; an endless chain aborts."""
+        step), after the step's segment `seg`: one per option of the
+        immediate-transition chain after the reset, each with its own
+        prints; an endless chain aborts."""
         edge = self.ha.edges[idx]
-        result = cross(edge, gpoly, t_zc, task.alloc)
+        post = cross(edge, gpoly, t_zc, task.alloc)
         self.stats["crossings"] += 1
-        seg = self._segment(task, hull_env,
-                            _shift(task.t, gpoly.span, gpoly.span))
         abs_zc = _shift(task.t, t_zc.lo, t_zc.hi)
         try:
-            options = chain_immediate(self.ha, result.post_location,
-                                      result.post_env, idx, task.alloc,
-                                      prints=result.prints)
+            options = chain_immediate(self.ha, edge.target, post, idx,
+                                      task.alloc, prints=edge.reset.prints)
         except ZenoError as e:
             return [f"ZenoError: {e}"]
         return [_Next(loc, env, abs_zc, h, disarmed,
@@ -410,7 +408,6 @@ def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
     smaller cells keep the nonlinear linearization remainders (which grow
     with the square of the set width) under control.
     """
-    started = time.perf_counter()
     prepared, _warnings = prepare_automaton(ha)
     eng = _Engine(prepared, cfg)
     t0 = Interval(0.0, 0.0)
@@ -429,7 +426,6 @@ def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
     while eng.tasks:
         eng.run(eng.tasks.pop())
     eng.stats["branches"] = len(eng.branches)
-    eng.stats["wall_time"] = time.perf_counter() - started
     complete = all(b.complete for b in eng.branches) and bool(eng.branches)
     return Flowpipe(prepared.variables, eng.branches, complete, 0.0,
                     cfg.duration, eng.stats)

@@ -26,7 +26,6 @@ a disjunctive branch, never a silent continuation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import affine as af
 from . import expr as ex
@@ -39,14 +38,6 @@ from .trivalent import Trivalent
 
 MAX_CHAIN = 16              # immediate transitions before a ZenoError
 MAX_BISECTION_EVALS = 600   # interpolant spans one bisection pass may visit
-
-
-@dataclass
-class CrossingResult:
-    state_zc: dict       # enclosure of the pre-reset state at the crossing
-    post_env: dict
-    post_location: str
-    prints: tuple
 
 
 def classify(ha, location, env_start, env_end, env_hull, alloc, skip=()):
@@ -156,34 +147,32 @@ def tight_interval(gpoly: GPoly, guard, span: Interval, precision: float,
     return Interval(lower, upper)
 
 
-def cross(edge, gpoly: GPoly, t_zc: Interval, alloc: NoiseAllocator) -> CrossingResult:
-    """Evaluate the interpolant at the crossing time and apply the reset."""
-    state_zc = eval_gpoly(gpoly, t_zc, alloc)
-    post = edge.reset.apply_affine(state_zc, alloc)
-    return CrossingResult(state_zc, post, edge.target, edge.reset.prints)
+def cross(edge, gpoly: GPoly, t_zc: Interval, alloc: NoiseAllocator) -> dict:
+    """The state of the trajectories that take `edge` within `t_zc`: the
+    interpolant over the crossing window, with the edge's reset applied."""
+    return edge.reset.apply_affine(eval_gpoly(gpoly, t_zc, alloc), alloc)
 
 
 def resolve_hull_only(gpoly: GPoly, guard, span: Interval, precision: float,
                       alloc: NoiseAllocator,
-                      max_evals: int = MAX_BISECTION_EVALS):
+                      max_evals: int = MAX_BISECTION_EVALS) -> Interval | None:
     """Distinguish a spurious hull activation from a possible double
     crossing within the step.
 
-    Returns ("none", None) when bisection over the interpolant refutes the
-    guard everywhere, else ("branch", t_zc) with the hull of the times that
-    could not be refuted.
+    Returns None when bisection over the interpolant refutes the guard
+    everywhere, else the hull of the times that could not be refuted.
     """
     lo, hi = span.lo, span.hi
     memo: dict = {}
     lower = _boundary(gpoly, guard, lo, hi, precision, alloc, max_evals,
                       memo, discard=Trivalent.FALSE, from_left=True)
     if lower is None:
-        return "none", None
+        return None
     # latest time not provably false bounds the possible crossing window
     upper = _boundary(gpoly, guard, lower, hi, precision, alloc, max_evals,
                       memo, discard=Trivalent.FALSE, from_left=False)
     upper = hi if upper is None else upper
-    return "branch", Interval(lower, max(lower, upper))
+    return Interval(lower, max(lower, upper))
 
 
 def chain_immediate(ha, location: str, env: dict, entered_by: int | None,

@@ -15,6 +15,17 @@ from . import expr as ex
 from .errors import ModelError
 
 
+def _hermite(x0, d0, x1, d1, h, tau):
+    """Cubic Hermite through x0 (slope d0) at tau = 0 and x1 (slope d1) at
+    tau = 1, on a cell of length h, at the cell fraction tau."""
+    a = 2 * tau**3 - 3 * tau**2 + 1
+    b = (tau**3 - 2 * tau**2 + tau) * h
+    c = -2 * tau**3 + 3 * tau**2
+    d = (tau**3 - tau**2) * h
+    return [a * x0[k] + b * d0[k] + c * x1[k] + d * d1[k]
+            for k in range(len(x0))]
+
+
 class ReferenceTrajectory:
     """Dense scalar trajectory: grid of (t, state, derivative) per
     continuous piece, cubic Hermite interpolation inside grid cells."""
@@ -45,15 +56,9 @@ class ReferenceTrajectory:
         h = t1 - t0
         if h <= 0.0:
             return self.states[i]
-        tau = (t - t0) / h
-        a = 2 * tau**3 - 3 * tau**2 + 1
-        b = (tau**3 - 2 * tau**2 + tau) * h
-        c = -2 * tau**3 + 3 * tau**2
-        d = (tau**3 - tau**2) * h
-        x0, x1 = self.states[i], self.states[i + 1]
-        d0, d1 = self.derivs[i], self.derivs[i + 1]
-        return tuple(a * x0[k] + b * d0[k] + c * x1[k] + d * d1[k]
-                     for k in range(len(x0)))
+        return tuple(_hermite(self.states[i], self.derivs[i],
+                              self.states[i + 1], self.derivs[i + 1], h,
+                              (t - t0) / h))
 
 
 class ReferenceSimulator:
@@ -142,26 +147,17 @@ class ReferenceSimulator:
             edge = self.ha.edges[fired]
             g = self._guards[fired]
             d0, d1 = f(x), f(x_new)
-
-            def at(tau):
-                a = 2 * tau**3 - 3 * tau**2 + 1
-                b = (tau**3 - 2 * tau**2 + tau) * h
-                c = -2 * tau**3 + 3 * tau**2
-                d = (tau**3 - tau**2) * h
-                return [a * x[i] + b * d0[i] + c * x_new[i] + d * d1[i]
-                        for i in range(len(x))]
-
             lo_tau, hi_tau = 0.0, 1.0
             for _ in range(80):
                 mid = 0.5 * (lo_tau + hi_tau)
-                if g(at(mid)):
+                if g(_hermite(x, d0, x_new, d1, h, mid)):
                     hi_tau = mid
                 else:
                     lo_tau = mid
                 if hi_tau - lo_tau < 1e-14:
                     break
             t_evt = t + hi_tau * h
-            x_evt = at(hi_tau)
+            x_evt = _hermite(x, d0, x_new, d1, h, hi_tau)
             traj._append(t_evt, x_evt, f(x_evt))
             traj._jumps.add(len(traj.times) - 1)
             x = self._apply_reset(fired, x_evt)

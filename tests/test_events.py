@@ -80,8 +80,7 @@ def ball_gpoly(y0=10.0, t_lo=1.3, span=0.3):
 
     env0 = at(t_lo)
     out = gi.guaranteed_step(ctx, env0, span, LOOSE, alloc)
-    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
-                       out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return g, alloc, out.h_used, t_lo
 
 
@@ -101,8 +100,7 @@ def linear_root_gpoly():
     env0 = {"x": AffineForm(-1.0)}
     cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
     out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
-    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
-                       out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return g, alloc, out.h_used
 
 
@@ -120,22 +118,22 @@ def test_cross_applies_reset():
     edge = ex.prepare_automaton(ha)[0].edges[0]
     guard = edge.guard
     t_zc = ev.tight_interval(g, guard, Interval(0.0, span), 1e-6, alloc)
-    res = ev.cross(edge, g, t_zc, alloc)
-    vy = af.to_interval(res.post_env["y"])
-    vv = af.to_interval(res.post_env["v"])
+    post = ev.cross(edge, g, t_zc, alloc)
+    vy = af.to_interval(post["y"])
+    vv = af.to_interval(post["v"])
     assert vy.lo == vy.hi == 0.0  # pinned by the strictness transform
     v_star = -9.81 * math.sqrt(20.0 / 9.81)
     assert vv.contains(-0.8 * v_star)
-    assert af.to_interval(res.state_zc["v"]).contains(v_star)
+    pre = gp.eval_gpoly(g, t_zc, alloc)
+    assert af.to_interval(pre["v"]).contains(v_star)
 
 
 def test_resolve_hull_only_refutes_spurious():
     # trajectory stays well above the floor; a fat hull alone must not branch
     g, alloc, span, _ = ball_gpoly(t_lo=0.0, span=0.2)
     guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    verdict, window = ev.resolve_hull_only(g, guard, Interval(0.0, span),
-                                           1e-6, alloc)
-    assert verdict == "none" and window is None
+    assert ev.resolve_hull_only(g, guard, Interval(0.0, span), 1e-6,
+                                alloc) is None
 
 
 def graze_gpoly():
@@ -145,17 +143,15 @@ def graze_gpoly():
     alloc = NoiseAllocator()
     env0 = {"y": AffineForm(1e-6), "v": AffineForm(-2e-3)}
     out = gi.guaranteed_step(ctx, env0, 2e-3, LOOSE, alloc)
-    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
-                       out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return g, alloc, out.h_used
 
 
 def test_resolve_hull_only_detects_graze():
     g, alloc, span = graze_gpoly()
     guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    verdict, window = ev.resolve_hull_only(g, guard, Interval(0.0, span),
-                                           1e-7, alloc)
-    assert verdict == "branch"
+    window = ev.resolve_hull_only(g, guard, Interval(0.0, span), 1e-7, alloc)
+    assert window is not None
     assert window.lo >= 0.0 and window.hi <= span
 
 
@@ -294,11 +290,11 @@ def plain_resolve_hull_only(g, guard, span, precision, alloc, max_evals):
     lower = plain_boundary(g, guard, span.lo, span.hi, precision, alloc,
                            max_evals, Trivalent.FALSE, True)
     if lower is None:
-        return "none", None
+        return None
     upper = plain_boundary(g, guard, lower, span.hi, precision, alloc,
                            max_evals, Trivalent.FALSE, False)
     upper = span.hi if upper is None else upper
-    return "branch", Interval(lower, max(lower, upper))
+    return Interval(lower, max(lower, upper))
 
 
 @pytest.mark.parametrize("max_evals", [600, 7])

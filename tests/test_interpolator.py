@@ -1,6 +1,7 @@
-"""Guaranteed Hermite-Birkhoff interpolation: node reproduction, polynomial
-exactness, analytic containment, and the algebraic equivalence of the
-general two-node basis with the classical tau-form cubic."""
+"""Guaranteed cubic Hermite interpolation: node reproduction, polynomial
+exactness, analytic containment at point and interval times, and the
+algebraic equivalence of the partition-of-unity form with the classical
+tau-form cubic."""
 
 import math
 import random
@@ -39,8 +40,7 @@ def decay_step(h=0.2, x0=1.0):
     cfg = SimConfig(duration=1.0, tol=1e-3, max_dt=1.0)
     out = gi.guaranteed_step(ctx, env0, h, cfg, alloc)
     assert out.h_used == h
-    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
-                       out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return ctx, alloc, env0, out, g
 
 
@@ -74,6 +74,19 @@ def test_analytic_containment_50_random_times():
         assert af.to_interval(got["x"]).contains(math.exp(-t))
 
 
+def test_analytic_containment_over_random_sub_spans():
+    # crossing bisection evaluates the interpolant over spans, not points:
+    # the enclosure over [t1, t2] must hold exp(-t) for every t inside it
+    ctx, alloc, env0, out, g = decay_step(h=0.2)
+    rng = random.Random(11)
+    h = out.h_used
+    for _ in range(40):
+        t1, t2 = sorted(rng.uniform(0.0, h) for _ in range(2))
+        got = af.to_interval(gp.eval_gpoly(g, Interval(t1, t2), alloc)["x"])
+        for t in [t1, t2] + [rng.uniform(t1, t2) for _ in range(10)]:
+            assert got.contains(math.exp(-t)), (t1, t2, t)
+
+
 def test_cubic_solution_zero_remainder():
     # x' = 3 t^2 (clock t): solution t^3 is cubic, so f''' of the state
     # component vanishes and the interpolant is exact up to slack.
@@ -84,8 +97,7 @@ def test_cubic_solution_zero_remainder():
     env0 = {"x": AffineForm(0.0), "t": AffineForm(0.0)}
     out = gi.guaranteed_step(ctx, env0, 1.0, LOOSE, alloc)
     h = out.h_used
-    g = gp.build_gpoly(ctx, [(0.0, env0), (h, out.x_next)], h, out.hull,
-                       alloc)
+    g = gp.build_gpoly(ctx, env0, out.x_next, h, out.hull, alloc)
     assert g.rem_scale["x"].width < 1e-12  # vanishing remainder coefficient
     got = gp.eval_gpoly(g, Interval(h / 2, h / 2), alloc)
     b = af.to_interval(got["x"])
@@ -95,7 +107,7 @@ def test_cubic_solution_zero_remainder():
 
 def test_remainder_contains_zero_when_fn_does():
     ctx, alloc, env0, out, g = decay_step()
-    # remainder factor prod(t - t_i)^2 >= 0, so if f^(N) straddles 0 the
+    # remainder factor t^2 (t - h)^2 >= 0, so if f''' straddles 0 the
     # remainder interval must contain 0; force a straddling rem_scale
     g.rem_scale["x"] = Interval(-0.5, 0.5)
     got = gp.eval_gpoly(g, Interval(0.05, 0.05), alloc)
@@ -113,33 +125,29 @@ def test_out_of_span_rejected():
 def test_monotone_degradation_wider_z_never_tightens():
     ctx, alloc, env0, out, g = decay_step()
     wide_hull = {"x": out.hull["x"] + af.from_interval(Interval(-0.5, 0.5), alloc)}
-    g2 = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
-                        out.h_used, wide_hull, alloc)
+    g2 = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, wide_hull, alloc)
     a = af.to_interval(gp.eval_gpoly(g, Interval(0.07, 0.07), alloc)["x"])
     b = af.to_interval(gp.eval_gpoly(g2, Interval(0.07, 0.07), alloc)["x"])
     assert b.lo <= a.lo + 1e-15 and b.hi >= a.hi - 1e-15
 
 
-def test_general_basis_equals_tau_form_cubic():
-    # two-node general Hermite-Birkhoff basis against the classical cubic at
-    # tau in {0, 1/4, 1/2, 1} on randomized node data
+def test_partition_of_unity_form_equals_tau_form_cubic():
+    # the interpolant against the classical cubic at tau in {0, 1/4, 1/2, 1}
+    # on randomized node data
     rng = random.Random(9)
     for _ in range(25):
         h = rng.uniform(0.05, 2.0)
         x0, d0 = rng.uniform(-3, 3), rng.uniform(-3, 3)
         x1, d1 = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        ctx = FlowContext(("x",), {"x": ex.ZERO}, ODE23)
         alloc = NoiseAllocator()
         g = gp.GPoly(
             variables=("x",),
-            taus=(0.0, h),
-            node_envs=({"x": AffineForm(x0)}, {"x": AffineForm(x1)}),
-            deriv_envs=({"x": AffineForm(d0)}, {"x": AffineForm(d1)}),
             span=h,
-            inv_denoms=(Interval(-1.0 / h, -1.0 / h), Interval(1.0 / h, 1.0 / h)),
-            dl_at_node=(Interval(-1.0 / h, -1.0 / h), Interval(1.0 / h, 1.0 / h)),
+            x0={"x": AffineForm(x0)},
+            f0={"x": AffineForm(d0)},
+            dx={"x": AffineForm(x1) - AffineForm(x0)},
+            f1={"x": AffineForm(d1)},
             rem_scale={"x": Interval(0.0, 0.0)},
-            degree=3,
         )
         for tau in (0.0, 0.25, 0.5, 1.0):
             t = tau * h
@@ -161,8 +169,7 @@ def rotation_step(h=0.1):
     env0 = {v: af.from_interval(Interval(c, c + 0.01), alloc)
             for v, c in (("x", 1.0), ("y", 0.0), ("z", 0.5))}
     out = gi.guaranteed_step(ctx, env0, h, LOOSE, alloc)
-    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
-                       out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     return g, alloc, out.h_used
 
 
@@ -186,8 +193,7 @@ def creep_width(x0, h=0.1, rate=1e-6):
     alloc = NoiseAllocator()
     env0 = {"x": af.from_interval(Interval(x0, x0 + 1e-12), alloc)}
     out = gi.guaranteed_step(ctx, env0, h, LOOSE, alloc)
-    g = gp.build_gpoly(ctx, [(0.0, env0), (out.h_used, out.x_next)],
-                       out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
     got = gp.eval_gpoly(g, Interval(0.0, out.h_used), alloc)["x"]
     return af.to_interval(got).width
 
