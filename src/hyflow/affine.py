@@ -590,8 +590,8 @@ def remap(x: AffineForm, mapping: dict, alloc: NoiseAllocator) -> AffineForm:
 def fold_private(forms: dict, alloc: NoiseAllocator) -> tuple:
     """(folded forms, folds): in each form of `forms`, the noise symbols
     that no other form of the dict reads are replaced by one fresh symbol
-    s whose coefficient is C, their `sum_abs_up`; `folds[s]` is (C, the
-    replaced coefficients).
+    s whose coefficient is C, an upper bound on the sum of their absolute
+    values; `folds[s]` is (C, the replaced coefficients).
 
     The fold is exact: s stands for sum(c_j eps_j)/C, which lies in
     [-1, 1], and the affine operations see a form's private symbols only
@@ -605,12 +605,18 @@ def fold_private(forms: dict, alloc: NoiseAllocator) -> tuple:
             shared[i] = i in shared
     out, folds = {}, {}
     for k, f in forms.items():
-        private = {i: v for i, v in f.dev.items() if not shared[i]}
-        if len(private) < 2:
+        dev, private, c = {}, {}, 0.0
+        for i, v in f.dev.items():
+            if shared[i]:
+                dev[i] = v
+            else:
+                private[i] = v
+                c += v if v >= 0.0 else -v
+        n = len(private)
+        if n < 2:
             out[k] = f
             continue
-        dev = {i: v for i, v in f.dev.items() if shared[i]}
-        c = rd.sum_abs_up(private.values())
+        c += c * (n * _EPS) + n * _SUBNORM  # as in `radius`
         s = alloc.fresh()
         dev[s] = c
         folds[s] = (c, private)

@@ -4,6 +4,7 @@ properties."""
 
 import math
 import random
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -362,6 +363,19 @@ def test_fold_private_is_exact(data, seed):
             loose = r.slack + sum(abs(c) for i, c in r.dev.items()
                                   if i not in readers)
             assert abs(val - af.sample(r, v)) <= loose + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300).filter(lambda c: abs(c) >= 1e-300),
+                min_size=2, max_size=40))
+@example([1.0] + [2.0 ** -53] * 40)  # every float addition rounds down
+@example([1.7e-300, 5e-300, -3e-299, 1.1e-300])
+def test_fold_private_bound_covers_the_exact_sum(coefs):
+    form = AffineForm(0.0, dict(enumerate(coefs)))
+    _, folds = af.fold_private({"x": form}, NoiseAllocator(100))
+    [(c, private)] = folds.values()
+    assert private == form.dev
+    assert Fraction(c) >= sum(Fraction(abs(v)) for v in coefs)
 
 
 def test_hull_pointwise_soundness_shared_symbols():

@@ -9,7 +9,7 @@ import pytest
 from hyflow import benchmarks, engine
 from hyflow import expr as ex
 from hyflow.affine import Rel
-from hyflow.engine import Flowpipe, SimConfig, simulate, validate_monte_carlo
+from hyflow.engine import SimConfig, simulate, validate_monte_carlo
 from hyflow.errors import ModelError
 from hyflow.expr import HybridAutomaton, Reset
 from hyflow.interval import Interval

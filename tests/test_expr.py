@@ -3,7 +3,6 @@ finite differences, stage-polynomial derivatives, resets and the guard
 strictness transform."""
 
 import gc
-import math
 import random
 
 import pytest

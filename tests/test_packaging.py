@@ -1,7 +1,9 @@
 """Project metadata: every console-script entry point and every name a
-module exports must resolve, and every entry point the benchmark's layer
-trace patches must be called where it is patched."""
+module exports must resolve, every entry point the benchmark's layer
+trace patches must be called where it is patched, and no module imports a
+name it never reads."""
 
+import ast
 import importlib
 import pkgutil
 import sys
@@ -42,3 +44,65 @@ def test_layer_trace_entry_points_are_called_where_patched():
     for mod_name, attr, layer in layertrace.ENTRY_POINTS:
         assert hasattr(importlib.import_module(mod_name), attr), layer
     assert misplaced(layertrace.ENTRY_POINTS) == []
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each name `source` imports (outside `from
+    __future__`) and never reads. A read is a loaded name, a name in a
+    string annotation, or an entry of `__all__`."""
+    tree = ast.parse(source)
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            read |= string_annotation_names(node.annotation)
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.returns):
+            read |= string_annotation_names(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {e.value for e in ast.walk(node.value)
+                     if isinstance(e, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def string_annotation_names(annotation) -> set:
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+def test_unused_import_scan_counts_every_kind_of_read():
+    source = """from __future__ import annotations
+import os, os.path as osp
+from typing import TYPE_CHECKING, Any
+from fractions import Fraction
+from json import dumps
+from math import pi
+if TYPE_CHECKING:
+    from re import Pattern
+__all__ = ["dumps"]
+def f(a: Any, b: "Pattern") -> "Fraction":
+    return os.sep
+"""
+    assert unused_imports(source) == [(2, "osp"), (6, "pi")]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    root = PYPROJECT.parent
+    unused = {str(path.relative_to(root)): found
+              for folder in ("src/hyflow", "tests")
+              for path in sorted((root / folder).glob("*.py"))
+              if (found := unused_imports(path.read_text()))}
+    assert unused == {}

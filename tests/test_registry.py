@@ -2,8 +2,9 @@
 configuration, both model formats accept every setting, and each entry
 either completes with full Monte-Carlo containment or is a strict xfail
 that names its cause. The fast entries that complete keep their final and
-peak widths under pinned ceilings. The minutes-long entries are marked
-`slow` (run them with `pytest -m slow`)."""
+peak widths under pinned ceilings, and their step and rejection counts as
+pinned. The minutes-long entries are marked `slow` (run them with
+`pytest -m slow`)."""
 
 import functools
 import json
@@ -143,6 +144,19 @@ WIDTH_CEILINGS = {
 }
 WIDTH_SLACK = 1e-3
 
+# accepted steps and rejected step sizes of each FAST entry whose flowpipe
+# completes, pinned before the guaranteed step ran over the folded start
+# set; a lossless change to the step keeps them exactly
+STEP_COUNTS = {
+    "bouncing_ball": (112, 0),
+    "wolfgram": (256, 0),
+    "hybrid3d": (101, 1),
+    "diode_oscillator": (229, 0),
+    "thermostat": (159, 0),
+    "sinusoidal_ball": (235, 2),
+    "lorenz": (51, 0),
+}
+
 
 @functools.cache
 def simulated(name):
@@ -198,3 +212,10 @@ def test_entry_widths_stay_under_their_ceilings(name):
     assert final <= final_pin * (1.0 + WIDTH_SLACK), (final, final_pin)
     assert peak <= peak_pin * (1.0 + WIDTH_SLACK), (peak, peak_pin)
     assert window <= window_pin * (1.0 + WIDTH_SLACK), (window, window_pin)
+
+
+@pytest.mark.parametrize("name", STEP_COUNTS)
+def test_entry_step_counts_are_pinned(name):
+    _ha, pipe = simulated(name)
+    assert pipe.complete
+    assert (pipe.stats["steps"], pipe.stats["rejections"]) == STEP_COUNTS[name]
