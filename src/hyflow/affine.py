@@ -276,6 +276,56 @@ def scale(x: AffineForm, a: float) -> AffineForm:
     return _mk(c, dev, _finish_slack(slack, esum, ecnt))
 
 
+def add_scaled_many(base: AffineForm, terms) -> AffineForm:
+    """base + sum(s * x) over `terms`, triples (lo, hi, x) with the
+    uncertain scalar s in [lo, hi]; one pass, no fresh symbol.
+
+    Sound by the rules of `scale` then `_add`, in the same order, so the
+    center and coefficients are the same floats: x is scaled by the
+    midpoint m, every product and partial sum enters one running-error
+    sum, and exact zero coefficients are dropped. The rest, (s - m) x with
+    |s - m| <= r, is bounded by r |x| and goes to slack with |m| times x's
+    slack; |x| is x's interval magnitude, as `to_interval` rounds it.
+    """
+    center = base.center
+    dev = dict(base.dev)
+    slack = base.slack
+    esum, ecnt = 0.0, 0
+    for lo, hi, x in terms:
+        mid = 0.5 * (lo + hi)
+        c = mid * x.center
+        center += c
+        esum += abs(c) + abs(center)
+        t = x.slack
+        for i, xi in x.dev.items():
+            t += xi if xi >= 0.0 else -xi
+            g = mid * xi
+            d = dev.get(i)
+            if d is None:
+                esum += g if g >= 0.0 else -g
+                if g != 0.0:
+                    dev[i] = g
+                continue
+            s = d + g
+            esum += abs(g) + abs(s)
+            ecnt += 1
+            if s == 0.0:
+                del dev[i]
+            else:
+                dev[i] = s
+        n = len(x.dev) + 1
+        ecnt += n + 1
+        if x.slack != 0.0:
+            slack = rd.next_up(slack + rd.mul_up(abs(mid), x.slack))
+        mag = abs(x.center)
+        if t != 0.0:
+            t += t * (n * _EPS) + n * _SUBNORM
+            mag = max(abs(rd.next_down(x.center - t)), abs(rd.next_up(x.center + t)))
+        r = rd.next_up(max(hi - mid, mid - lo))
+        slack = rd.next_up(slack + rd.mul_up(r, mag))
+    return _mk(center, dev, _finish_slack(slack, esum, ecnt))
+
+
 def neg(x: AffineForm) -> AffineForm:
     return _mk(-x.center, {i: -v for i, v in x.dev.items()}, x.slack)
 

@@ -3,12 +3,17 @@
 One accepted step produces a tight enclosure of the flow map at t+h plus an
 a priori enclosure over the whole step:
 
-* `picard_enclosure` finds a box that provably maps into itself under the
-  integral operator of the IVP (verified, never assumed), so every
-  trajectory from the start set stays inside it for the step.
+* `picard_enclosure` finds a set env + D, the start set plus one interval
+  offset per variable, that provably maps into itself under the integral
+  operator of the IVP (verified, never assumed), so every trajectory from
+  the start set stays inside it for the step. Only the offsets iterate:
+  the image is env + [0, h] * f(box), and both sets share env, so
+  comparing offsets is exact set containment.
 * `rk_stages` evaluates the scheme in affine arithmetic with the Butcher
   coefficients treated as exact rationals (their float representation error
   is folded into slack), so the result encloses the exact-real scheme.
+  Each stage argument and the result is one pass of `af.add_scaled_many`
+  over the start form.
 * `truncation_bound` bounds the local distance between scheme and true
   solution through the integral form of the Taylor remainder: it lies in
   h^(p+1)/(p+1)! * (conv{f^(p)(x(xi))} - conv{Phi^(p+1)(tau, x0)}), the
@@ -219,13 +224,6 @@ class FlowContext:
 # ------------------------------------------------------------ env helpers
 
 
-def env_subset(a: Env, b: Env, names) -> bool:
-    for v in names:
-        if not af.to_interval(a[v]).subset_of(af.to_interval(b[v])):
-            return False
-    return True
-
-
 def env_hull(a: Env, b: Env, alloc, names=None) -> Env:
     keys = names if names is not None else a.keys()
     return {v: af.hull(a[v], b[v], alloc) for v in keys}
@@ -239,10 +237,6 @@ def env_remap(env: Env, alloc) -> Env:
 
 def env_condense(env: Env, budget: int, alloc) -> Env:
     return {v: af.condense(f, budget, alloc) for v, f in env.items()}
-
-
-def _decorrelate_box(env: Env, alloc, names) -> Env:
-    return {v: af.from_interval(af.to_interval(env[v]), alloc) for v in names}
 
 
 def scale_interval(x: AffineForm, lo: float, hi: float) -> AffineForm:
@@ -259,20 +253,11 @@ def scale_interval(x: AffineForm, lo: float, hi: float) -> AffineForm:
 def _scaled_coef(h: float, fr: Fraction):
     mid, r = _coef(fr)
     if r == 0.0:
-        if mid == 0.0:
-            return 0.0, 0.0
         s = h * mid
         if mid in (1.0, -1.0, 0.5, -0.5):  # exact scalings
             return s, s
         return rd.next_down(s), rd.next_up(s)
     return rd.mul_down(h, rd.next_down(mid - r)), rd.mul_up(h, rd.next_up(mid + r))
-
-
-def _add_scaled(acc: AffineForm, k: AffineForm, h: float, fr: Fraction) -> AffineForm:
-    if fr == 0:
-        return acc
-    lo, hi = _scaled_coef(h, fr)
-    return acc + scale_interval(k, lo, hi)
 
 
 def inflate_form(x: AffineForm, rel: float, absolute: float) -> AffineForm:
@@ -283,113 +268,111 @@ def inflate_form(x: AffineForm, rel: float, absolute: float) -> AffineForm:
 # ----------------------------------------------------------------- picard
 
 
-def _picard_map(ctx: FlowContext, env0: Env, cand: Env, h: float, alloc) -> Env:
-    """One application of the integral operator, box-decorrelated.
-
-    The self-map check underlying the enclosure lemma quantifies over all
-    functions into the candidate *box*, so the flow argument must be the
-    box, not the correlated zonotope.
-    """
-    boxed = _decorrelate_box(cand, alloc, ctx.variables)
-    fz = ctx.eval_flow(boxed, alloc)
-    span = Interval(0.0, h)
-    out = {}
-    for v in ctx.variables:
-        prod = iv.mul(span, af.to_interval(fz[v]))
-        out[v] = env0[v] + af.from_interval(prod, alloc)
-    return out
-
-
 def picard_enclosure(ctx: FlowContext, env: Env, h: float,
                      alloc: NoiseAllocator) -> Env | None:
     """Verified a priori enclosure of all trajectories over [t, t+h].
 
-    Returns z with picard_map(z) contained in z (re-checked, not assumed),
-    refined by a few extra sweeps; None if no candidate verified within the
-    iteration budget (caller should halve h).
+    A candidate is env + D: the start set plus one interval offset D[v]
+    per variable, and only D changes from one candidate to the next. Its
+    image under the integral operator is env + P with P = [0, h] * f(B),
+    f evaluated over the box B = box(env) + D: the self-map check behind
+    the enclosure lemma quantifies over all functions into the candidate
+    *box*, so the flow argument is the box, not the correlated set. Both
+    sets add their offset to the same env, so P[v] in D[v] for every v is
+    exactly the containment env + P in env + D. The start set is read once,
+    for its box, and the result env[v] + D[v] is built once.
+
+    Returns env + D for a verified D (re-checked, not assumed), refined by
+    a few extra sweeps; None if no candidate verified within the iteration
+    budget (caller should halve h).
     """
     if h <= 0.0:
         raise IntegrationError("picard_enclosure needs h > 0")
     names = ctx.variables
+    start = {v: af.to_interval(env[v]) for v in names}
+    span = Interval(0.0, h)
 
-    def padded(e, rel, absolute):
+    def image(d):
+        boxed = {v: af.from_interval(iv.add(start[v], d[v]), alloc)
+                 for v in names}
+        fz = ctx.eval_flow(boxed, alloc)
+        return {v: iv.mul(span, af.to_interval(fz[v])) for v in names}
+
+    def padded(p, rel, absolute):
+        # pads sized from the image's box, box(env) + p
         out = {}
         for v in names:
-            box = af.to_interval(e[v])
+            box = iv.add(start[v], p[v])
             d = rd.next_up(box.width * rel + absolute * (1.0 + box.mag))
-            out[v] = e[v] + af.from_interval(Interval(-d, d), alloc)
+            out[v] = iv.add(p[v], Interval(-d, d))
         return out
+
+    def inside(p, d):
+        return all(p[v].subset_of(d[v]) for v in names)
 
     f0 = ctx.eval_flow(env, alloc)
     cand = {}
     for v in names:
-        m = af.to_interval(f0[v]).mag
-        pad = rd.mul_up(rd.mul_up(m, h), 1.0 + INFLATION)
-        cand[v] = env[v] + af.from_interval(Interval(-pad, pad), alloc) if pad else env[v]
-    verified = None
+        pad = rd.mul_up(rd.mul_up(af.to_interval(f0[v]).mag, h), 1.0 + INFLATION)
+        cand[v] = Interval(-pad, pad)
     infl = 1e-3  # epsilon-inflation of rejected candidates; grows on stall
     for it in range(PICARD_MAX_ITERS):
         try:
-            img = _picard_map(ctx, env, cand, h, alloc)
+            img = image(cand)
         except DomainError:
             # inflation drove the candidate out of the flow's domain (or to
             # overflow): no enclosure at this step size
             return None
-        if env_subset(img, cand, names):
-            verified = cand
+        if inside(img, cand):
             break
         cand = padded(img, infl, 1e-15)
         if (it + 1) % 4 == 0:
             infl *= 4.0
-    if verified is None:
+    else:
         return None
-    z = verified
-    img = _picard_map(ctx, env, z, h, alloc)  # known subset of z
     for _ in range(REFINE_SWEEPS):
         # a few ULPs of padding keep the re-verification from failing on
         # rounding noise while preserving the verified-fixpoint contract
         c = padded(img, 0.0, 1e-14)
         try:
-            img2 = _picard_map(ctx, env, c, h, alloc)
+            img2 = image(c)
         except DomainError:
             break
-        if env_subset(img2, c, names):
-            z, img = c, img2
-        else:
+        if not inside(img2, c):
             break
-    return z
+        cand, img = c, img2
+    return {v: env[v] + af.from_interval(cand[v], alloc) for v in names}
 
 
 # ----------------------------------------------------------------- stages
 
 
-def rk_stages(ctx: FlowContext, env: Env, h: float, alloc) -> tuple:
-    """(scheme result at t+h, stage values); encloses the exact-real scheme."""
+def rk_stages(ctx: FlowContext, env: Env, h: float, alloc) -> Env:
+    """Enclosure of the exact-real scheme result at t+h.
+
+    Each stage argument env[v] + sum_j h a_ij k_j[v], and the result
+    env[v] + sum_i h b_i k_i[v], is one `af.add_scaled_many` pass over the
+    start form, with each h*coefficient enclosed in the float interval
+    `_scaled_coef` gives. The kernel computes the center and coefficients
+    that scaling each term and adding it would, and charges the coefficient
+    widths and every rounding to slack, so the result is sound without an
+    intermediate copy of the start form.
+    """
     t = ctx.table
     ks = []
-    for i in range(t.stages):
-        if i == 0:
-            stage_env = env
-        else:
-            stage_env = {}
-            row = t.a[i]
-            for v in ctx.variables:
-                acc = env[v]
-                for j, aij in enumerate(row):
-                    acc = _add_scaled(acc, ks[j][v], h, aij)
-                stage_env[v] = acc
-        ks.append(ctx.eval_flow(stage_env, alloc))
-    x_next = {}
-    for v in ctx.variables:
-        acc = env[v]
-        for i, bi in enumerate(t.b):
-            acc = _add_scaled(acc, ks[i][v], h, bi)
-        x_next[v] = acc
-    return x_next, ks
+
+    def combine(row):
+        coefs = [(*_scaled_coef(h, fr), j) for j, fr in enumerate(row) if fr]
+        return {v: af.add_scaled_many(
+                    env[v], [(lo, hi, ks[j][v]) for lo, hi, j in coefs])
+                for v in ctx.variables}
+
+    for row in t.a:
+        ks.append(ctx.eval_flow(combine(row) if row else env, alloc))
+    return combine(t.b)
 
 
-def embedded_error(ctx: FlowContext, env: Env, x_next: Env, ks: list, h: float,
-                   alloc) -> float | None:
+def embedded_error(ctx: FlowContext, env: Env, h: float) -> float | None:
     """Classical embedded-pair estimate |x - z| on the center point; None
     when the table has no embedded weights (or the center leaves the flow's
     domain).
@@ -527,10 +510,10 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
             h = max(h / 2.0, H_MIN)
             rejections += 1
             continue
-        x_prime, ks = rk_stages(ctx, env, h, alloc)
+        x_prime = rk_stages(ctx, env, h, alloc)
         trunc = truncation_bound(ctx, env, z, h, alloc)
         x_next = {v: x_prime[v] + trunc[v] for v in ctx.variables}
-        est = embedded_error(ctx, env, x_prime, ks, h, alloc)
+        est = embedded_error(ctx, env, h)
         if est is None:
             est = max(af.to_interval(trunc[v]).width for v in ctx.variables) / 2.0
         accept, h_next = step_control(est, h, cfg, ctx.table.est_order)

@@ -1,6 +1,6 @@
 """Affine-form core: worked examples plus the sampled range-soundness,
-cancellation, hull-containment, condense and private-symbol fold
-properties."""
+cancellation, hull-containment, condense, private-symbol fold and
+scaled-sum properties."""
 
 import math
 import random
@@ -376,6 +376,68 @@ def test_fold_private_bound_covers_the_exact_sum(coefs):
     [(c, private)] = folds.values()
     assert private == form.dev
     assert Fraction(c) >= sum(Fraction(abs(v)) for v in coefs)
+
+
+def exact_at(x, val, slack_pos=0):
+    """x's value in exact rationals at a noise valuation and a position of
+    its slack."""
+    return (Fraction(x.center) + Fraction(x.slack) * slack_pos
+            + sum(Fraction(c) * val[i] for i, c in x.dev.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_add_scaled_many_encloses_the_exact_combination(seed):
+    # base + sum(s * x), each s at lo, mid or hi of its interval, evaluated
+    # exactly at one valuation, lies within the result's center plus its
+    # deviations at that valuation, plus or minus its slack
+    rng = random.Random(seed)
+
+    def coef():
+        return rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-6, 2)
+
+    def dev(ids):
+        return {i: coef() for i in ids}
+
+    shared = [i for i in range(4) if rng.random() < 0.7]  # read by several
+    base = AffineForm(coef(), {**dev(shared), 9: 0.75},
+                      rng.choice((0.0, abs(coef()))))
+    terms = []
+    for j in range(rng.randint(1, 4)):
+        ids = [i for i in range(4) if rng.random() < 0.6]
+        ids += [10 * (j + 1) + k for k in range(rng.randint(0, 3))]
+        lo = coef()
+        hi = lo + abs(coef()) * rng.choice((0.0, 1e-15, 1.0))
+        x = AffineForm(coef(), dev(ids), rng.choice((0.0, abs(coef()))))
+        terms.append((lo, hi, x))
+    # a term that cancels base's coefficient on symbol 9 to exactly 0
+    terms.append((-0.5, -0.5, AffineForm(coef(), {9: 1.5}, 0.0)))
+    r = af.add_scaled_many(base, terms)
+    assert 9 not in r.dev
+
+    # the same floats as scaling each term by its midpoint and adding it
+    ref = base
+    for lo, hi, x in terms:
+        ref = ref + af.scale(x, 0.5 * (lo + hi))
+    assert r.center == ref.center
+    assert r.dev == {i: c for i, c in ref.dev.items() if c != 0.0}
+
+    ids = set(base.dev).union(*(x.dev for _, _, x in terms))
+    for trial in range(12):
+        if trial < 4:
+            val = {i: Fraction(rng.choice((-1, 1))) for i in ids}
+        else:
+            val = {i: Fraction(rng.uniform(-1.0, 1.0)) for i in ids}
+
+        def pos():
+            return Fraction(rng.choice((-1.0, 1.0, rng.uniform(-1.0, 1.0))))
+
+        exact = exact_at(base, val, pos())
+        for lo, hi, x in terms:
+            s = rng.choice((Fraction(lo), (Fraction(lo) + Fraction(hi)) / 2,
+                            Fraction(hi)))
+            exact += s * exact_at(x, val, pos())
+        assert abs(exact - exact_at(r, val)) <= Fraction(r.slack)
 
 
 def test_hull_pointwise_soundness_shared_symbols():
