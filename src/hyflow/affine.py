@@ -451,36 +451,29 @@ def _unary_taylor(x, alloc, f0_fn, d0_fn, d2_mag, box):
     return _mk(f0, dev, _finish_slack(err, esum, len(dev)))
 
 
-# name -> (point fn, derivative at a point, |f''| over an interval, range fn)
-def _d2_sin(b):
-    return iv.sin(b).mag
+# name -> (point fn, derivative at a point, |f''| over an interval given
+# the interval and the function's range over it, range fn)
+def _range_mag(_b, rng):
+    return rng.mag  # sin, cos and exp are their own f'' up to sign
 
 
-def _d2_cos(b):
-    return iv.cos(b).mag
-
-
-def _d2_exp(b):
-    return iv.exp(b).mag
-
-
-def _d2_sqrt(b):
+def _d2_sqrt(b, _rng):
     root3 = iv.pow_int(iv.sqrt(b), 3)
     return iv.div(Interval(0.25, 0.25), root3).mag
 
 
-def _d2_log(b):
+def _d2_log(b, _rng):
     return iv.div(Interval(1.0, 1.0), iv.pow_int(b, 2)).mag
 
 
-def _d2_recip(b):
+def _d2_recip(b, _rng):
     return iv.div(Interval(2.0, 2.0), iv.pow_int(b, 3)).mag
 
 
 _UNARY = {
-    "sin": (math.sin, math.cos, _d2_sin, iv.sin),
-    "cos": (math.cos, lambda c: -math.sin(c), _d2_cos, iv.cos),
-    "exp": (math.exp, math.exp, _d2_exp, iv.exp),
+    "sin": (math.sin, math.cos, _range_mag, iv.sin),
+    "cos": (math.cos, lambda c: -math.sin(c), _range_mag, iv.cos),
+    "exp": (math.exp, math.exp, _range_mag, iv.exp),
     "sqrt": (math.sqrt, lambda c: 0.5 / math.sqrt(c), _d2_sqrt, iv.sqrt),
     "log": (math.log, lambda c: 1.0 / c, _d2_log, iv.log),
     "recip": (lambda c: 1.0 / c, lambda c: -1.0 / (c * c), _d2_recip,
@@ -500,12 +493,11 @@ def nonlinear_unary(name: str, x: AffineForm, alloc: NoiseAllocator) -> AffineFo
         raise DomainError(f"log of range [{box.lo}, {box.hi}]")
     if name == "recip" and box.lo <= 0.0 <= box.hi:
         raise DomainError(f"reciprocal of range [{box.lo}, {box.hi}] containing zero")
+    rng = range_fn(box)
     try:
-        d2 = d2_fn(box)
-        form = _unary_taylor(x, alloc, f0_fn, d0_fn, d2, box)
+        form = _unary_taylor(x, alloc, f0_fn, d0_fn, d2_fn(box, rng), box)
     except (DomainError, OverflowError, ZeroDivisionError):
         form = None
-    rng = range_fn(box)
     if form is not None:
         # A remainder wider than the plain range means the linearization is
         # useless here (wide input); the box is then both tighter and sound.

@@ -157,7 +157,6 @@ class DslEvent:
     guard: object
     assigns: tuple
     prints: tuple
-    span: SourceSpan
 
 
 @dataclass
@@ -434,8 +433,8 @@ class _Parser:
                     break
                 self.expect_symbol("}")
                 self.expect_symbol(";")
-                m.events.append(DslEvent(guard, tuple(assigns), tuple(prints),
-                                         t.span))
+                m.events.append(DslEvent(guard, tuple(assigns),
+                                         tuple(prints)))
                 continue
             if t.kind == "ident":
                 name_tok = self.next()

@@ -28,19 +28,6 @@ a priori enclosure over the whole step:
 * `step_control` drives the step size from the classical embedded-pair
   estimate; soundness never depends on it.
 
-`guaranteed_step` runs all of these over a folded start set. Before its
-first attempt, each variable's private noise symbols (those no other
-variable reads) are replaced by one symbol (`af.fold_private`). The
-accepted result and hull are mapped back onto them (`af.unfold`). This is
-exact, not a reduction: the affine operations see a variable's private
-symbols only through their sum c . eps, so every form computed in the step
-has coefficients on them proportional to the c_j. Sums, products, radii
-and hulls then agree with the unfolded computation up to rounding, which
-the unfold charges to slack. A start set condensed to 100 symbols per
-variable shares only a few of them (about 13 of 190 on vanderpol), so the
-step's forms shrink to a few symbols per variable, and rejected step
-sizes reuse the one fold.
-
 A Butcher table declares only its coefficients. Its order p, and the order
 of its embedded estimate, are derived when it is built, by checking the
 rooted-tree order conditions up to order 5 in exact rationals: ode23 is
@@ -224,9 +211,8 @@ class FlowContext:
 # ------------------------------------------------------------ env helpers
 
 
-def env_hull(a: Env, b: Env, alloc, names=None) -> Env:
-    keys = names if names is not None else a.keys()
-    return {v: af.hull(a[v], b[v], alloc) for v in keys}
+def env_hull(a: Env, b: Env, alloc) -> Env:
+    return {v: af.hull(a[v], b[v], alloc) for v in a}
 
 
 def env_remap(env: Env, alloc) -> Env:
@@ -437,10 +423,10 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     private symbols are first folded into one (`af.fold_private`). This
     loses nothing, since the affine operations see them only through
     their sum; the Lie side is mapped back with `af.unfold`, and the stage
-    side needs no mapping, as its symbols are all fresh. Inside
-    `guaranteed_step` the start set arrives folded already, so this fold
-    merges only the symbols the Picard padding added to z_env; on an
-    unfolded start set it does the whole fold itself. The scheme-side
+    side needs no mapping, as its symbols are all fresh. The engine hands
+    the step a folded start set, so this fold merges only the Picard
+    offsets' symbols and the symbols that turn private once the variables
+    a DAG does not read are left out. The scheme-side
     derivative gets a small relative inflation covering the float
     representation of the Butcher coefficients inside the symbolic
     polynomial.
@@ -487,17 +473,13 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
                     alloc: NoiseAllocator, diag: str = "") -> StepOutcome:
     """One accepted guaranteed step, retrying internally with smaller h.
 
-    Every attempt runs over one fold of `env`, made before the first:
-    each variable's private noise symbols become one symbol
-    (`af.fold_private`). The accepted `x_next` and hull are mapped back
-    onto the start symbols with `af.unfold`, so the outcome keeps its
-    correlation with `env`; the module docstring says why this is exact.
-    Reads `cfg.tol` and `cfg.max_dt`. Raises IntegrationError when the
+    Sound over any start set, and cheaper over one whose variables share
+    few symbols, such as the folded sets the engine hands it. Reads
+    `cfg.tol` and `cfg.max_dt`. Raises IntegrationError when the
     minimal step size cannot produce a verified enclosure or an acceptable
     error estimate.
     """
     h = min(max(h, H_MIN), cfg.max_dt)
-    env, folds = af.fold_private(env, alloc)
     rejections = 0
     for _ in range(200):
         at_floor = h <= H_MIN * (1.0 + 1e-9)
@@ -529,9 +511,7 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
                     hull[v] = z[v]
                 else:
                     hull[v] = af.hull(z[v], x_next[v], alloc)
-            return StepOutcome({v: af.unfold(f, folds) for v, f in x_next.items()},
-                               {v: af.unfold(f, folds) for v, f in hull.items()},
-                               h, h_next, rejections)
+            return StepOutcome(x_next, hull, h, h_next, rejections)
         if at_floor:
             raise IntegrationError(
                 f"error estimate {est:g} above tolerance {cfg.tol:g} at minimal "

@@ -78,16 +78,6 @@ def sub(a: Interval, b: Interval) -> Interval:
     return Interval(rd.sub_down(a.lo, b.hi), rd.sub_up(a.hi, b.lo))
 
 
-def neg(a: Interval) -> Interval:
-    return Interval(-a.hi, -a.lo)
-
-
-def scale(a: Interval, c: float) -> Interval:
-    if c >= 0.0:
-        return Interval(rd.mul_down(a.lo, c), rd.mul_up(a.hi, c))
-    return Interval(rd.mul_down(a.hi, c), rd.mul_up(a.lo, c))
-
-
 def mul(a: Interval, b: Interval) -> Interval:
     p1, p2, p3, p4 = a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi
     return Interval(rd.next_down(min(p1, p2, p3, p4)), rd.next_up(max(p1, p2, p3, p4)))
@@ -98,14 +88,6 @@ def div(a: Interval, b: Interval) -> Interval:
         raise DomainError(f"division by interval containing zero: [{b.lo}, {b.hi}]")
     q1, q2, q3, q4 = a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi
     return Interval(rd.next_down(min(q1, q2, q3, q4)), rd.next_up(max(q1, q2, q3, q4)))
-
-
-def abs_(a: Interval) -> Interval:
-    if a.lo >= 0.0:
-        return a
-    if a.hi <= 0.0:
-        return neg(a)
-    return Interval(0.0, a.mag)
 
 
 def _ipow(x: float, n: int) -> float:

@@ -14,6 +14,8 @@ import bisect
 from . import expr as ex
 from .errors import ModelError
 
+MAX_CHAIN = 16  # immediate transitions before the chain is refused
+
 
 def _hermite(x0, d0, x1, d1, h, tau):
     """Cubic Hermite through x0 (slope d0) at tau = 0 and x1 (slope d1) at
@@ -62,10 +64,9 @@ class ReferenceTrajectory:
 
 
 class ReferenceSimulator:
-    def __init__(self, ha, h_ref: float = 1e-3, max_chain: int = 16):
+    def __init__(self, ha, h_ref: float = 1e-3):
         self.ha = ha
         self.h = h_ref
-        self.max_chain = max_chain
         order = list(ha.variables)
         self._flows = {
             loc: ex.compile_scalar([flow[v] for v in order], order)
@@ -100,7 +101,7 @@ class ReferenceSimulator:
         return out
 
     def _chain(self, loc, x):
-        for _ in range(self.max_chain):
+        for _ in range(MAX_CHAIN):
             hit = None
             for idx, edge in self.ha.outgoing(loc):
                 if self._guards[idx](list(x)):

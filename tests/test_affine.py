@@ -163,6 +163,9 @@ def test_nonlinear_examples():
 
     with pytest.raises(DomainError):
         af.nonlinear_unary("sqrt", af.from_interval(Interval(-1.0, 1.0), alloc), alloc)
+    # the range bounds |f''| for exp, so an overflowing range is an error
+    with pytest.raises(DomainError):
+        af.nonlinear_unary("exp", af.from_interval(Interval(700.0, 710.0), alloc), alloc)
 
 
 def test_division():

@@ -6,9 +6,10 @@ import math
 
 import pytest
 
+from hyflow import affine as af
 from hyflow import benchmarks, engine
 from hyflow import expr as ex
-from hyflow.affine import Rel
+from hyflow.affine import NoiseAllocator, Rel
 from hyflow.engine import SimConfig, simulate, validate_monte_carlo
 from hyflow.errors import ModelError
 from hyflow.expr import HybridAutomaton, Reset
@@ -190,6 +191,28 @@ def test_crossing_extension_steps_start_condensed(monkeypatch):
     pipe = simulate(ha, cfg)
     assert pipe.complete and pipe.stats["crossings"] >= 1
     assert max(sizes) <= engine.CONDENSE_BUDGET
+
+
+def test_tasks_step_from_their_folded_set(monkeypatch):
+    # a task's set is folded where it enters the engine, after condense has
+    # ranked its unfolded coefficients; condensing the folded set instead
+    # keeps ~100 symbols shared between x and y
+    starts = []
+    step = engine.guaranteed_step
+
+    def recording(ctx, env, *args, **kwargs):
+        starts.append(env)
+        return step(ctx, env, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "guaranteed_step", recording)
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY["vanderpol"], duration=2)
+    pipe = simulate(ha, cfg)
+    assert pipe.complete and pipe.stats["crossings"] == 0
+    assert len(starts) == pipe.stats["steps"] > 50
+    for env in starts:
+        assert af.fold_private(env, NoiseAllocator())[1] == {}
+    assert max(len(env["x"].dev.keys() & env["y"].dev.keys())
+               for env in starts[50:]) <= 30
 
 
 def test_extension_watches_the_edges_its_step_rearmed():

@@ -306,37 +306,25 @@ def test_guaranteed_step_encloses_rotation_from_many_symbols():
             assert abs(exact - af.sample(form, val)) <= loose + 1e-15
 
 
-def test_step_fold_keeps_the_start_correlation():
-    # guaranteed_step runs over the folded start set and unfolds its
-    # result; the layer functions over the unfolded set give the reference
+def test_step_over_the_folded_start_matches_the_unfolded_step():
+    # the engine hands the step a folded set; the step over it, mapped back
+    # onto the start symbols, is the step over the unfolded set
     alloc = NoiseAllocator()
     ctx, env = rotation_start(alloc)
-    start = set(env["x"].dev) | set(env["y"].dev)
-    out = gi.guaranteed_step(ctx, env, 0.05, SimConfig(duration=1.0), alloc)
-    h = out.h_used
-    z = gi.picard_enclosure(ctx, env, h, alloc)
-    x_prime = gi.rk_stages(ctx, env, h, alloc)
-    trunc = unfolded_truncation(ctx, env, z, h, alloc)
-    x_ref = {v: x_prime[v] + trunc[v] for v in ctx.variables}
-    for v in ctx.variables:
-        got, ref = out.x_next[v], x_ref[v]
-        assert got.center == ref.center
-        assert box(out.x_next, v).width == pytest.approx(
-            box(x_ref, v).width, rel=1e-9)
-        hull_ref = (z[v] if box(x_ref, v).subset_of(box(z, v))
-                    else af.hull(z[v], ref, alloc))
-        assert box(out.hull, v).width == pytest.approx(
-            af.to_interval(hull_ref).width, rel=1e-9)
-        # every start symbol is read again, and the step puts no more mass
-        # on symbols outside the start set than the unfolded evaluation
-        # does; the slack differs by the unfold's rounding, a few float
-        # epsilons of the start set's radius
-        assert start <= set(got.dev)
-
-        def outside(f):
-            return sum(abs(k) for i, k in f.dev.items() if i not in start)
-        assert outside(got) <= outside(ref) * (1.0 + 1e-9)
-        assert got.slack <= ref.slack + 1e-15 * env[v].radius
+    cfg = SimConfig(duration=1.0)
+    ref = gi.guaranteed_step(ctx, env, 0.05, cfg, alloc)
+    folded, folds = af.fold_private(env, alloc)
+    assert all(len(f.dev) == 2 for f in folded.values())
+    out = gi.guaranteed_step(ctx, folded, 0.05, cfg, alloc)
+    assert (out.h_used, out.h_next) == (ref.h_used, ref.h_next)
+    for got_env, ref_env in ((out.x_next, ref.x_next), (out.hull, ref.hull)):
+        for v in ctx.variables:
+            got = af.unfold(got_env[v], folds)
+            assert got.center == ref_env[v].center
+            assert af.to_interval(got).width == pytest.approx(
+                box(ref_env, v).width, rel=1e-9)
+            # every start symbol is read again
+            assert set(env[v].dev) <= set(got.dev)
 
 
 # ------------------------------------------------------------ step control

@@ -1,7 +1,7 @@
 """Project metadata: every console-script entry point and every name a
-module exports must resolve, every entry point the benchmark's layer
-trace patches must be called where it is patched, and no module imports a
-name it never reads."""
+module exports must resolve, every name the benchmark's layer trace
+patches must resolve and be called where it is patched, and no module
+imports a name it never reads."""
 
 import ast
 import importlib
@@ -41,9 +41,20 @@ def test_layer_trace_entry_points_are_called_where_patched():
         from test_perfbench import misplaced
     finally:
         sys.path.remove(perfbench)
-    for mod_name, attr, layer in layertrace.ENTRY_POINTS:
-        assert hasattr(importlib.import_module(mod_name), attr), layer
     assert misplaced(layertrace.ENTRY_POINTS) == []
+
+
+def test_every_name_the_layer_trace_patches_resolves():
+    # read as data, so this holds even where the trace cannot be imported
+    source = (PYPROJECT.parent / "perfbench" / "layertrace.py").read_text()
+    entry_points = next(
+        ast.literal_eval(node.value) for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"])
+    names = [(mod, attr) for mod, attr, _layer in entry_points]
+    for mod_name, attr in names + [("hyflow.affine", "mul")]:
+        assert callable(getattr(importlib.import_module(mod_name), attr,
+                                None)), f"{mod_name}.{attr}"
 
 
 def unused_imports(source: str) -> list:

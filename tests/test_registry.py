@@ -110,7 +110,7 @@ FAST = {
                    "crossing at Monte-Carlo seed 1 (perfbench/NOTES.md)",
                    "1 of 16 samples escape the tight box"),
     "sinusoidal_ball": None,
-    "pendulum": ("after 368 steps the disarmed event0 cannot be certified: "
+    "pendulum": ("after 369 steps the disarmed event0 cannot be certified: "
                  "its guard straddles the boundary and the flow direction "
                  "is not provable", "cannot certify disarmed event0"),
     "lorenz": None,
