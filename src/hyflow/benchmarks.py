@@ -54,7 +54,6 @@ set duration = 13;
 set dt = 0.02;
 set max_dt = 0.05;
 set tol = 1e-6;
-set zc_precision = 1e-6;
 
 init x = 0;
 init y = [15, 15.01];
@@ -92,7 +91,6 @@ set duration = 2.8;
 set dt = 0.02;
 set max_dt = 0.05;
 set tol = 1e-6;
-set zc_precision = 1e-6;
 
 init vx = 0;
 init x = 1.6;
@@ -179,8 +177,7 @@ WOLFGRAM = """\
      "label": "leave-circle"}
   ],
   "init": {"location": "inside", "box": {"x": [0.3, 0.31], "t": [0, 0]}},
-  "config": {"duration": 1.0, "dt": 0.01, "max_dt": 0.05, "tol": 1e-7,
-             "zc_precision": 1e-6}
+  "config": {"duration": 1.0, "dt": 0.01, "max_dt": 0.05, "tol": 1e-7}
 }
 """
 

@@ -24,7 +24,6 @@ class SimConfig:
     dt: float = 0.02           # initial step size, and the step after a jump
     max_dt: float = 0.1        # largest step size
     tol: float = 1e-6          # local error tolerance of step control
-    zc_precision: float = 1e-6  # width at which crossing-time bisection stops
     scheme: str = "ode23"      # Runge-Kutta table, a key of integrator.TABLES
     split: int = 1             # initial-box subdivisions per wide variable
 

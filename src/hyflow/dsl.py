@@ -3,8 +3,8 @@
 The input language covers single-location hybrid models:
 
     set duration = 3.8;            # settings are the fields of SimConfig:
-    set scheme = rk4;              # duration, dt, max_dt, tol, zc_precision,
-    set split = 2;                 # scheme and split
+    set scheme = rk4;              # duration, dt, max_dt, tol, scheme and
+    set split = 2;                 # split
     init theta = [1., 1.05];       # interval or scalar initial values
     g = 9.81;                      # constants (inlined during lowering)
     theta' = dtheta;               # flow equations

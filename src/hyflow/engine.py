@@ -54,8 +54,8 @@ from .affine import NoiseAllocator
 from .errors import (ConfigError, DomainError, HyflowError, IntegrationError,
                      InvariantViolation, ModelError, ZenoError)
 from .config import SimConfig
-from .events import (chain_immediate, classify, cross, edge_cannot_fire,
-                     resolve_hull_only, tight_interval)
+from .events import (ZC_PRECISION, chain_immediate, classify, cross,
+                     edge_cannot_fire, resolve_hull_only, tight_interval)
 from .expr import HybridAutomaton, prepare_automaton
 from .integrator import (TABLES, FlowContext, env_condense, env_hull,
                          guaranteed_step)
@@ -362,7 +362,7 @@ class _Engine:
             narrow = (tight_interval if end is Trivalent.TRUE
                       else resolve_hull_only)
             window = narrow(gpoly, edge.guard, Interval(0.0, span),
-                            self.cfg.zc_precision, task.alloc)
+                            ZC_PRECISION, task.alloc)
         stays = maybe and end is not Trivalent.TRUE
         if window is None and not stays:
             return []

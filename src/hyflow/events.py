@@ -38,6 +38,7 @@ from .trivalent import Trivalent
 
 MAX_CHAIN = 16              # immediate transitions before a ZenoError
 MAX_BISECTION_EVALS = 600   # interpolant spans one bisection pass may visit
+ZC_PRECISION = 1e-6         # width at which crossing-time bisection stops
 
 
 def classify(ha, location, env_start, env_end, env_hull, alloc, skip=()):

@@ -9,19 +9,21 @@ constants and the cheap identities; there is deliberately no general CAS.
 Every operator is declared once, as a row of `OPS`: its constant fold, its
 smart constructor, its affine evaluation, its derivative rule, and the
 templates of its compiled scalar code and of its text. The walkers
-(`derivative`, `substitute`, `eval_affine_many`, `compile_scalar`,
-`to_text`) handle the leaves `const` and `var` and dispatch every other node
-through its row, and the DSL reads its function names from the table. The
-operators are add, sub, mul, div, neg, pow (integer exponent), sin, cos,
-exp, sqrt, log, abs and sgn.
+(`derivative`, `substitute`, `to_text`) and the code generator handle the
+leaves `const` and `var` and dispatch every other node through its row, and
+the DSL reads its function names from the table. Every walk visits the DAG
+in `_postorder` order. The operators are add, sub, mul, div, neg, pow
+(integer exponent), sin, cos, exp, sqrt, log, abs and sgn.
 
-Evaluation is available over affine forms (range-sound, used by the
-guaranteed engine) and as compiled scalar functions (fast, used by the
-independent reference simulator and tests).
+Both evaluations run straight-line programs from one generator, with one
+assignment per distinct node: over affine forms (range-sound, used by the
+guaranteed engine; `eval_affine_many` builds the program for a tuple of
+roots on first use and keeps it on the newest root), and over floats
+(`compile_scalar`, used by the independent reference simulator and tests).
 
 The intern table holds its nodes weakly, and each node carries its own
-free-variable and derivative memos, so a dropped model takes its caches
-with it.
+free-variable and derivative memos and its affine programs, so a dropped
+model takes its caches with it.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ NODE_CAP = 200_000
 class Expr:
     """A DAG node. `params` holds an op's non-expression operands (pow's
     exponent); `_fv` and `_deriv` memoise the free variables and the
-    partial derivatives by variable name."""
+    partial derivatives by variable name, and `_prog` the affine programs
+    of root tuples this node is the newest of, by their eids."""
 
     __slots__ = ("op", "args", "value", "name", "params", "eid", "_fv",
-                 "_deriv", "__weakref__")
+                 "_deriv", "_prog", "__weakref__")
 
     def __init__(self, op, args, value, name, params, eid):
         self.op = op
@@ -61,6 +64,7 @@ class Expr:
         self.eid = eid
         self._fv = None
         self._deriv = None
+        self._prog = None
 
     def __repr__(self):
         return f"Expr<{to_text(self)}>"
@@ -266,17 +270,19 @@ FUNCTION_OPS = frozenset(OPS) - {"add", "sub", "mul", "div", "neg", "pow"}
 
 def free_vars(e: Expr) -> frozenset:
     if e._fv is None:
-        for n in _postorder(e, lambda node: node._fv is not None):
+        for n in _postorder((e,), lambda node: node._fv is not None):
             n._fv = (frozenset((n.name,)) if n.op == "var"
                      else frozenset().union(*(a._fv for a in n.args)))
     return e._fv
 
 
-def _postorder(root, skip):
-    """Yield reachable nodes children-first, skipping cached subtrees."""
+def _postorder(roots, skip=lambda node: False):
+    """The nodes reachable from `roots`, children first and each once, the
+    roots taken in order and a node's last argument first; `skip` prunes
+    cached subtrees."""
     out = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(r, False) for r in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if node.eid in seen or skip(node):
@@ -292,20 +298,12 @@ def _postorder(root, skip):
 
 
 def count_nodes(*roots) -> int:
-    seen = set()
-    stack = list(roots)
-    while stack:
-        n = stack.pop()
-        if n.eid in seen:
-            continue
-        seen.add(n.eid)
-        stack.extend(n.args)
-    return len(seen)
+    return len(_postorder(roots))
 
 
 def derivative(e: Expr, v: str) -> Expr:
     """Partial derivative of `e` with respect to variable `v`."""
-    for n in _postorder(e, lambda node: v in (node._deriv or ())):
+    for n in _postorder((e,), lambda node: v in (node._deriv or ())):
         if n.op == "const":
             d = ZERO
         elif n.op == "var":
@@ -321,7 +319,7 @@ def derivative(e: Expr, v: str) -> Expr:
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Replace variables per `mapping` (name -> Expr), rebuilding the DAG."""
     memo: dict = {}
-    for n in _postorder(e, lambda node: node.eid in memo):
+    for n in _postorder((e,), lambda node: node.eid in memo):
         if n.op == "var":
             memo[n.eid] = mapping.get(n.name, n)
         elif n.op == "const":
@@ -335,35 +333,65 @@ def substitute(e: Expr, mapping: dict) -> Expr:
 # ------------------------------------------------------------ evaluation
 
 
+def _program(roots, head: str, rhs, ns: dict):
+    """Compile the DAG of `roots` into one straight-line function.
+
+    `head` is the function's `def` line. Each distinct node gets one
+    assignment, `rhs(node, argument names)`, in `_postorder` order, and the
+    function returns the roots' values in a list.
+    """
+    names: dict = {}
+    lines = [head]
+    for n in _postorder(roots):
+        t = names[n.eid] = f"_t{len(names)}"
+        lines.append(f"    {t} = {rhs(n, [names[a.eid] for a in n.args])}")
+    lines.append(f"    return [{', '.join(names[r.eid] for r in roots)}]\n")
+    exec("\n".join(lines), ns)  # noqa: S102 - generated from our own DAG only
+    return ns["_fn"]
+
+
+def _bound(env: dict, name: str) -> AffineForm:
+    value = env.get(name)
+    if value is None:
+        raise ModelError(f"unbound variable '{name}' in expression")
+    return value
+
+
+def _affine_rhs(n: Expr, args: list) -> str:
+    if n.op == "const":
+        return f"_form({n.value!r})"
+    if n.op == "var":
+        return f"_bound(_env, {n.name!r})"
+    return f"_{n.op}({', '.join([*args, *map(repr, n.params), '_alloc'])})"
+
+
+# An affine program calls each op's row (so `mul` reaches `af.mul` through
+# the row's lookup at each call, where a wrapper on the affine module sees
+# it) with the allocator appended.
+_AFFINE_NS = {"_form": AffineForm, "_bound": _bound,
+              **{f"_{op}": row.affine for op, row in OPS.items()}}
+
+
 def eval_affine_many(exprs, env: dict, alloc: NoiseAllocator) -> list:
-    """Range-sound evaluation of several expressions over one environment."""
-    memo: dict = {}
-    out = []
-    for root in exprs:
-        stack = [root]
-        while stack:
-            n = stack[-1]
-            if n.eid in memo:
-                stack.pop()
-                continue
-            pend = [a for a in n.args if a.eid not in memo]
-            if pend:
-                stack.extend(pend)
-                continue
-            stack.pop()
-            op = n.op
-            if op == "const":
-                r = AffineForm(n.value)
-            elif op == "var":
-                r = env.get(n.name)
-                if r is None:
-                    raise ModelError(f"unbound variable '{n.name}' in expression")
-            else:
-                r = OPS[op].affine(*[memo[a.eid] for a in n.args], *n.params,
-                                   alloc)
-            memo[n.eid] = r
-        out.append(memo[root.eid])
-    return out
+    """Range-sound evaluation of several expressions over one environment.
+
+    Fresh noise symbols are drawn in `_postorder` order. The program for a
+    tuple of roots is compiled on the first call and kept on the newest
+    root, not on an older shared node such as `ZERO`, so it is freed with
+    the model's nodes.
+    """
+    roots = tuple(exprs)
+    if not roots:
+        return []
+    home = max(roots, key=operator.attrgetter("eid"))
+    if home._prog is None:
+        home._prog = {}
+    key = tuple([r.eid for r in roots])
+    fn = home._prog.get(key)
+    if fn is None:
+        fn = home._prog[key] = _program(roots, "def _fn(_env, _alloc):",
+                                        _affine_rhs, dict(_AFFINE_NS))
+    return fn(env, alloc)
 
 
 def eval_affine(e: Expr, env: dict, alloc: NoiseAllocator) -> AffineForm:
@@ -373,48 +401,28 @@ def eval_affine(e: Expr, env: dict, alloc: NoiseAllocator) -> AffineForm:
 def compile_scalar(exprs, var_order):
     """Compile expressions to one fast scalar function values -> [floats].
 
-    The generated code shares subexpressions (the DAG is emitted in
-    topological order). Used by the non-validated reference simulator and
-    test oracles; the guaranteed path never calls it.
+    Used by the non-validated reference simulator and test oracles; the
+    guaranteed path never calls it.
     """
-    lines = []
-    names: dict = {}
-    for idx, v in enumerate(var_order):
-        names[var(v).eid] = f"_x[{idx}]"
-    emitted = set(names)
-    counter = [0]
+    slots = {v: f"_x[{i}]" for i, v in enumerate(var_order)}
 
-    def emit(root):
-        for n in _postorder(root, lambda node: node.eid in emitted):
-            emitted.add(n.eid)
-            if n.eid in names:
-                continue
-            if n.op == "const":
-                names[n.eid] = repr(n.value)
-                continue
-            if n.op == "var":
+    def rhs(n, args):
+        if n.op == "const":
+            return repr(n.value)
+        if n.op == "var":
+            if n.name not in slots:
                 raise ModelError(f"variable '{n.name}' not in scalar signature")
-            rhs = OPS[n.op].py.format(*(names[a.eid] for a in n.args),
-                                      *n.params)
-            t = f"_t{counter[0]}"
-            counter[0] += 1
-            names[n.eid] = t
-            lines.append(f"    {t} = {rhs}")
+            return slots[n.name]
+        return OPS[n.op].py.format(*args, *n.params)
 
-    roots = list(exprs)
-    for r in roots:
-        emit(r)
-    ret = ", ".join(names[r.eid] for r in roots)
-    src = "def _fn(_x, _m=math):\n" + "\n".join(lines) + f"\n    return ({ret},)\n"
-    ns = {"math": math}
-    exec(src, ns)  # noqa: S102 - generated from our own AST only
-    return ns["_fn"]
+    return _program(tuple(exprs), "def _fn(_x, _m=math):", rhs,
+                    {"math": math})
 
 
 def to_text(e: Expr) -> str:
     """Deterministic infix rendering, parseable by the DSL expression parser."""
     memo: dict = {}
-    for n in _postorder(e, lambda node: node.eid in memo):
+    for n in _postorder((e,), lambda node: node.eid in memo):
         if n.op == "const":
             v = n.value
             memo[n.eid] = repr(v) if v >= 0 else f"({v!r})"

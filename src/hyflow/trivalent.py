@@ -1,8 +1,9 @@
 """Three-valued (Kleene) logic for predicates evaluated over sets.
 
 A comparison over a set of values may hold for all of them (TRUE), none of
-them (FALSE), or only some (UNKNOWN). Conjunction, disjunction and negation
-follow Kleene's strong semantics.
+them (FALSE), or only some (UNKNOWN). Conjunction and disjunction follow
+Kleene's strong semantics; guards negate structurally, through
+`expr.Comparison.negate`.
 """
 
 from __future__ import annotations
@@ -29,19 +30,7 @@ class Trivalent(enum.Enum):
             return Trivalent.FALSE
         return Trivalent.UNKNOWN
 
-    def __invert__(self) -> "Trivalent":
-        if self is Trivalent.TRUE:
-            return Trivalent.FALSE
-        if self is Trivalent.FALSE:
-            return Trivalent.TRUE
-        return Trivalent.UNKNOWN
-
     def __bool__(self):
         raise TypeError(
             "Trivalent is not a boolean; test against Trivalent.TRUE/FALSE/UNKNOWN"
         )
-
-
-TRUE = Trivalent.TRUE
-FALSE = Trivalent.FALSE
-UNKNOWN = Trivalent.UNKNOWN

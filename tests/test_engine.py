@@ -12,6 +12,7 @@ from hyflow import expr as ex
 from hyflow.affine import NoiseAllocator, Rel
 from hyflow.engine import SimConfig, simulate, validate_monte_carlo
 from hyflow.errors import ModelError
+from hyflow.events import ZC_PRECISION
 from hyflow.expr import HybridAutomaton, Reset
 from hyflow.interval import Interval
 
@@ -89,7 +90,7 @@ def test_harmonic_oscillator_containment():
 
 def test_bouncing_ball_first_bounce_time():
     ha = bouncing_ball()
-    cfg = SimConfig(duration=3.0, dt=0.02, max_dt=0.1, tol=1e-7, zc_precision=1e-6)
+    cfg = SimConfig(duration=3.0, dt=0.02, max_dt=0.1, tol=1e-7)
     pipe = simulate(ha, cfg)
     assert pipe.complete and len(pipe.branches) == 1
     crossings = pipe.branches[0].crossings
@@ -98,7 +99,7 @@ def test_bouncing_ball_first_bounce_time():
     t_zc, label = crossings[0]
     assert label == "bounce"
     assert t_zc.lo <= t_star <= t_zc.hi
-    assert t_zc.width <= 2.0 * cfg.zc_precision + 1e-9
+    assert t_zc.width <= 2.0 * ZC_PRECISION + 1e-9
 
 
 def test_bouncing_ball_five_bounces_match_reference():

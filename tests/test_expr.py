@@ -1,6 +1,6 @@
-"""Expression DAG: affine evaluation, symbolic differentiation against
-finite differences, stage-polynomial derivatives, resets and the guard
-strictness transform."""
+"""Expression DAG: affine evaluation and its compiled programs, symbolic
+differentiation against finite differences, stage-polynomial derivatives,
+resets and the guard strictness transform."""
 
 import gc
 import random
@@ -14,6 +14,7 @@ from hyflow import expr as ex
 from hyflow.engine import simulate, validate_monte_carlo
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
 from hyflow.errors import ModelError
+from hyflow.integrator import TABLES, FlowContext
 from hyflow.interval import Interval
 from hyflow.trivalent import Trivalent
 
@@ -57,8 +58,16 @@ def test_eval_time_and_sin():
 
 
 def test_eval_unbound_variable():
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="unbound variable 'q'"):
         ex.eval_affine(ex.var("q"), {}, NoiseAllocator())
+    e = ex.add(ex.var("x"), ex.mul(ex.var("q"), ex.var("x")))
+    alloc = NoiseAllocator()
+    env = env_from_boxes(alloc, x=(0.0, 1.0))
+    for _ in range(2):  # compiling, then cached
+        with pytest.raises(ModelError, match="unbound variable 'q'"):
+            ex.eval_affine(e, env, alloc)
+    with pytest.raises(ModelError, match="variable 'q' not in scalar signature"):
+        ex.compile_scalar((e,), ["x"])
 
 
 def test_eval_affine_range_soundness_random_exprs():
@@ -194,6 +203,100 @@ def test_dropped_model_frees_its_nodes():
     del ha, pipe
     gc.collect()
     assert len(ex._INTERN) == before
+
+
+# --------------------------------------------------------- affine programs
+
+
+def vanderpol_dags():
+    """vanderpol's ode23 f^(3) (Lie) and stage-derivative roots, and an
+    environment over its initial box plus the step-time variable."""
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY["vanderpol"])
+    (flow,) = ha.flows.values()
+    ctx = FlowContext(ha.variables, flow, TABLES[cfg.scheme])
+    p = ctx.table.order
+    lie = [ctx.f_deriv(p)[v] for v in ha.variables]
+    stage = [ctx.phi_deriv()[v] for v in ha.variables]
+    alloc = NoiseAllocator()
+    env = {v: af.from_interval(ha.initial_box[v], alloc) for v in ha.variables}
+    env[ex.TAU] = af.from_interval(Interval(0.0, 0.02), alloc)
+    return lie, stage, env, alloc
+
+
+def interpreted(roots, env, alloc):
+    """The roots' values by a plain recursive walk: each node once, its
+    last argument first, each op applied through its row."""
+    vals = {}
+
+    def visit(n):
+        if n.eid in vals:
+            return
+        for a in reversed(n.args):
+            visit(a)
+        if n.op == "const":
+            vals[n.eid] = AffineForm(n.value)
+        elif n.op == "var":
+            vals[n.eid] = env[n.name]
+        else:
+            vals[n.eid] = ex.OPS[n.op].affine(
+                *(vals[a.eid] for a in n.args), *n.params, alloc)
+
+    for r in roots:
+        visit(r)
+    return [vals[r.eid] for r in roots]
+
+
+def exact(form):
+    return form.center, dict(form.dev), form.slack
+
+
+def test_affine_program_matches_a_per_node_walk():
+    """Programs draw fresh noise symbols in the walk's order, so centers,
+    symbol ids, coefficients and slacks agree exactly, on the first
+    (compiling) call and on the cached one."""
+    lie, stage, env, alloc = vanderpol_dags()
+    start = alloc.fresh()
+    for roots in (lie, stage, lie + stage):
+        for _ in range(2):
+            a_prog, a_walk = NoiseAllocator(start), NoiseAllocator(start)
+            got = ex.eval_affine_many(roots, env, a_prog)
+            want = interpreted(roots, env, a_walk)
+            assert [exact(f) for f in got] == [exact(f) for f in want]
+            assert a_prog.fresh() == a_walk.fresh()
+
+
+def test_affine_program_is_compiled_once(monkeypatch):
+    _lie, stage, env, alloc = vanderpol_dags()
+    first = ex.eval_affine_many(iter(stage), env, NoiseAllocator(1000))
+    home = max(stage, key=lambda r: r.eid)
+    assert tuple(r.eid for r in stage) in home._prog
+
+    def no_compile(*args):
+        raise AssertionError("program compiled again")
+
+    monkeypatch.setattr(ex, "_program", no_compile)
+    again = ex.eval_affine_many(stage, env, NoiseAllocator(1000))
+    assert [exact(f) for f in again] == [exact(f) for f in first]
+    assert ex.eval_affine_many([], env, alloc) == []
+
+
+def test_affine_program_products_reach_the_affine_module(monkeypatch):
+    """A program multiplies through `OPS["mul"]`, which looks `af.mul` up
+    at each call, so a wrapper installed after compiling sees every
+    product."""
+    lie, _stage, env, _alloc = vanderpol_dags()
+    ex.eval_affine_many(lie, env, NoiseAllocator(1000))
+    calls = []
+    mul = af.mul
+
+    def counted(*args):
+        calls.append(1)
+        return mul(*args)
+
+    monkeypatch.setattr(af, "mul", counted)
+    ex.eval_affine_many(lie, env, NoiseAllocator(1000))
+    products = sum(n.op == "mul" for n in ex._postorder(lie))
+    assert products > 0 and len(calls) == products
 
 
 # ------------------------------------------------------------- derivatives

@@ -21,22 +21,22 @@ from hyflow.expr import prepare_automaton
 from hyflow.jsonmodel import parse_json_automaton
 from hyflow.reference import ReferenceSimulator
 
-# (duration, dt, max_dt, tol, zc_precision, scheme, split) of each entry, as
+# (duration, dt, max_dt, tol, scheme, split) of each entry, as
 # loaded before the settings had one declaration
 PINNED = {
-    "brusselator": (15.0, 0.02, 0.1, 1e-6, 1e-6, "ode23", 3),
-    "car": (30.0, 0.02, 0.1, 1e-6, 1e-6, "ode23", 1),
-    "windy_ball": (13.0, 0.02, 0.05, 1e-6, 1e-6, "ode23", 1),
-    "pendulum": (3.8, 0.05, 0.1, 1e-6, 1e-6, "ode23", 1),
-    "sinusoidal_ball": (2.8, 0.02, 0.05, 1e-6, 1e-6, "ode23", 1),
-    "bouncing_ball": (10.0, 0.02, 0.1, 1e-6, 1e-6, "ode23", 1),
-    "vanderpol": (6.0, 0.02, 0.1, 1e-6, 1e-6, "ode23", 1),
-    "lorenz": (1.0, 0.02, 0.02, 1e9, 1e-6, "ode23", 1),
-    "wolfgram": (1.0, 0.01, 0.05, 1e-7, 1e-6, "ode23", 1),
-    "thermostat": (15.0, 0.02, 0.1, 1e-6, 1e-6, "ode23", 1),
-    "watertank": (30.0, 0.02, 0.1, 1e-6, 1e-6, "ode23", 1),
-    "hybrid3d": (2.0, 0.02, 0.05, 1e-6, 1e-6, "ode23", 1),
-    "diode_oscillator": (20.0, 0.02, 0.1, 1e-6, 1e-6, "ode23", 1),
+    "brusselator": (15.0, 0.02, 0.1, 1e-6, "ode23", 3),
+    "car": (30.0, 0.02, 0.1, 1e-6, "ode23", 1),
+    "windy_ball": (13.0, 0.02, 0.05, 1e-6, "ode23", 1),
+    "pendulum": (3.8, 0.05, 0.1, 1e-6, "ode23", 1),
+    "sinusoidal_ball": (2.8, 0.02, 0.05, 1e-6, "ode23", 1),
+    "bouncing_ball": (10.0, 0.02, 0.1, 1e-6, "ode23", 1),
+    "vanderpol": (6.0, 0.02, 0.1, 1e-6, "ode23", 1),
+    "lorenz": (1.0, 0.02, 0.02, 1e9, "ode23", 1),
+    "wolfgram": (1.0, 0.01, 0.05, 1e-7, "ode23", 1),
+    "thermostat": (15.0, 0.02, 0.1, 1e-6, "ode23", 1),
+    "watertank": (30.0, 0.02, 0.1, 1e-6, "ode23", 1),
+    "hybrid3d": (2.0, 0.02, 0.05, 1e-6, "ode23", 1),
+    "diode_oscillator": (20.0, 0.02, 0.1, 1e-6, "ode23", 1),
 }
 
 
@@ -56,7 +56,6 @@ ACCEPTED = {
     "dt": (0.01, "0.01"),
     "max_dt": (0.05, "0.05"),
     "tol": (1e-7, "1e-7"),
-    "zc_precision": (1e-5, "1e-5"),
     "scheme": ("rk4", "rk4"),
     "split": (2, "2"),
 }
