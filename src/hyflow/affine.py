@@ -142,7 +142,7 @@ class AffineForm:
             t += v if v >= 0.0 else -v
             n += 1
         if t != 0.0:
-            t += t * (n * _EPS) + n * _SUBNORM
+            t += t * (n * _EPS) + n * _SUBNORM  # the sum's rounding, outward
         return t
 
 
@@ -169,15 +169,9 @@ def from_interval(box: Interval, alloc: NoiseAllocator) -> AffineForm:
 
 
 def to_interval(x: AffineForm) -> Interval:
-    t = x.slack
-    n = 1
-    for v in x.dev.values():
-        t += v if v >= 0.0 else -v
-        n += 1
+    t, c = x.radius, x.center
     if t == 0.0:
-        return Interval(x.center, x.center)
-    t += t * (n * _EPS) + n * _SUBNORM  # accumulated-sum rounding, outward
-    c = x.center
+        return Interval(c, c)
     return Interval(rd.next_down(c - t), rd.next_up(c + t))
 
 

@@ -4,15 +4,15 @@ Each field's name is the setting's name in the equation files (`set dt =
 0.01;`) and in a JSON model's `config` object, and every value, whichever
 way it arrives, passes the one per-field check `check_setting`. Knobs that
 no model sets are named constants next to the code that reads them
-(`integrator.H_MIN`, `events.MAX_CHAIN`, `engine.CONDENSE_BUDGET`, ...).
-Time starts at 0.
+(`integrator.H_MIN`, `events.MAX_CHAIN`, `engine.CONDENSE_BUDGET`, ...),
+and every step uses the one Runge-Kutta table `integrator.ODE23`. Every
+setting is a number. Time starts at 0.
 """
 
 import math
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError
-from .integrator import TABLES
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class SimConfig:
     dt: float = 0.02           # initial step size, and the step after a jump
     max_dt: float = 0.1        # largest step size
     tol: float = 1e-6          # local error tolerance of step control
-    scheme: str = "ode23"      # Runge-Kutta table, a key of integrator.TABLES
     split: int = 1             # initial-box subdivisions per wide variable
 
     def __post_init__(self):
@@ -52,19 +51,12 @@ def finite_float(value) -> float | None:
 def check_setting(name: str, value):
     """The value of setting `name` in its field's type, or ConfigError.
 
-    Numbers must be finite and > 0, `split` integral as well, and `scheme`
-    a key of `TABLES`.
+    Every value must be a finite number > 0, and `split` integral as well.
     """
-    kind = FIELD_TYPES[name]
-    if kind is str:
-        if not (isinstance(value, str) and value in TABLES):
-            raise ConfigError(f"{name} must be one of {', '.join(TABLES)}, "
-                              f"got {value!r}")
-        return value
     x = finite_float(value)
     if x is None or x <= 0:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
-    if kind is int:
+    if FIELD_TYPES[name] is int:
         if x != int(x):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(x)

@@ -3,8 +3,8 @@
 The input language covers single-location hybrid models:
 
     set duration = 3.8;            # settings are the fields of SimConfig:
-    set scheme = rk4;              # duration, dt, max_dt, tol, scheme and
-    set split = 2;                 # split
+    set tol = 1e-7;                # duration, dt, max_dt, tol and split,
+    set split = 2;                 # each a number
     init theta = [1., 1.05];       # interval or scalar initial values
     g = 9.81;                      # constants (inlined during lowering)
     theta' = dtheta;               # flow equations
@@ -359,18 +359,14 @@ class _Parser:
                 self.next()
                 name_tok = self.expect_ident("setting name")
                 name = name_tok.text
-                kind = FIELD_TYPES.get(name)
-                if kind is None:
+                if name not in FIELD_TYPES:
                     raise ParseError(f"unknown setting '{name}'",
                                      name_tok.span, expected=list(FIELD_TYPES))
                 if name in m.settings:
                     raise ParseError(f"duplicate setting '{name}'",
                                      name_tok.span)
                 self.expect_symbol("=")
-                if kind is str:
-                    value = self.expect_ident(f"{name} name").text
-                else:
-                    value = self.parse_signed_number()
+                value = self.parse_signed_number()
                 self.expect_symbol(";")
                 try:
                     m.settings[name] = check_setting(name, value)

@@ -57,8 +57,7 @@ from .config import SimConfig
 from .events import (ZC_PRECISION, chain_immediate, classify, cross,
                      edge_cannot_fire, resolve_hull_only, tight_interval)
 from .expr import HybridAutomaton, prepare_automaton
-from .integrator import (TABLES, FlowContext, env_condense, env_hull,
-                         guaranteed_step)
+from .integrator import ODE23, FlowContext, env_condense, guaranteed_step
 from .interpolator import build_gpoly
 from .interval import Interval
 from .reference import ReferenceSimulator
@@ -140,18 +139,19 @@ def _box(env):
     return {v: af.to_interval(f) for v, f in env.items()}
 
 
-def _padded_box(ctx, env, slab_width, alloc):
+def _padded_box(env, fvals, slab_width):
     """State box widened by the drift over a time slab.
 
     A segment's time stamp is an interval (accumulated rounding, and the
     crossing-time width after jumps); the state enclosure holds at each
     trajectory's exact time inside it, so covering the whole slab costs an
-    extra width * |flow| margin. The 1.001 factor absorbs the flow's
-    variation across the drift for any Lipschitz constant up to ~1e3/width.
+    extra width * |flow| margin, with `fvals` the flow over `env`: for a
+    tight box, the flow its step evaluated over the start set
+    (`StepOutcome.f0`). The 1.001 factor absorbs the flow's variation
+    across the drift for any Lipschitz constant up to ~1e3/width.
     """
     if slab_width <= 0.0:
         return _box(env)
-    fvals = ctx.eval_flow(env, alloc)
     out = {}
     for v, form in env.items():
         b = af.to_interval(form)
@@ -165,8 +165,7 @@ class _Engine:
     def __init__(self, ha: HybridAutomaton, cfg: SimConfig):
         self.ha = ha
         self.cfg = cfg
-        table = TABLES[cfg.scheme]
-        self.ctxs = {loc: FlowContext(ha.variables, flow, table)
+        self.ctxs = {loc: FlowContext(ha.variables, flow, ODE23)
                      for loc, flow in ha.flows.items()}
         self.stats = {"steps": 0, "rejections": 0, "crossings": 0,
                       "branches": 0}
@@ -180,10 +179,12 @@ class _Engine:
                                     task.segments, complete, reason,
                                     task.crossings))
 
-    def _segment(self, task, hull_env, t_end) -> FlowpipeSegment:
-        ctx = self.ctxs[task.location]
-        tight = _padded_box(ctx, task.env, task.t.width, task.alloc)
-        hull = _padded_box(ctx, hull_env, t_end.width, task.alloc)
+    def _segment(self, task, f0, hull_env, t_end) -> FlowpipeSegment:
+        """The segment of a step from the task's set, over which the flow
+        is `f0`, with the step hull `hull_env` up to `t_end`."""
+        fh = self.ctxs[task.location].eval_flow(hull_env, task.alloc)
+        tight = _padded_box(task.env, f0, task.t.width)
+        hull = _padded_box(hull_env, fh, t_end.width)
         return FlowpipeSegment(task.t, t_end, tight, hull, task.location)
 
     # ------------------------------------------------------------ the loop
@@ -198,7 +199,11 @@ class _Engine:
                     return
                 if not self._commit(task, self._successors(task)):
                     return
-            task.segments.append(self._segment(task, task.env, task.t))
+            # the last set is its own hull: one box, padded once
+            f = self.ctxs[task.location].eval_flow(task.env, task.alloc)
+            last = _padded_box(task.env, f, task.t.width)
+            task.segments.append(FlowpipeSegment(task.t, task.t, last,
+                                                 dict(last), task.location))
             self._finish(task, True)
         except (IntegrationError, InvariantViolation, ZenoError, DomainError,
                 ConfigError, ModelError) as e:
@@ -281,7 +286,7 @@ class _Engine:
             t_end = _shift(task.t, out.h_used, out.h_used)
             succs.append(_Next(task.location, out.x_next, t_end, out.h_next,
                                task.disarmed - rearm,
-                               self._segment(task, out.hull, t_end)))
+                               self._segment(task, out.f0, out.hull, t_end)))
         return succs
 
     # ------------------------------------------------------ event handling
@@ -348,7 +353,8 @@ class _Engine:
                 return [f"EventConflict: {woken} may fire while the crossing "
                         f"of {edge.label} extends, at t in "
                         f"[{t.lo:.6g}, {t.hi:.6g}]"]
-            hull = env_hull(hull, out2.hull, task.alloc)
+            hull = {v: af.hull(hull[v], out2.hull[v], task.alloc)
+                    for v in hull}
             env_end = out2.x_next
             disarmed -= rearm2
             span += out2.h_used
@@ -358,7 +364,8 @@ class _Engine:
         window = None
         if end is Trivalent.TRUE or not edge_cannot_fire(
                 edge, ctx.flow, hull, task.alloc):
-            gpoly = build_gpoly(ctx, task.env, env_end, span, hull, task.alloc)
+            gpoly = build_gpoly(ctx, task.env, out.f0, env_end, span, hull,
+                                task.alloc)
             narrow = (tight_interval if end is Trivalent.TRUE
                       else resolve_hull_only)
             window = narrow(gpoly, edge.guard, Interval(0.0, span),
@@ -367,7 +374,7 @@ class _Engine:
         if window is None and not stays:
             return []
         t_end = _shift(task.t, span, span)
-        seg = self._segment(task, hull, t_end)
+        seg = self._segment(task, out.f0, hull, t_end)
         succs = []
         if window is not None:
             tags = ("possible-crossing",) if end is Trivalent.FALSE else ()

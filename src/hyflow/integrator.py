@@ -3,6 +3,10 @@
 One accepted step produces a tight enclosure of the flow map at t+h plus an
 a priori enclosure over the whole step:
 
+* `guaranteed_step` evaluates the flow over the start set, f0 = f(env),
+  once per call, and every attempt reads it: Picard sizes its first
+  candidate from it, the stages use it as k1, and `StepOutcome.f0` hands
+  it on to the caller's segment pad and crossing interpolant.
 * `picard_enclosure` finds a set env + D, the start set plus one interval
   offset per variable, that provably maps into itself under the integral
   operator of the IVP (verified, never assumed), so every trajectory from
@@ -12,8 +16,8 @@ a priori enclosure over the whole step:
 * `rk_stages` evaluates the scheme in affine arithmetic with the Butcher
   coefficients treated as exact rationals (their float representation error
   is folded into slack), so the result encloses the exact-real scheme.
-  Each stage argument and the result is one pass of `af.add_scaled_many`
-  over the start form.
+  k1 is f0; each later stage argument, and the result, is one pass of
+  `af.add_scaled_many` over the start form.
 * `truncation_bound` bounds the local distance between scheme and true
   solution through the integral form of the Taylor remainder: it lies in
   h^(p+1)/(p+1)! * (conv{f^(p)(x(xi))} - conv{Phi^(p+1)(tau, x0)}), the
@@ -30,8 +34,8 @@ a priori enclosure over the whole step:
 
 A Butcher table declares only its coefficients. Its order p, and the order
 of its embedded estimate, are derived when it is built, by checking the
-rooted-tree order conditions up to order 5 in exact rationals: ode23 is
-(3, 2), rk4 (4, 4) and euler (1, 1).
+rooted-tree order conditions up to order 5 in exact rationals: ode23, the
+table every step uses, is (3, 2).
 
 State environments are plain dicts variable -> AffineForm.
 """
@@ -147,10 +151,6 @@ F = Fraction
 ODE23 = ButcherTable("ode23", ((), (F(1, 2),), (F(0), F(3, 4))),
                      (F(2, 9), F(1, 3), F(4, 9)),
                      bhat=(F(7, 24), F(1, 4), F(1, 3), F(1, 8)))
-RK4 = ButcherTable("rk4", ((), (F(1, 2),), (F(0), F(1, 2)), (F(0), F(0), F(1))),
-                   (F(1, 6), F(1, 3), F(1, 3), F(1, 6)))
-EULER = ButcherTable("euler", ((),), (F(1),))
-TABLES = {t.name: t for t in (ODE23, RK4, EULER)}
 
 H_MIN = 1e-6                # smallest step size
 PICARD_MAX_ITERS = 20       # candidate boxes tried per Picard enclosure
@@ -161,10 +161,13 @@ TRUNC_REJECT_FACTOR = 10.0  # reject a step whose truncation width > this*tol
 
 @dataclass
 class StepOutcome:
+    """An accepted step. `f0`, the flow over its start set, is evaluated
+    once per `guaranteed_step` call and is the step's k1."""
     x_next: Env          # tight enclosure at t + h_used
     hull: Env            # a priori enclosure over [t, t + h_used]
     h_used: float
     h_next: float
+    f0: Env              # f(env) at t
     rejections: int = 0
 
 
@@ -211,10 +214,6 @@ class FlowContext:
 # ------------------------------------------------------------ env helpers
 
 
-def env_hull(a: Env, b: Env, alloc) -> Env:
-    return {v: af.hull(a[v], b[v], alloc) for v in a}
-
-
 def env_remap(env: Env, alloc) -> Env:
     """Copy with fresh noise ids: internal correlations kept, external broken."""
     mapping: dict = {}
@@ -254,7 +253,7 @@ def inflate_form(x: AffineForm, rel: float, absolute: float) -> AffineForm:
 # ----------------------------------------------------------------- picard
 
 
-def picard_enclosure(ctx: FlowContext, env: Env, h: float,
+def picard_enclosure(ctx: FlowContext, env: Env, f0: Env, h: float,
                      alloc: NoiseAllocator) -> Env | None:
     """Verified a priori enclosure of all trajectories over [t, t+h].
 
@@ -266,7 +265,8 @@ def picard_enclosure(ctx: FlowContext, env: Env, h: float,
     *box*, so the flow argument is the box, not the correlated set. Both
     sets add their offset to the same env, so P[v] in D[v] for every v is
     exactly the containment env + P in env + D. The start set is read once,
-    for its box, and the result env[v] + D[v] is built once.
+    for its box, and the result env[v] + D[v] is built once. The first
+    candidate pads h * |f0|, with f0 = f(env) as `guaranteed_step` gives it.
 
     Returns env + D for a verified D (re-checked, not assumed), refined by
     a few extra sweeps; None if no candidate verified within the iteration
@@ -296,7 +296,6 @@ def picard_enclosure(ctx: FlowContext, env: Env, h: float,
     def inside(p, d):
         return all(p[v].subset_of(d[v]) for v in names)
 
-    f0 = ctx.eval_flow(env, alloc)
     cand = {}
     for v in names:
         pad = rd.mul_up(rd.mul_up(af.to_interval(f0[v]).mag, h), 1.0 + INFLATION)
@@ -333,10 +332,11 @@ def picard_enclosure(ctx: FlowContext, env: Env, h: float,
 # ----------------------------------------------------------------- stages
 
 
-def rk_stages(ctx: FlowContext, env: Env, h: float, alloc) -> Env:
+def rk_stages(ctx: FlowContext, env: Env, f0: Env, h: float, alloc) -> Env:
     """Enclosure of the exact-real scheme result at t+h.
 
-    Each stage argument env[v] + sum_j h a_ij k_j[v], and the result
+    The first stage is k1 = f0 = f(env), as `guaranteed_step` gives it.
+    Each later stage argument env[v] + sum_j h a_ij k_j[v], and the result
     env[v] + sum_i h b_i k_i[v], is one `af.add_scaled_many` pass over the
     start form, with each h*coefficient enclosed in the float interval
     `_scaled_coef` gives. The kernel computes the center and coefficients
@@ -344,8 +344,7 @@ def rk_stages(ctx: FlowContext, env: Env, h: float, alloc) -> Env:
     widths and every rounding to slack, so the result is sound without an
     intermediate copy of the start form.
     """
-    t = ctx.table
-    ks = []
+    ks = [f0]
 
     def combine(row):
         coefs = [(*_scaled_coef(h, fr), j) for j, fr in enumerate(row) if fr]
@@ -353,9 +352,9 @@ def rk_stages(ctx: FlowContext, env: Env, h: float, alloc) -> Env:
                     env[v], [(lo, hi, ks[j][v]) for lo, hi, j in coefs])
                 for v in ctx.variables}
 
-    for row in t.a:
-        ks.append(ctx.eval_flow(combine(row) if row else env, alloc))
-    return combine(t.b)
+    for row in ctx.table.a[1:]:
+        ks.append(ctx.eval_flow(combine(row), alloc))
+    return combine(ctx.table.b)
 
 
 def embedded_error(ctx: FlowContext, env: Env, h: float) -> float | None:
@@ -473,17 +472,21 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
                     alloc: NoiseAllocator, diag: str = "") -> StepOutcome:
     """One accepted guaranteed step, retrying internally with smaller h.
 
-    Sound over any start set, and cheaper over one whose variables share
-    few symbols, such as the folded sets the engine hands it. Reads
+    The flow over the start set, f0 = f(env), is evaluated once, before the
+    first attempt; every attempt's Picard enclosure and first stage read
+    it, and the outcome returns it. Sound over any start set, and cheaper
+    over one whose variables share few symbols, such as the folded sets
+    the engine hands it. Reads
     `cfg.tol` and `cfg.max_dt`. Raises IntegrationError when the
     minimal step size cannot produce a verified enclosure or an acceptable
     error estimate.
     """
     h = min(max(h, H_MIN), cfg.max_dt)
     rejections = 0
+    f0 = ctx.eval_flow(env, alloc)
     for _ in range(200):
         at_floor = h <= H_MIN * (1.0 + 1e-9)
-        z = picard_enclosure(ctx, env, h, alloc)
+        z = picard_enclosure(ctx, env, f0, h, alloc)
         if z is None:
             if at_floor:
                 raise IntegrationError(
@@ -492,7 +495,7 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
             h = max(h / 2.0, H_MIN)
             rejections += 1
             continue
-        x_prime = rk_stages(ctx, env, h, alloc)
+        x_prime = rk_stages(ctx, env, f0, h, alloc)
         trunc = truncation_bound(ctx, env, z, h, alloc)
         x_next = {v: x_prime[v] + trunc[v] for v in ctx.variables}
         est = embedded_error(ctx, env, h)
@@ -511,7 +514,7 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
                     hull[v] = z[v]
                 else:
                     hull[v] = af.hull(z[v], x_next[v], alloc)
-            return StepOutcome(x_next, hull, h, h_next, rejections)
+            return StepOutcome(x_next, hull, h, h_next, f0, rejections)
         if at_floor:
             raise IntegrationError(
                 f"error estimate {est:g} above tolerance {cfg.tol:g} at minimal "

@@ -48,12 +48,13 @@ class GPoly:
     rem_scale: dict      # var -> Interval: f'''(z) / 4!
 
 
-def build_gpoly(ctx: FlowContext, x0: dict, x1: dict, span: float,
+def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
                 z_env: dict, alloc: NoiseAllocator) -> GPoly:
     """The interpolant on [0, span] through the enclosures `x0` at its
-    start and `x1` at its end; `z_env` is the a priori enclosure of the
-    span, hulled with a node it does not cover."""
-    f0, f1 = ctx.eval_flow(x0, alloc), ctx.eval_flow(x1, alloc)
+    start and `x1` at its end; `f0` is the flow over `x0`, as the step
+    from it returned it (`StepOutcome.f0`), and `z_env` is the a priori
+    enclosure of the span, hulled with a node it does not cover."""
+    f1 = ctx.eval_flow(x1, alloc)
     z_use = dict(z_env)
     for env in (x0, x1):
         for v in ctx.variables:

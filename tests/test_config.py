@@ -11,8 +11,6 @@ from hyflow.config import FIELD_TYPES, SimConfig, check_setting
 from hyflow.errors import ConfigError, ParseError, SchemaError
 from hyflow.jsonmodel import parse_json_automaton
 
-NUMERIC = [name for name, kind in FIELD_TYPES.items() if kind is not str]
-
 # (Python value, JSON text, DSL text) of each bad number
 BAD_NUMBERS = {
     "nan": (math.nan, "NaN", "nan"),
@@ -24,12 +22,11 @@ BAD_NUMBERS = {
 }
 
 BAD_VALUES = (
-    [(name, *vals) for name in NUMERIC for vals in BAD_NUMBERS.values()]
-    + [("scheme", "rk5", '"rk5"', "rk5"), ("scheme", 3, "3", "3"),
-       ("split", 1.5, "1.5", "1.5")]
+    [(name, *vals) for name in FIELD_TYPES for vals in BAD_NUMBERS.values()]
+    + [("split", 1.5, "1.5", "1.5")]
 )
-IDS = ([f"{name}-{kind}" for name in NUMERIC for kind in BAD_NUMBERS]
-       + ["scheme-unknown", "scheme-number", "split-fraction"])
+IDS = ([f"{name}-{kind}" for name in FIELD_TYPES for kind in BAD_NUMBERS]
+       + ["split-fraction"])
 
 
 # The bad setting comes first: it is rejected before a later statement or

@@ -80,7 +80,8 @@ def ball_gpoly(y0=10.0, t_lo=1.3, span=0.3):
 
     env0 = at(t_lo)
     out = gi.guaranteed_step(ctx, env0, span, LOOSE, alloc)
-    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
     return g, alloc, out.h_used, t_lo
 
 
@@ -100,7 +101,8 @@ def linear_root_gpoly():
     env0 = {"x": AffineForm(-1.0)}
     cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
     out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
-    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
     return g, alloc, out.h_used
 
 
@@ -143,7 +145,8 @@ def graze_gpoly():
     alloc = NoiseAllocator()
     env0 = {"y": AffineForm(1e-6), "v": AffineForm(-2e-3)}
     out = gi.guaranteed_step(ctx, env0, 2e-3, LOOSE, alloc)
-    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
     return g, alloc, out.h_used
 
 

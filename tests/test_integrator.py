@@ -18,8 +18,15 @@ from hyflow.affine import AffineForm, NoiseAllocator
 from hyflow.config import SimConfig
 from hyflow.engine import CONDENSE_BUDGET
 from hyflow.errors import IntegrationError, ModelError
-from hyflow.integrator import EULER, ODE23, RK4, FlowContext
+from hyflow.integrator import ODE23, FlowContext
 from hyflow.interval import Interval
+
+# tables no step uses, kept to check the order derivation and a first-order
+# truncation bound
+RK4 = gi.ButcherTable("rk4", ((), (F(1, 2),), (F(0), F(1, 2)),
+                              (F(0), F(0), F(1))),
+                      (F(1, 6), F(1, 3), F(1, 3), F(1, 6)))
+EULER = gi.ButcherTable("euler", ((),), (F(1),))
 
 
 def ctx_decay(table=ODE23):
@@ -36,6 +43,16 @@ def env_boxes(alloc, **boxes):
 
 def box(env, v):
     return af.to_interval(env[v])
+
+
+def picard(ctx, env, h, alloc):
+    """`picard_enclosure` with f0 = f(env), as `guaranteed_step` gives it."""
+    return gi.picard_enclosure(ctx, env, ctx.eval_flow(env, alloc), h, alloc)
+
+
+def stages(ctx, env, h, alloc):
+    """`rk_stages` with k1 = f(env), as `guaranteed_step` gives it."""
+    return gi.rk_stages(ctx, env, ctx.eval_flow(env, alloc), h, alloc)
 
 
 # ----------------------------------------------------------------- tables
@@ -57,7 +74,6 @@ def test_table_validation():
 def test_table_fields_are_the_coefficients():
     assert [f.name for f in dataclasses.fields(ODE23)] == ["name", "a", "b",
                                                            "bhat"]
-    assert gi.TABLES == {"ode23": ODE23, "rk4": RK4, "euler": EULER}
 
 
 def test_orders_are_derived_from_the_rooted_trees():
@@ -96,7 +112,7 @@ def test_picard_constant_flow_is_exact():
     ctx = FlowContext(("x",), {"x": ex.ZERO}, ODE23)
     alloc = NoiseAllocator()
     env = env_point(x=1.0)
-    z = gi.picard_enclosure(ctx, env, 0.25, alloc)
+    z = picard(ctx, env, 0.25, alloc)
     assert z is not None
     b = box(z, "x")
     assert b.contains(1.0) and b.width < 1e-12
@@ -105,7 +121,7 @@ def test_picard_constant_flow_is_exact():
 def test_picard_linear_growth():
     ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
     alloc = NoiseAllocator()
-    z = gi.picard_enclosure(ctx, env_point(x=0.0), 0.1, alloc)
+    z = picard(ctx, env_point(x=0.0), 0.1, alloc)
     b = box(z, "x")
     assert b.lo <= 0.0 and b.hi >= 0.1
 
@@ -115,7 +131,7 @@ def test_picard_decay_contains_analytic_and_recheck():
     alloc = NoiseAllocator()
     env = env_boxes(alloc, x=(0.9, 1.1))
     h = 0.1
-    z = gi.picard_enclosure(ctx, env, h, alloc)
+    z = picard(ctx, env, h, alloc)
     assert z is not None
     b = box(z, "x")
     # analytic trajectories from every sampled start, at several times
@@ -139,7 +155,7 @@ def test_picard_failure_on_blowup():
     x = ex.var("x")
     ctx = FlowContext(("x",), {"x": ex.add(ex.ONE, ex.pow_int(x, 2))}, ODE23)
     alloc = NoiseAllocator()
-    z = gi.picard_enclosure(ctx, env_point(x=20.0), 0.1, alloc)
+    z = picard(ctx, env_point(x=20.0), 0.1, alloc)
     assert z is None
 
 
@@ -160,7 +176,7 @@ def test_stages_quadrature_of_constant():
     ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
     alloc = NoiseAllocator()
     env = env_point(x=5.0)
-    b = box(gi.rk_stages(ctx, env, 0.3, alloc), "x")
+    b = box(stages(ctx, env, 0.3, alloc), "x")
     assert b.contains(5.3) and b.width < 1e-13
 
 
@@ -168,7 +184,7 @@ def test_stages_match_scalar_reference():
     ctx = ctx_decay()
     alloc = NoiseAllocator()
     h = 0.1
-    x_next = gi.rk_stages(ctx, env_point(x=1.0), h, alloc)
+    x_next = stages(ctx, env_point(x=1.0), h, alloc)
     ref, _ = scalar_bs23(lambda t: -t, 1.0, h)
     b = box(x_next, "x")
     assert b.contains(ref)
@@ -178,7 +194,7 @@ def test_stages_match_scalar_reference():
 def test_stages_zero_width_stays_thin_for_linear_flow():
     ctx = ctx_decay()
     alloc = NoiseAllocator()
-    x_next = gi.rk_stages(ctx, env_point(x=1.0), 0.05, alloc)
+    x_next = stages(ctx, env_point(x=1.0), 0.05, alloc)
     assert box(x_next, "x").width < 1e-13
 
 
@@ -199,7 +215,7 @@ def single_step_quantities(h, alloc=None, width=False):
     else:
         env = env_point(x=1.0)
     err = gi.embedded_error(ctx, env, h)
-    z = gi.picard_enclosure(ctx, env, h, alloc)
+    z = picard(ctx, env, h, alloc)
     trunc = gi.truncation_bound(ctx, env, z, h, alloc)
     return err, af.to_interval(trunc["x"]).width
 
@@ -223,7 +239,7 @@ def test_truncation_zero_for_exact_scheme():
     ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
     alloc = NoiseAllocator()
     env = env_point(x=1.0)
-    z = gi.picard_enclosure(ctx, env, 0.2, alloc)
+    z = picard(ctx, env, 0.2, alloc)
     trunc = gi.truncation_bound(ctx, env, z, 0.2, alloc)
     assert af.to_interval(trunc["x"]).width < 1e-12
 
@@ -235,7 +251,7 @@ def test_truncation_euler_scale():
     alloc = NoiseAllocator()
     env = env_point(x=1.0)
     for h in (0.1, 0.05, 0.025):
-        z = gi.picard_enclosure(ctx, env, h, alloc)
+        z = picard(ctx, env, h, alloc)
         trunc = gi.truncation_bound(ctx, env, z, h, alloc)
         b = af.to_interval(trunc["x"])
         assert b.contains(h * h / 2.0 * math.exp(h) * 0.5) or b.hi >= h * h / 2.0
@@ -279,7 +295,7 @@ def test_folded_truncation_matches_the_unfolded_bound():
     ctx, env = rotation_start(alloc)
     assert all(len(f.dev) > CONDENSE_BUDGET for f in env.values())
     h = 0.1
-    z = gi.picard_enclosure(ctx, env, h, alloc)
+    z = picard(ctx, env, h, alloc)
     got = gi.truncation_bound(ctx, env, z, h, alloc)
     ref = unfolded_truncation(ctx, env, z, h, alloc)
     for v in ctx.variables:
@@ -366,6 +382,26 @@ def test_guaranteed_step_decay_run_to_one():
         h = out.h_next
     assert box(env, "x").contains(math.exp(-t))
     assert box(env, "x").width < 1e-5
+
+
+def test_guaranteed_step_evaluates_the_start_flow_once(monkeypatch):
+    # every attempt's Picard enclosure and first stage read one f(env)
+    ctx = ctx_decay()
+    alloc = NoiseAllocator()
+    env = env_boxes(alloc, x=(0.9, 1.1))
+    flow, start_values = ctx.eval_flow, []
+
+    def counted(at, alloc):
+        out = flow(at, alloc)
+        if at is env:
+            start_values.append(out)
+        return out
+
+    monkeypatch.setattr(ctx, "eval_flow", counted)
+    cfg = SimConfig(duration=1.0, tol=1e-9)
+    out = gi.guaranteed_step(ctx, env, 0.1, cfg, alloc)
+    assert out.rejections >= 1
+    assert len(start_values) == 1 and out.f0 is start_values[0]
 
 
 def test_guaranteed_step_constant_flow_width_stable():

@@ -40,7 +40,8 @@ def decay_step(h=0.2, x0=1.0):
     cfg = SimConfig(duration=1.0, tol=1e-3, max_dt=1.0)
     out = gi.guaranteed_step(ctx, env0, h, cfg, alloc)
     assert out.h_used == h
-    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
     return ctx, alloc, env0, out, g
 
 
@@ -97,7 +98,7 @@ def test_cubic_solution_zero_remainder():
     env0 = {"x": AffineForm(0.0), "t": AffineForm(0.0)}
     out = gi.guaranteed_step(ctx, env0, 1.0, LOOSE, alloc)
     h = out.h_used
-    g = gp.build_gpoly(ctx, env0, out.x_next, h, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, h, out.hull, alloc)
     assert g.rem_scale["x"].width < 1e-12  # vanishing remainder coefficient
     got = gp.eval_gpoly(g, Interval(h / 2, h / 2), alloc)
     b = af.to_interval(got["x"])
@@ -125,7 +126,8 @@ def test_out_of_span_rejected():
 def test_monotone_degradation_wider_z_never_tightens():
     ctx, alloc, env0, out, g = decay_step()
     wide_hull = {"x": out.hull["x"] + af.from_interval(Interval(-0.5, 0.5), alloc)}
-    g2 = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, wide_hull, alloc)
+    g2 = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, wide_hull,
+                        alloc)
     a = af.to_interval(gp.eval_gpoly(g, Interval(0.07, 0.07), alloc)["x"])
     b = af.to_interval(gp.eval_gpoly(g2, Interval(0.07, 0.07), alloc)["x"])
     assert b.lo <= a.lo + 1e-15 and b.hi >= a.hi - 1e-15
@@ -169,7 +171,8 @@ def rotation_step(h=0.1):
     env0 = {v: af.from_interval(Interval(c, c + 0.01), alloc)
             for v, c in (("x", 1.0), ("y", 0.0), ("z", 0.5))}
     out = gi.guaranteed_step(ctx, env0, h, LOOSE, alloc)
-    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
     return g, alloc, out.h_used
 
 
@@ -193,7 +196,8 @@ def creep_width(x0, h=0.1, rate=1e-6):
     alloc = NoiseAllocator()
     env0 = {"x": af.from_interval(Interval(x0, x0 + 1e-12), alloc)}
     out = gi.guaranteed_step(ctx, env0, h, LOOSE, alloc)
-    g = gp.build_gpoly(ctx, env0, out.x_next, out.h_used, out.hull, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
     got = gp.eval_gpoly(g, Interval(0.0, out.h_used), alloc)["x"]
     return af.to_interval(got).width
 

@@ -21,22 +21,22 @@ from hyflow.expr import prepare_automaton
 from hyflow.jsonmodel import parse_json_automaton
 from hyflow.reference import ReferenceSimulator
 
-# (duration, dt, max_dt, tol, scheme, split) of each entry, as
-# loaded before the settings had one declaration
+# (duration, dt, max_dt, tol, split) of each entry, as loaded before the
+# settings had one declaration
 PINNED = {
-    "brusselator": (15.0, 0.02, 0.1, 1e-6, "ode23", 3),
-    "car": (30.0, 0.02, 0.1, 1e-6, "ode23", 1),
-    "windy_ball": (13.0, 0.02, 0.05, 1e-6, "ode23", 1),
-    "pendulum": (3.8, 0.05, 0.1, 1e-6, "ode23", 1),
-    "sinusoidal_ball": (2.8, 0.02, 0.05, 1e-6, "ode23", 1),
-    "bouncing_ball": (10.0, 0.02, 0.1, 1e-6, "ode23", 1),
-    "vanderpol": (6.0, 0.02, 0.1, 1e-6, "ode23", 1),
-    "lorenz": (1.0, 0.02, 0.02, 1e9, "ode23", 1),
-    "wolfgram": (1.0, 0.01, 0.05, 1e-7, "ode23", 1),
-    "thermostat": (15.0, 0.02, 0.1, 1e-6, "ode23", 1),
-    "watertank": (30.0, 0.02, 0.1, 1e-6, "ode23", 1),
-    "hybrid3d": (2.0, 0.02, 0.05, 1e-6, "ode23", 1),
-    "diode_oscillator": (20.0, 0.02, 0.1, 1e-6, "ode23", 1),
+    "brusselator": (15.0, 0.02, 0.1, 1e-6, 3),
+    "car": (30.0, 0.02, 0.1, 1e-6, 1),
+    "windy_ball": (13.0, 0.02, 0.05, 1e-6, 1),
+    "pendulum": (3.8, 0.05, 0.1, 1e-6, 1),
+    "sinusoidal_ball": (2.8, 0.02, 0.05, 1e-6, 1),
+    "bouncing_ball": (10.0, 0.02, 0.1, 1e-6, 1),
+    "vanderpol": (6.0, 0.02, 0.1, 1e-6, 1),
+    "lorenz": (1.0, 0.02, 0.02, 1e9, 1),
+    "wolfgram": (1.0, 0.01, 0.05, 1e-7, 1),
+    "thermostat": (15.0, 0.02, 0.1, 1e-6, 1),
+    "watertank": (30.0, 0.02, 0.1, 1e-6, 1),
+    "hybrid3d": (2.0, 0.02, 0.05, 1e-6, 1),
+    "diode_oscillator": (20.0, 0.02, 0.1, 1e-6, 1),
 }
 
 
@@ -56,7 +56,6 @@ ACCEPTED = {
     "dt": (0.01, "0.01"),
     "max_dt": (0.05, "0.05"),
     "tol": (1e-7, "1e-7"),
-    "scheme": ("rk4", "rk4"),
     "split": (2, "2"),
 }
 
@@ -87,14 +86,26 @@ def test_both_frontends_accept_every_setting(name):
 
 
 def test_unknown_setting_lists_the_fields():
-    with pytest.raises(ParseError) as info:
-        D.parse_dsl("set scope_xy = 1;\n")
-    assert info.value.expected == tuple(FIELD_TYPES)
-    with pytest.raises(SchemaError) as info:
-        parse_json_automaton(
-            JSON_MODEL % '{"duration": 1.0, "plot": ["t", "x"]}')
-    assert info.value.path == "/config/plot"
-    assert ", ".join(FIELD_TYPES) in str(info.value)
+    for name, text in (("scope_xy", "1"), ("scheme", "rk4")):
+        with pytest.raises(ParseError) as info:
+            D.parse_dsl(f"set {name} = {text};\n")
+        assert info.value.expected == tuple(FIELD_TYPES)
+    for name, value in (("plot", '["t", "x"]'), ("scheme", '"ode23"')):
+        with pytest.raises(SchemaError) as info:
+            parse_json_automaton(
+                JSON_MODEL % f'{{"duration": 1.0, "{name}": {value}}}')
+        assert info.value.path == f"/config/{name}"
+        assert ", ".join(FIELD_TYPES) in str(info.value)
+
+
+def test_every_setting_is_set_by_some_entry():
+    # a setting no built-in model moves off its default is a constant
+    default = SimConfig(duration=1.0)
+    cfgs = [benchmarks.load(entry)[1]
+            for entry in benchmarks.REGISTRY.values()]
+    moved = {name for cfg in cfgs for name in FIELD_TYPES
+             if getattr(cfg, name) != getattr(default, name)}
+    assert moved >= set(FIELD_TYPES) - {"duration"}
 
 
 # entry -> None when it completes with full containment, else its cause and
