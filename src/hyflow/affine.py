@@ -9,8 +9,8 @@ operations linearize at the center and bound the remainder with a fresh
 noise symbol.
 
 Noise symbols are plain integers issued by a `NoiseAllocator`; all forms
-that interact must share one allocator (one id space per simulation
-branch).
+that interact must share one allocator. A simulation run has one
+allocator, and so one id space, for its whole task tree.
 """
 
 from __future__ import annotations
@@ -57,12 +57,8 @@ class Rel(enum.Enum):
 
 
 class NoiseAllocator:
-    """Issues strictly increasing noise-symbol ids.
-
-    One allocator per simulation branch; `fork()` gives a child branch an
-    allocator continuing from the current id, so ids stay unique within
-    each branch (branches never mix forms, so cross-branch reuse is fine).
-    """
+    """Issues strictly increasing noise-symbol ids: a fresh id is new to
+    every form issued before it, whichever branch of a run holds it."""
 
     __slots__ = ("_next",)
 
@@ -73,9 +69,6 @@ class NoiseAllocator:
         n = self._next
         self._next = n + 1
         return n
-
-    def fork(self) -> "NoiseAllocator":
-        return NoiseAllocator(self._next)
 
 
 class AffineForm:
@@ -415,12 +408,12 @@ def square(x: AffineForm, alloc: NoiseAllocator) -> AffineForm:
     return _mk(center, dev, _finish_slack(slack, esum, ecnt))
 
 
-def _unary_taylor(x, alloc, f0_fn, d0_fn, d2_mag, box):
+def _unary_taylor(x, alloc, f0_fn, d0_fn, d2_mag):
     """First-order Taylor at the center with an interval-bounded remainder.
 
-    d2_mag bounds |f''| over `box`; the remainder over the whole range is
-    d2_mag/2 * radius^2, carried by a fresh symbol. Library evaluation
-    error for f and f' is covered by LIBM_STEPS ulps.
+    d2_mag bounds |f''| over the range of `x`, so the remainder over that
+    range is d2_mag/2 * radius^2, carried by a fresh symbol. Library
+    evaluation error for f and f' is covered by LIBM_STEPS ulps.
     """
     c = x.center
     f0 = f0_fn(c)
@@ -489,7 +482,7 @@ def nonlinear_unary(name: str, x: AffineForm, alloc: NoiseAllocator) -> AffineFo
         raise DomainError(f"reciprocal of range [{box.lo}, {box.hi}] containing zero")
     rng = range_fn(box)
     try:
-        form = _unary_taylor(x, alloc, f0_fn, d0_fn, d2_fn(box, rng), box)
+        form = _unary_taylor(x, alloc, f0_fn, d0_fn, d2_fn(box, rng))
     except (DomainError, OverflowError, ZeroDivisionError):
         form = None
     if form is not None:

@@ -22,7 +22,6 @@ set duration = 15;
 set dt = 0.02;
 set max_dt = 0.1;
 set tol = 1e-6;
-set split = 3;
 
 init x = [0.9, 1.];
 init y = [0., 0.1];

@@ -24,7 +24,6 @@ class SimConfig:
     dt: float = 0.02           # initial step size, and the step after a jump
     max_dt: float = 0.1        # largest step size
     tol: float = 1e-6          # local error tolerance of step control
-    split: int = 1             # initial-box subdivisions per wide variable
 
     def __post_init__(self):
         for name in FIELD_TYPES:
@@ -48,16 +47,10 @@ def finite_float(value) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def check_setting(name: str, value):
-    """The value of setting `name` in its field's type, or ConfigError.
-
-    Every value must be a finite number > 0, and `split` integral as well.
-    """
+def check_setting(name: str, value) -> float:
+    """The value of setting `name` as a float, or ConfigError: every value
+    must be a finite number > 0."""
     x = finite_float(value)
     if x is None or x <= 0:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
-    if FIELD_TYPES[name] is int:
-        if x != int(x):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return int(x)
     return x

@@ -3,8 +3,7 @@
 The input language covers single-location hybrid models:
 
     set duration = 3.8;            # settings are the fields of SimConfig:
-    set tol = 1e-7;                # duration, dt, max_dt, tol and split,
-    set split = 2;                 # each a number
+    set tol = 1e-7;                # duration, dt, max_dt and tol, numbers
     init theta = [1., 1.05];       # interval or scalar initial values
     g = 9.81;                      # constants (inlined during lowering)
     theta' = dtheta;               # flow equations
@@ -44,7 +43,6 @@ _SYMBOLS = ("<=", ">=", "==", "<", ">", "=", ";", "'", "{", "}", "(", ")",
 class SourceSpan:
     line: int
     col: int
-    end_col: int
 
     def __str__(self):
         return f"line {self.line}, column {self.col}"
@@ -96,7 +94,7 @@ def tokenize(text: str):
                 else:
                     break
             raw = text[i:j]
-            span = SourceSpan(line, start_col, start_col + (j - i))
+            span = SourceSpan(line, start_col)
             try:
                 val = float(raw)
             except ValueError:
@@ -112,7 +110,7 @@ def tokenize(text: str):
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             raw = text[i:j]
-            span = SourceSpan(line, start_col, start_col + (j - i))
+            span = SourceSpan(line, start_col)
             tokens.append(Token("ident", raw, span))
             col += j - i
             i = j
@@ -131,8 +129,8 @@ def tokenize(text: str):
                     j += 1
             if j >= n:
                 raise ParseError("unterminated string literal",
-                                 SourceSpan(line, start_col, start_col + 1))
-            span = SourceSpan(line, start_col, start_col + (j + 1 - i))
+                                 SourceSpan(line, start_col))
+            span = SourceSpan(line, start_col)
             tok = Token("string", "".join(out), span)
             tokens.append(tok)
             col += j + 1 - i
@@ -140,15 +138,15 @@ def tokenize(text: str):
             continue
         for sym in _SYMBOLS:
             if text.startswith(sym, i):
-                span = SourceSpan(line, start_col, start_col + len(sym))
+                span = SourceSpan(line, start_col)
                 tokens.append(Token("symbol", sym, span))
                 i += len(sym)
                 col += len(sym)
                 break
         else:
             raise ParseError(f"unexpected character {ch!r}",
-                             SourceSpan(line, start_col, start_col + 1))
-    tokens.append(Token("eof", "", SourceSpan(line, col, col)))
+                             SourceSpan(line, start_col))
+    tokens.append(Token("eof", "", SourceSpan(line, col)))
     return tokens
 
 
@@ -482,34 +480,6 @@ def parse_guard_string(text: str):
     if t.kind != "eof":
         raise ParseError(f"trailing input {t.text!r}", t.span)
     return g
-
-
-# --------------------------------------------------------- pretty printer
-
-
-def pretty_print(m: DslModel) -> str:
-    out = []
-    for k in sorted(m.settings):
-        out.append(f"set {k} = {m.settings[k]};")  # str(float) is its repr
-    for name, box in m.inits.items():
-        if box.lo == box.hi:
-            out.append(f"init {name} = {box.lo!r};")
-        else:
-            out.append(f"init {name} = [{box.lo!r}, {box.hi!r}];")
-    for name, e in m.constants.items():
-        out.append(f"{name} = {ex.to_text(e)};")
-    for name, e in m.flows.items():
-        out.append(f"{name}' = {ex.to_text(e)};")
-    for evt in m.events:
-        stmts = [f'print("{p_escape(s)}")' for s in evt.prints]
-        stmts += [f"{n} = {ex.to_text(e)}" for n, e in evt.assigns]
-        out.append(f"on {ex.guard_to_text(evt.guard)} do {{ {'; '.join(stmts)} }};")
-    return "\n".join(out) + "\n"
-
-
-def p_escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") \
-            .replace("\t", "\\t")
 
 
 # ---------------------------------------------------------------- lowering

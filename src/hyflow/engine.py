@@ -85,7 +85,7 @@ class FlowpipeSegment:
 @dataclass
 class Branch:
     index: int
-    parent: int | None
+    parent: int | None  # always None: a task that forks is never finished
     segments: list
     complete: bool
     abort_reason: str = ""
@@ -108,11 +108,9 @@ class _Task:
     env: dict
     t: Interval
     h: float
-    alloc: NoiseAllocator
     segments: list
     crossings: list
     disarmed: set
-    parent: int | None
     steps: int = 0
     folds: dict = field(default_factory=dict)  # `af.fold_private` of env
 
@@ -133,6 +131,13 @@ class _Next:
 
 def _shift(t: Interval, lo: float, hi: float) -> Interval:
     return Interval(rd.add_down(t.lo, lo), rd.add_up(t.hi, hi))
+
+
+def _where(task, t: Interval, out) -> str:
+    """The time span and location of the step `out` from time `t`."""
+    t = _shift(t, 0.0, out.h_used)
+    return (f"over t in [{t.lo:.6g}, {t.hi:.6g}] in location "
+            f"'{task.location}'")
 
 
 def _box(env):
@@ -169,20 +174,20 @@ class _Engine:
                      for loc, flow in ha.flows.items()}
         self.stats = {"steps": 0, "rejections": 0, "crossings": 0,
                       "branches": 0}
+        self.alloc = NoiseAllocator()  # one noise-symbol id space per run
         self.branches: list = []
         self.tasks: list = []
 
     # ----------------------------------------------------------- plumbing
 
     def _finish(self, task: _Task, complete: bool, reason: str = ""):
-        self.branches.append(Branch(len(self.branches), task.parent,
-                                    task.segments, complete, reason,
-                                    task.crossings))
+        self.branches.append(Branch(len(self.branches), None, task.segments,
+                                    complete, reason, task.crossings))
 
     def _segment(self, task, f0, hull_env, t_end) -> FlowpipeSegment:
         """The segment of a step from the task's set, over which the flow
         is `f0`, with the step hull `hull_env` up to `t_end`."""
-        fh = self.ctxs[task.location].eval_flow(hull_env, task.alloc)
+        fh = self.ctxs[task.location].eval_flow(hull_env, self.alloc)
         tight = _padded_box(task.env, f0, task.t.width)
         hull = _padded_box(hull_env, fh, t_end.width)
         return FlowpipeSegment(task.t, t_end, tight, hull, task.location)
@@ -200,7 +205,7 @@ class _Engine:
                 if not self._commit(task, self._successors(task)):
                     return
             # the last set is its own hull: one box, padded once
-            f = self.ctxs[task.location].eval_flow(task.env, task.alloc)
+            f = self.ctxs[task.location].eval_flow(task.env, self.alloc)
             last = _padded_box(task.env, f, task.t.width)
             task.segments.append(FlowpipeSegment(task.t, task.t, last,
                                                  dict(last), task.location))
@@ -218,8 +223,7 @@ class _Engine:
             self._enter(task, succs[0])
             return True
         for s in succs:
-            child = replace(task, alloc=task.alloc.fork(),
-                            segments=list(task.segments),
+            child = replace(task, segments=list(task.segments),
                             crossings=list(task.crossings))
             if not isinstance(s, _Next):
                 self._finish(child, False, s)
@@ -249,23 +253,24 @@ class _Engine:
         # shared symbols pile up to ~100 and a step costs 2.2x the CPU
         env = env_condense({v: af.unfold(f, task.folds)
                             for v, f in s.env.items()},
-                           CONDENSE_BUDGET, task.alloc)
-        task.env, task.folds = af.fold_private(env, task.alloc)
+                           CONDENSE_BUDGET, self.alloc)
+        task.env, task.folds = af.fold_private(env, self.alloc)
         task.disarmed = set(s.disarmed)
 
-    def _step(self, task, env, h, disarmed, diag, skip=frozenset()):
-        """One guaranteed step from `env` in the task's location: certify
-        the `disarmed` edges over it and classify the others (but `skip`).
-        Returns (outcome, edges to re-arm once committed, verdicts at the
-        step end of the edges its hull does not refute)."""
+    def _step(self, task, env, t, h, disarmed, diag, skip=frozenset()):
+        """One guaranteed step from `env` at time `t` in the task's
+        location: certify the `disarmed` edges over it and classify the
+        others (but `skip`). Returns (outcome, edges to re-arm once
+        committed, verdicts at the step end of the edges its hull does not
+        refute)."""
         out = guaranteed_step(self.ctxs[task.location], env, h, self.cfg,
-                              task.alloc, diag=diag)
+                              self.alloc, diag=diag)
         task.steps += 1
         self.stats["steps"] += 1
         self.stats["rejections"] += out.rejections
-        rearm = self._check_disarmed(task, out, disarmed)
+        rearm = self._check_disarmed(task, out, disarmed, t)
         ends = classify(self.ha, task.location, env, out.x_next, out.hull,
-                        task.alloc, skip=disarmed | skip)
+                        self.alloc, skip=disarmed | skip)
         return out, rearm, ends
 
     def _successors(self, task) -> list:
@@ -273,7 +278,7 @@ class _Engine:
         h = task.h
         while True:
             out, rearm, ends = self._step(
-                task, task.env, h, task.disarmed,
+                task, task.env, task.t, h, task.disarmed,
                 f"(t >= {task.t.lo:.6g}, location '{task.location}')")
             actives = [i for i in sorted(ends)
                        if ends[i] is not Trivalent.FALSE]
@@ -291,30 +296,29 @@ class _Engine:
 
     # ------------------------------------------------------ event handling
 
-    def _check_disarmed(self, task, out, disarmed) -> set:
-        """Certify the `disarmed` edges over the step hull (raises
+    def _check_disarmed(self, task, out, disarmed, t) -> set:
+        """Certify the `disarmed` edges, all of the task's location, over
+        the hull of the step `out` from time `t` (raises
         InvariantViolation when one may fire). Returns the edges to re-arm
-        once the step is committed (guard surely false at the step end, or
-        not an edge of this location); until then the step, its retries
-        and its successors keep the disarmed set it started with."""
+        once the step is committed (guard surely false at the step end);
+        until then the step, its retries and its successors keep the
+        disarmed set it started with."""
         ctx = self.ctxs[task.location]
         rearm = set()
         for idx in sorted(disarmed):
             edge = self.ha.edges[idx]
-            if edge.source != task.location:
-                rearm.add(idx)
-                continue
-            if not edge_cannot_fire(edge, ctx.flow, out.hull, task.alloc):
+            if not edge_cannot_fire(edge, ctx.flow, out.hull, self.alloc):
                 raise InvariantViolation(
-                    f"cannot certify disarmed {edge.label} (guard straddles "
-                    f"its boundary and the flow direction is not provable)")
-            tri = ex.eval_guard(edge.guard, out.x_next, task.alloc)
+                    f"cannot certify disarmed {edge.label} "
+                    f"{_where(task, t, out)} (guard straddles its boundary "
+                    f"and the flow direction is not provable)")
+            tri = ex.eval_guard(edge.guard, out.x_next, self.alloc)
             if tri is Trivalent.FALSE:
                 rearm.add(idx)
             elif tri is Trivalent.TRUE:
                 raise InvariantViolation(
-                    f"disarmed {edge.label} became surely true despite "
-                    f"certificate")
+                    f"disarmed {edge.label} became surely true "
+                    f"{_where(task, t, out)} despite its certificate")
         return rearm
 
     def _crossing(self, task, out, idx, end, rearm) -> list:
@@ -343,9 +347,9 @@ class _Engine:
         for _ in range(MAX_EXTENSIONS):
             if end is not Trivalent.UNKNOWN:
                 break
-            env_end = env_condense(env_end, CONDENSE_BUDGET, task.alloc)
+            env_end = env_condense(env_end, CONDENSE_BUDGET, self.alloc)
             out2, rearm2, others = self._step(
-                task, env_end, h_ext, disarmed,
+                task, env_end, _shift(task.t, span, span), h_ext, disarmed,
                 f"(extending across guard of {edge.label})", {idx})
             if others:
                 t = _shift(task.t, span, span + out2.h_used)
@@ -353,23 +357,23 @@ class _Engine:
                 return [f"EventConflict: {woken} may fire while the crossing "
                         f"of {edge.label} extends, at t in "
                         f"[{t.lo:.6g}, {t.hi:.6g}]"]
-            hull = {v: af.hull(hull[v], out2.hull[v], task.alloc)
+            hull = {v: af.hull(hull[v], out2.hull[v], self.alloc)
                     for v in hull}
             env_end = out2.x_next
             disarmed -= rearm2
             span += out2.h_used
             h_ext = out2.h_next
-            end = ex.eval_guard(edge.guard, env_end, task.alloc)
+            end = ex.eval_guard(edge.guard, env_end, self.alloc)
         h_jump = min(out.h_used, self.cfg.dt)
         window = None
         if end is Trivalent.TRUE or not edge_cannot_fire(
-                edge, ctx.flow, hull, task.alloc):
+                edge, ctx.flow, hull, self.alloc):
             gpoly = build_gpoly(ctx, task.env, out.f0, env_end, span, hull,
-                                task.alloc)
+                                self.alloc)
             narrow = (tight_interval if end is Trivalent.TRUE
                       else resolve_hull_only)
             window = narrow(gpoly, edge.guard, Interval(0.0, span),
-                            ZC_PRECISION, task.alloc)
+                            ZC_PRECISION, self.alloc)
         stays = maybe and end is not Trivalent.TRUE
         if window is None and not stays:
             return []
@@ -392,12 +396,12 @@ class _Engine:
         immediate-transition chain after the reset, each with its own
         prints; an endless chain aborts."""
         edge = self.ha.edges[idx]
-        post = cross(edge, gpoly, t_zc, task.alloc)
+        post = cross(edge, gpoly, t_zc, self.alloc)
         self.stats["crossings"] += 1
         abs_zc = _shift(task.t, t_zc.lo, t_zc.hi)
         try:
             options = chain_immediate(self.ha, edge.target, post, idx,
-                                      task.alloc, prints=edge.reset.prints)
+                                      self.alloc, prints=edge.reset.prints)
         except ZenoError as e:
             return [f"ZenoError: {e}"]
         return [_Next(loc, env, abs_zc, h, disarmed,
@@ -406,48 +410,20 @@ class _Engine:
                 for loc, env, prints, disarmed in options]
 
 
-def _split_box(box: dict, variables, k: int):
-    """Subdivide each positive-width interval into k parts (grid union)."""
-    if k <= 1:
-        return [dict(box)]
-    import itertools
-
-    axes = []
-    for v in variables:
-        b = box[v]
-        if b.hi > b.lo:
-            cuts = [b.lo + (b.hi - b.lo) * i / k for i in range(k + 1)]
-            cuts[0], cuts[-1] = b.lo, b.hi
-            axes.append([(v, Interval(cuts[i], cuts[i + 1]))
-                         for i in range(k)])
-        else:
-            axes.append([(v, b)])
-    return [dict(combo) for combo in itertools.product(*axes)]
-
-
 def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
-    """Compute a guaranteed flowpipe of the automaton over [0, duration].
-
-    With cfg.split > 1 the initial box is gridded and each cell gets its own
-    branch: the branch union still covers every trajectory, while the
-    smaller cells keep the nonlinear linearization remainders (which grow
-    with the square of the set width) under control.
-    """
+    """Compute a guaranteed flowpipe of the automaton over [0, duration]:
+    one task tree grown from the whole initial box."""
     prepared, _warnings = prepare_automaton(ha)
     eng = _Engine(prepared, cfg)
-    t0 = Interval(0.0, 0.0)
-    for box in reversed(_split_box(prepared.initial_box, prepared.variables,
-                                   cfg.split)):
-        alloc = NoiseAllocator()
-        env0 = {v: af.from_interval(box[v], alloc)
-                for v in prepared.variables}
-        for idx, e in prepared.outgoing(prepared.initial_location):
-            if ex.eval_guard(e.guard, env0, alloc) is not Trivalent.FALSE:
-                raise ModelError(
-                    f"guard of {e.label} is not surely false on the initial "
-                    f"set; reformulate the guard or shrink the initial box")
-        eng.tasks.append(_Task(prepared.initial_location, env0, t0, cfg.dt,
-                               alloc, [], [], set(), None))
+    box = prepared.initial_box
+    env0 = {v: af.from_interval(box[v], eng.alloc) for v in prepared.variables}
+    for idx, e in prepared.outgoing(prepared.initial_location):
+        if ex.eval_guard(e.guard, env0, eng.alloc) is not Trivalent.FALSE:
+            raise ModelError(
+                f"guard of {e.label} is not surely false on the initial "
+                f"set; reformulate the guard or shrink the initial box")
+    eng.tasks.append(_Task(prepared.initial_location, env0,
+                           Interval(0.0, 0.0), cfg.dt, [], [], set()))
     while eng.tasks:
         eng.run(eng.tasks.pop())
     eng.stats["branches"] = len(eng.branches)
@@ -459,9 +435,17 @@ def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
 # ------------------------------------------------------------- validation
 
 
+REL_TOL = 1e-7  # relative tolerance of a reference state against a box
+
+
+def reference_step(span: float) -> float:
+    """The fixed step of the reference runs that check a flowpipe over a
+    time span of `span`."""
+    return min(1e-3, max(span / 20000.0, 1e-5))
+
+
 def validate_monte_carlo(ha: HybridAutomaton, pipe: Flowpipe, samples: int,
-                         seed: int, h_ref: float | None = None,
-                         rel_tol: float = 1e-7) -> dict:
+                         seed: int) -> dict:
     """Independent containment check of the flowpipe.
 
     Integrates random initial points with a fine fixed-step scalar RK4 plus
@@ -478,9 +462,7 @@ def validate_monte_carlo(ha: HybridAutomaton, pipe: Flowpipe, samples: int,
                 "violations": []}
     if not complete_branches:
         raise ModelError("flowpipe has no complete branch to validate")
-    span = pipe.t_f - pipe.t0
-    if h_ref is None:
-        h_ref = min(1e-3, max(span / 20000.0, 1e-5))
+    h_ref = reference_step(pipe.t_f - pipe.t0)
     sim = ReferenceSimulator(prepared, h_ref)
     rng = random.Random(seed)
     order = list(prepared.variables)
@@ -499,7 +481,7 @@ def validate_monte_carlo(ha: HybridAutomaton, pipe: Flowpipe, samples: int,
         ok, detail = False, None
         for b in complete_branches:
             good, detail = _branch_contains(b, traj, order, pipe.t_f, h_ref,
-                                            rel_tol)
+                                            REL_TOL)
             if good:
                 ok = True
                 break

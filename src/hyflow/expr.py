@@ -491,13 +491,6 @@ def guard_free_vars(g: Guard) -> frozenset:
     return frozenset().union(*(guard_free_vars(item) for item in g.items))
 
 
-def guard_to_text(g: Guard) -> str:
-    if isinstance(g, Comparison):
-        return f"{to_text(g.expr)} {g.rel.value} 0"
-    sep = f" {g.kind} "
-    return "(" + sep.join(guard_to_text(item) for item in g.items) + ")"
-
-
 # ------------------------------------------------------------------ resets
 
 

@@ -10,8 +10,7 @@ Schema (expressions and guards are strings in the DSL expression syntax):
                  "reset": {"x": "sqrt(1 - (t + 0.05)^2) - 0.15"},
                  "prints": ["crossing"]}],
       "init": {"location": "inside", "box": {"x": [0.3, 0.31], "t": [0, 0]}},
-      "config": {"duration": 1.0, "dt": 0.01, "max_dt": 0.05, "tol": 1e-6,
-                 "split": 1}
+      "config": {"duration": 1.0, "dt": 0.01, "max_dt": 0.05, "tol": 1e-6}
     }
 
 The `config` keys are the fields of `config.SimConfig`, each value checked

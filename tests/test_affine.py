@@ -477,9 +477,3 @@ def test_compare_trivalent_soundness_sampled():
             elif verdict is Trivalent.FALSE:
                 assert not truth
 
-
-def test_allocator_fork():
-    alloc = NoiseAllocator()
-    alloc.fresh(), alloc.fresh()
-    child = alloc.fork()
-    assert child.fresh() == alloc.fresh()

@@ -21,12 +21,9 @@ BAD_NUMBERS = {
     "negative": (-1, "-1", "-1"),
 }
 
-BAD_VALUES = (
-    [(name, *vals) for name in FIELD_TYPES for vals in BAD_NUMBERS.values()]
-    + [("split", 1.5, "1.5", "1.5")]
-)
-IDS = ([f"{name}-{kind}" for name in FIELD_TYPES for kind in BAD_NUMBERS]
-       + ["split-fraction"])
+BAD_VALUES = [(name, *vals) for name in FIELD_TYPES
+              for vals in BAD_NUMBERS.values()]
+IDS = [f"{name}-{kind}" for name in FIELD_TYPES for kind in BAD_NUMBERS]
 
 
 # The bad setting comes first: it is rejected before a later statement or
@@ -62,9 +59,8 @@ def test_bad_setting_rejected_where_read(name, value, json_value, dsl_value):
 
 
 def test_values_are_normalised_to_the_field_type():
-    cfg = SimConfig(duration=15, dt=1, split=3.0)
+    cfg = SimConfig(duration=15, dt=1)
     assert type(cfg.duration) is float and type(cfg.dt) is float
-    assert type(cfg.split) is int and cfg.split == 3
     with pytest.raises(ConfigError):
         check_setting("tol", 10 ** 400)  # an int no float can hold
 

@@ -13,6 +13,7 @@ from hyflow import dsl as D
 from hyflow import expr as ex
 from hyflow.engine import simulate, validate_monte_carlo
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
+from hyflow.config import SimConfig
 from hyflow.errors import ModelError
 from hyflow.integrator import ODE23, FlowContext
 from hyflow.interval import Interval
@@ -191,12 +192,24 @@ def test_op_row_is_consistent(op, operands):
             assert slope == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
+# a bouncing ball whose constants no other model or test interns, so its
+# nodes are new whatever ran before
+FRESH_BALL = """\
+set duration = 1;
+init y = [3.17, 3.18];
+init vy = 0;
+g = 9.79;
+y' = vy;
+vy' = -g;
+on y <= 0 do { vy = -0.77*vy };
+"""
+
+
 def test_dropped_model_frees_its_nodes():
     gc.collect()
     before = len(ex._INTERN)
-    ha, cfg = benchmarks.load(benchmarks.REGISTRY["bouncing_ball"],
-                              duration=1.0)
-    pipe = simulate(ha, cfg)
+    ha, settings = D.lower_to_automaton(D.parse_dsl(FRESH_BALL))
+    pipe = simulate(ha, SimConfig(**settings))
     assert pipe.complete
     assert validate_monte_carlo(ha, pipe, 2, seed=1)["contained"] == 2
     assert len(ex._INTERN) > before

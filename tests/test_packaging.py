@@ -1,7 +1,8 @@
 """Project metadata: every console-script entry point and every name a
 module exports must resolve, every name the benchmark's layer trace
-patches must resolve and be called where it is patched, and no module
-imports a name it never reads."""
+patches must resolve and be called where it is patched, no module
+imports a name it never reads, and every top-level function and class of
+the package is read by the package or the benchmark."""
 
 import ast
 import importlib
@@ -117,3 +118,60 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in sorted((root / folder).glob("*.py"))
               if (found := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+# top-level names of the package that only tests read, with the reason
+TEST_ONLY = {
+    "affine.sample": "the test oracle: a form's value at one valuation of "
+                     "its noise symbols",
+}
+
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(source: str) -> list:
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, DEFINITION)]
+
+
+def names_read(source: str) -> set:
+    """Names `source` reads, as a loaded name or an attribute; a read inside
+    the body of the top-level definition of that name does not count."""
+    read = set()
+    for stmt in ast.parse(source).body:
+        own = stmt.name if isinstance(stmt, DEFINITION) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                    node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name != own:
+                    read.add(name)
+    return read
+
+
+def test_dead_definition_scan_skips_reads_in_their_own_body():
+    source = """import math
+def walk(n):
+    return walk(n - 1) if n else math.pi
+def used():
+    return 1
+class Node:
+    def child(self):
+        return Node()
+x = used()
+"""
+    assert [name for name in definitions(source)
+            if name not in names_read(source)] == ["walk", "Node"]
+    assert "pi" in names_read(source)
+
+
+def test_every_definition_is_read_outside_the_tests():
+    root = PYPROJECT.parent
+    package = sorted((root / "src" / "hyflow").glob("*.py"))
+    readers = package + [path for path in sorted((root / "perfbench")
+                                                  .glob("*.py"))
+                         if not path.name.startswith("test_")]
+    read = set().union(*(names_read(path.read_text()) for path in readers))
+    unread = [f"{path.stem}.{name}" for path in package
+              for name in definitions(path.read_text()) if name not in read]
+    assert unread == sorted(TEST_ONLY)

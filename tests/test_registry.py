@@ -15,28 +15,29 @@ import pytest
 from hyflow import benchmarks
 from hyflow import dsl as D
 from hyflow.config import FIELD_TYPES, SimConfig
-from hyflow.engine import _branch_contains, simulate, validate_monte_carlo
+from hyflow.engine import (REL_TOL, _branch_contains, reference_step,
+                           simulate, validate_monte_carlo)
 from hyflow.errors import HyflowError, ParseError, SchemaError
 from hyflow.expr import prepare_automaton
 from hyflow.jsonmodel import parse_json_automaton
 from hyflow.reference import ReferenceSimulator
 
-# (duration, dt, max_dt, tol, split) of each entry, as loaded before the
-# settings had one declaration
+# (duration, dt, max_dt, tol) of each entry, as loaded before the settings
+# had one declaration
 PINNED = {
-    "brusselator": (15.0, 0.02, 0.1, 1e-6, 3),
-    "car": (30.0, 0.02, 0.1, 1e-6, 1),
-    "windy_ball": (13.0, 0.02, 0.05, 1e-6, 1),
-    "pendulum": (3.8, 0.05, 0.1, 1e-6, 1),
-    "sinusoidal_ball": (2.8, 0.02, 0.05, 1e-6, 1),
-    "bouncing_ball": (10.0, 0.02, 0.1, 1e-6, 1),
-    "vanderpol": (6.0, 0.02, 0.1, 1e-6, 1),
-    "lorenz": (1.0, 0.02, 0.02, 1e9, 1),
-    "wolfgram": (1.0, 0.01, 0.05, 1e-7, 1),
-    "thermostat": (15.0, 0.02, 0.1, 1e-6, 1),
-    "watertank": (30.0, 0.02, 0.1, 1e-6, 1),
-    "hybrid3d": (2.0, 0.02, 0.05, 1e-6, 1),
-    "diode_oscillator": (20.0, 0.02, 0.1, 1e-6, 1),
+    "brusselator": (15.0, 0.02, 0.1, 1e-6),
+    "car": (30.0, 0.02, 0.1, 1e-6),
+    "windy_ball": (13.0, 0.02, 0.05, 1e-6),
+    "pendulum": (3.8, 0.05, 0.1, 1e-6),
+    "sinusoidal_ball": (2.8, 0.02, 0.05, 1e-6),
+    "bouncing_ball": (10.0, 0.02, 0.1, 1e-6),
+    "vanderpol": (6.0, 0.02, 0.1, 1e-6),
+    "lorenz": (1.0, 0.02, 0.02, 1e9),
+    "wolfgram": (1.0, 0.01, 0.05, 1e-7),
+    "thermostat": (15.0, 0.02, 0.1, 1e-6),
+    "watertank": (30.0, 0.02, 0.1, 1e-6),
+    "hybrid3d": (2.0, 0.02, 0.05, 1e-6),
+    "diode_oscillator": (20.0, 0.02, 0.1, 1e-6),
 }
 
 
@@ -56,7 +57,6 @@ ACCEPTED = {
     "dt": (0.01, "0.01"),
     "max_dt": (0.05, "0.05"),
     "tol": (1e-7, "1e-7"),
-    "split": (2, "2"),
 }
 
 JSON_MODEL = """{
@@ -136,8 +136,9 @@ SLOW = {
     "windy_ball": ("D3: the crossing time is not correlated with the "
                    "state, so width grows across bounces until the branch "
                    "cap", "BranchCap"),
-    "brusselator": ("D4: every split=3 cell fails Picard near t=6.2",
-                    "Picard enclosure failed"),
+    "brusselator": ("D4: the set's width grows from 0.12 at t=5.59 to "
+                    "~740 at t=6.207, where Picard fails at the minimal "
+                    "step size", "Picard enclosure failed"),
 }
 
 
@@ -259,9 +260,7 @@ def grid_failure(ha, pipe) -> str | None:
         return failure(ha, pipe)
     prepared, _ = prepare_automaton(ha)
     order = list(prepared.variables)
-    # validate_monte_carlo's default reference step and tolerance
-    h_ref = min(1e-3, max((pipe.t_f - pipe.t0) / 20000.0, 1e-5))
-    rel_tol = 1e-7
+    h_ref = reference_step(pipe.t_f - pipe.t0)
     sim = ReferenceSimulator(prepared, h_ref)
     axes = [sorted({b.lo, b.mid, b.hi})
             for b in map(prepared.initial_box.get, order)]
@@ -273,7 +272,7 @@ def grid_failure(ha, pipe) -> str | None:
         except (HyflowError, OverflowError, ValueError) as e:
             escaped.append((x0, {"skipped": str(e)}))
             continue
-        checks = [_branch_contains(b, traj, order, pipe.t_f, h_ref, rel_tol)
+        checks = [_branch_contains(b, traj, order, pipe.t_f, h_ref, REL_TOL)
                   for b in pipe.branches if b.complete]
         if not any(good for good, _ in checks):
             escaped.append((x0, checks[-1][1]))
