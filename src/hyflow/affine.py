@@ -8,6 +8,13 @@ near-zero form instead of the interval-arithmetic blowup); nonlinear
 operations linearize at the center and bound the remainder with a fresh
 noise symbol.
 
+Linear combinations take one pass and one running-error sum however many
+terms they have: `lin` with exact float coefficients (each linear subtree
+of a compiled `expr` program is one call), `scale_interval` by an
+uncertain scalar in an interval (a division by a constant, the
+interpolator's 1/H), and `add_scaled_many` with interval coefficients over
+a base form (the Runge-Kutta stages).
+
 Noise symbols are plain integers issued by a `NoiseAllocator`; all forms
 that interact must share one allocator. A simulation run has one
 allocator, and so one id space, for its whole task tree.
@@ -263,6 +270,67 @@ def scale(x: AffineForm, a: float) -> AffineForm:
     return _mk(c, dev, _finish_slack(slack, esum, ecnt))
 
 
+def scale_interval(x: AffineForm, lo: float, hi: float) -> AffineForm:
+    """x scaled by an uncertain scalar s in [lo, hi]; no fresh symbol.
+    x is scaled by the midpoint m, and (s - m) x goes to slack."""
+    mid = 0.5 * (lo + hi)
+    out = scale(x, mid)
+    r = max(hi - mid, mid - lo)
+    if r != 0.0:
+        extra = rd.mul_up(rd.next_up(r), to_interval(x).mag)
+        out = AffineForm(out.center, out.dev, rd.next_up(out.slack + extra))
+    return out
+
+
+def lin(const: float, terms) -> AffineForm:
+    """const + sum(c * x) over `terms`, pairs (c, x) of an exact float c
+    and a form; one pass, no fresh symbol.
+
+    Sound by the rules of `add_scaled_many` with every scalar a point:
+    every partial sum, the slacks' included, enters one running-error sum,
+    and exact zero sums are dropped. A product by c = +-1 is exact; the
+    products by any other c are charged at once, as |c| times x's center
+    and deviations in magnitude. `expr` compiles each linear subtree of a
+    DAG to one call.
+    """
+    center = const
+    dev: dict = {}
+    slack = esum = 0.0
+    ecnt = 0
+    for c, x in terms:
+        xdev = x.dev
+        xs = x.slack
+        center += c * x.center
+        esum += center if center >= 0.0 else -center
+        ecnt += 2 * len(xdev) + 4
+        if c == 1.0 or c == -1.0:
+            if xs != 0.0:
+                slack += xs
+                esum += slack
+        else:
+            a = abs(c)
+            esum += a * (abs(x.center) + sum(map(abs, xdev.values())))
+            if xs != 0.0:
+                xs *= a
+                slack += xs
+                esum += xs + slack
+        if not dev:
+            dev = dict(xdev) if c == 1.0 else {i: c * v for i, v in xdev.items()}
+            continue
+        for i, xi in xdev.items():
+            d = dev.get(i)
+            if d is None:
+                dev[i] = c * xi
+                continue
+            s = d + c * xi
+            if s == 0.0:
+                del dev[i]
+            else:
+                dev[i] = s
+                esum += s if s >= 0.0 else -s
+    return _mk(center, dev, _finish_slack(slack, esum, ecnt))
+
+
 def add_scaled_many(base: AffineForm, terms) -> AffineForm:
     """base + sum(s * x) over `terms`, triples (lo, hi, x) with the
     uncertain scalar s in [lo, hi]; one pass, no fresh symbol.
@@ -325,42 +393,36 @@ def mul(x: AffineForm, y: AffineForm, alloc: NoiseAllocator) -> AffineForm:
         return scale(y, x.center)
     xc, yc = x.center, y.center
     center = xc * yc
-    esum = abs(center)
-    ecnt = 1
+    xdev, ydev = x.dev, y.dev
     dev = {}
-    ydev = y.dev
     ax = 0.0
-    for i, xi in x.dev.items():
-        ax += abs(xi) if xi >= 0.0 else -xi
+    for i, xi in xdev.items():
+        ax += xi if xi >= 0.0 else -xi
         yi = ydev.get(i)
-        q1 = xi * yc
-        if yi is None:
-            g = q1
-            esum += abs(g)
-            ecnt += 1
-        else:
-            q2 = xc * yi
-            g = q1 + q2
-            esum += abs(q1) + abs(q2) + abs(g)
-            ecnt += 3
+        g = xi * yc if yi is None else xi * yc + xc * yi
         if g != 0.0:
             dev[i] = g
     ay = 0.0
     for i, yi in ydev.items():
-        ay += abs(yi) if yi >= 0.0 else -yi
-        if i in x.dev:
-            continue
-        g = xc * yi
-        esum += abs(g)
-        ecnt += 1
-        if g != 0.0:
-            dev[i] = g
-    nx, ny = len(x.dev), len(ydev)
+        ay += yi if yi >= 0.0 else -yi
+        if i not in xdev:
+            g = xc * yi
+            if g != 0.0:
+                dev[i] = g
+    # The products xi*yc and xc*yi are charged at once, through ax and ay,
+    # and twice over: on a shared symbol their sum is at most the two
+    nx, ny = len(xdev), len(ydev)
+    esum = abs(center) + 2.0 * (abs(yc) * ax + abs(xc) * ay)
+    ecnt = 1 + 2 * (nx + ny)
     ax += ax * (nx * _EPS) + nx * _SUBNORM
     ay += ay * (ny * _EPS) + ny * _SUBNORM
     sx, sy = x.slack, y.slack
-    nu = ax * ay
-    nu += nu * (4.0 * _EPS) + _SUBNORM
+    # D_x * D_y is exactly 0 when either deviation sum is empty, and then
+    # it needs neither a rounding charge nor a fresh symbol
+    nu = 0.0
+    if nx and ny:
+        nu = ax * ay
+        nu += nu * (4.0 * _EPS) + _SUBNORM
     # Cross terms between slacks, centers and deviations cannot stay
     # correlated; they all land in slack.
     slack = 0.0

@@ -100,6 +100,7 @@ class Flowpipe:
     t0: float
     t_f: float
     stats: dict
+    warnings: tuple = ()  # edges whose boundary exit is not verified
 
 
 @dataclass
@@ -152,8 +153,14 @@ def _padded_box(env, fvals, slab_width):
     trajectory's exact time inside it, so covering the whole slab costs an
     extra width * |flow| margin, with `fvals` the flow over `env`: for a
     tight box, the flow its step evaluated over the start set
-    (`StepOutcome.f0`). The 1.001 factor absorbs the flow's variation
-    across the drift for any Lipschitz constant up to ~1e3/width.
+    (`StepOutcome.f0`).
+
+    The pad is sound only while |f| along a drifting trajectory stays
+    within 1.001 |f(env)|. With L a Lipschitz constant of f along the
+    drift, |f| can grow by e^(L*width), so the 1.001 factor covers only
+    L * width <~ 1e-3; nothing checks that. A wider product is not covered:
+    after thermostat's jumps L = 0.1 and width = 0.168 give 0.017, and the
+    published boxes miss trajectories (ROADMAP A7).
     """
     if slab_width <= 0.0:
         return _box(env)
@@ -412,8 +419,10 @@ class _Engine:
 
 def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
     """Compute a guaranteed flowpipe of the automaton over [0, duration]:
-    one task tree grown from the whole initial box."""
-    prepared, _warnings = prepare_automaton(ha)
+    one task tree grown from the whole initial box. The flowpipe's
+    `warnings` are those of `prepare_automaton`: edges whose boundary exit
+    the strictness transform could not verify."""
+    prepared, warnings = prepare_automaton(ha)
     eng = _Engine(prepared, cfg)
     box = prepared.initial_box
     env0 = {v: af.from_interval(box[v], eng.alloc) for v in prepared.variables}
@@ -429,7 +438,7 @@ def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
     eng.stats["branches"] = len(eng.branches)
     complete = all(b.complete for b in eng.branches) and bool(eng.branches)
     return Flowpipe(prepared.variables, eng.branches, complete, 0.0,
-                    cfg.duration, eng.stats)
+                    cfg.duration, eng.stats, tuple(warnings))
 
 
 # ------------------------------------------------------------- validation

@@ -7,19 +7,25 @@ polynomial in the number of *distinct* subterms. Smart constructors fold
 constants and the cheap identities; there is deliberately no general CAS.
 
 Every operator is declared once, as a row of `OPS`: its constant fold, its
-smart constructor, its affine evaluation, its derivative rule, and the
-templates of its compiled scalar code and of its text. The walkers
+smart constructor, its affine evaluation, its derivative rule, the
+templates of its compiled scalar code and of its text, and, for add, sub,
+neg, mul and div, its coefficients where the node is linear. The walkers
 (`derivative`, `substitute`, `to_text`) and the code generator handle the
 leaves `const` and `var` and dispatch every other node through its row, and
 the DSL reads its function names from the table. Every walk visits the DAG
 in `_postorder` order. The operators are add, sub, mul, div, neg, pow
 (integer exponent), sin, cos, exp, sqrt, log, abs and sgn.
 
-Both evaluations run straight-line programs from one generator, with one
-assignment per distinct node: over affine forms (range-sound, used by the
-guaranteed engine; `eval_affine_many` builds the program for a tuple of
-roots on first use and keeps it on the newest root), and over floats
-(`compile_scalar`, used by the independent reference simulator and tests).
+Both evaluations run straight-line programs from one generator, with at
+most one assignment per distinct node. Over floats (`compile_scalar`, used
+by the independent reference simulator and tests) every node gets one.
+Over affine forms (range-sound, used by the guaranteed engine;
+`eval_affine_many` builds the program for a tuple of roots on first use and
+keeps it on the newest root), each maximal linear subtree is one `af.lin`
+call: linear operations are exact on the noise symbols, so the subtree
+needs one pass and one rounding sum, not one per node. A division by a
+constant whose reciprocal is not a float scales by an enclosure of it, and
+constants are forms built once per program.
 
 The intern table holds its nodes weakly, and each node carries its own
 free-variable and derivative memos and its affine programs, so a dropped
@@ -32,10 +38,13 @@ import itertools
 import math
 import operator
 import weakref
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
+from . import _round as rd
 from . import affine as af
 from .affine import AffineForm, NoiseAllocator, Rel
 from .errors import ConfigError, ModelError
@@ -201,7 +210,11 @@ sgn = partial(_unary, "sgn")
 class Op(NamedTuple):
     """One operator's meaning. Each callable takes the argument values in
     order, then the node's `params`; `deriv` takes the node itself and the
-    arguments' derivatives."""
+    arguments' derivatives. `linear`, on the rows of add, sub, neg, mul and
+    div, takes the node and gives its value as sum(q * argument), pairs
+    (Fraction q, argument), or None where the node is not linear: a
+    product of two non-constants, or a division by a non-constant or by
+    zero."""
 
     fold: Callable    # floats -> float: the constant fold
     make: Callable    # Exprs -> Expr: the smart constructor
@@ -209,6 +222,7 @@ class Op(NamedTuple):
     deriv: Callable   # (node, argument derivatives) -> Expr
     py: str           # compile_scalar code over the arguments' names
     text: str         # to_text rendering, parseable by the DSL
+    linear: Callable | None = None  # node -> ((Fraction, Expr), ...) | None
 
 
 def _d_div(e, da, db):
@@ -221,6 +235,27 @@ def _d_pow(e, da):
     return mul(mul(const(float(k)), pow_int(a, k - 1)), da)
 
 
+def _scaled(e):
+    """A product with a constant factor, as (factor, other factor)."""
+    a, b = e.args
+    if b.op == "const":
+        return ((Fraction(b.value), a),)
+    if a.op == "const":
+        return ((Fraction(a.value), b),)
+    return None
+
+
+def _divided(e):
+    """A division by a nonzero constant, as (its reciprocal, dividend)."""
+    a, b = e.args
+    if b.op == "const" and b.value != 0.0:
+        return ((1 / Fraction(b.value), a),)
+    return None
+
+
+_PLUS, _MINUS = Fraction(1), Fraction(-1)
+
+
 def _function(name, fold, deriv):
     """The row of a unary function written `name(u)` in both languages and
     evaluated over affine forms by its Taylor model."""
@@ -230,19 +265,22 @@ def _function(name, fold, deriv):
 
 OPS = {
     "add": Op(operator.add, add, lambda x, y, alloc: x + y,
-              lambda e, da, db: add(da, db), "{0} + {1}", "({0} + {1})"),
+              lambda e, da, db: add(da, db), "{0} + {1}", "({0} + {1})",
+              lambda e: ((_PLUS, e.args[0]), (_PLUS, e.args[1]))),
     "sub": Op(operator.sub, sub, lambda x, y, alloc: x - y,
-              lambda e, da, db: sub(da, db), "{0} - {1}", "({0} - {1})"),
+              lambda e, da, db: sub(da, db), "{0} - {1}", "({0} - {1})",
+              lambda e: ((_PLUS, e.args[0]), (_MINUS, e.args[1]))),
     # af.mul is looked up at each call, so a wrapper installed on the
     # affine module (perfbench's call counter) sees these products too
     "mul": Op(operator.mul, mul, lambda x, y, alloc: af.mul(x, y, alloc),
               lambda e, da, db: add(mul(da, e.args[1]), mul(e.args[0], db)),
-              "{0} * {1}", "({0} * {1})"),
+              "{0} * {1}", "({0} * {1})", _scaled),
     "div": Op(operator.truediv, div, af.div, _d_div, "{0} / {1}",
-              "({0} / {1})"),
+              "({0} / {1})", _divided),
     # linear: needs no fresh noise symbol, so the allocator goes unused
     "neg": Op(operator.neg, neg, lambda x, alloc: af.neg(x),
-              lambda e, da: neg(da), "-({0})", "(-{0})"),
+              lambda e, da: neg(da), "-({0})", "(-{0})",
+              lambda e: ((_MINUS, e.args[0]),)),
     "pow": Op(operator.pow, pow_int, af.pow_int, _d_pow, "({0}) ** {1}",
               "({0}^{1})"),
     "sin": _function("sin", math.sin,
@@ -336,16 +374,18 @@ def substitute(e: Expr, mapping: dict) -> Expr:
 def _program(roots, head: str, rhs, ns: dict):
     """Compile the DAG of `roots` into one straight-line function.
 
-    `head` is the function's `def` line. Each distinct node gets one
-    assignment, `rhs(node, argument names)`, in `_postorder` order, and the
-    function returns the roots' values in a list.
+    `head` is the function's `def` line, and node n's value is named
+    `_t<n.eid>`. Each distinct node, in `_postorder` order, gets the
+    assignment `rhs(node, argument names)`, or none where that is None (a
+    value `ns` holds, or one no line reads), and the function returns the
+    roots' values in a list.
     """
-    names: dict = {}
     lines = [head]
     for n in _postorder(roots):
-        t = names[n.eid] = f"_t{len(names)}"
-        lines.append(f"    {t} = {rhs(n, [names[a.eid] for a in n.args])}")
-    lines.append(f"    return [{', '.join(names[r.eid] for r in roots)}]\n")
+        value = rhs(n, [f"_t{a.eid}" for a in n.args])
+        if value is not None:
+            lines.append(f"    _t{n.eid} = {value}")
+    lines.append(f"    return [{', '.join(f'_t{r.eid}' for r in roots)}]\n")
     exec("\n".join(lines), ns)  # noqa: S102 - generated from our own DAG only
     return ns["_fn"]
 
@@ -357,19 +397,110 @@ def _bound(env: dict, name: str) -> AffineForm:
     return value
 
 
-def _affine_rhs(n: Expr, args: list) -> str:
-    if n.op == "const":
-        return f"_form({n.value!r})"
-    if n.op == "var":
-        return f"_bound(_env, {n.name!r})"
-    return f"_{n.op}({', '.join([*args, *map(repr, n.params), '_alloc'])})"
+def _linear(n: Expr):
+    row = OPS.get(n.op)
+    return None if row is None or row.linear is None else row.linear(n)
 
 
-# An affine program calls each op's row (so `mul` reaches `af.mul` through
-# the row's lookup at each call, where a wrapper on the affine module sees
-# it) with the allocator appended.
-_AFFINE_NS = {"_form": AffineForm, "_bound": _bound,
+def _exact(q: Fraction) -> float | None:
+    """q as a float when it is one exactly, else None."""
+    try:
+        f = float(q)
+    except OverflowError:
+        return None
+    return f if Fraction(f) == q else None
+
+
+def _affine_rhs(roots, order):
+    """The `rhs` of the affine program of `roots`, whose nodes in
+    `_postorder` order are `order`.
+
+    A linear node (its row's `linear`) read once, by a linear node of
+    exact coefficients, and not a root is interior: it gets no line, and
+    the nearest node above it that is not interior sums its whole linear
+    subtree in one `af.lin` call. A coefficient is a product of
+    coefficients along the path, kept in `Fraction`; where one would not
+    be exactly a float, the node below stays a term of its own. Constant
+    terms are folded into `lin`'s constant while the sum stays exact, and
+    like terms are merged where the merged coefficient is exact. A linear
+    node whose own coefficient is not a float (a division by a constant c
+    with 1/c inexact) scales its argument by an enclosure of it.
+    """
+    uses = Counter(a.eid for n in order for a in n.args)
+    for r in roots:
+        uses[r.eid] += 2  # a root is never interior
+    coef = {}  # interior node eid -> its coefficient in its subtree's sum
+    for n in reversed(order):  # every node before its arguments
+        terms = _linear(n)
+        if terms is None:
+            continue
+        k = coef.get(n.eid, 1)
+        for q, a in terms:
+            sub = _linear(a) if uses[a.eid] == 1 else None
+            if sub is not None and _exact(k * q) is not None and all(
+                    _exact(k * q * q2) is not None for q2, _ in sub):
+                coef[a.eid] = k * q
+
+    def lin_call(terms):
+        const = Fraction(0)
+        entries = []  # [coefficient, node] in first-seen order
+        last = {}  # node eid -> index of its newest entry
+        stack = [(q, a) for q, a in reversed(terms)]
+        while stack:
+            k, a = stack.pop()
+            if a.eid in coef:
+                stack.extend((k * q, b) for q, b in reversed(_linear(a)))
+                continue
+            if a.op == "const":
+                total = const + k * Fraction(a.value)
+                if _exact(total) is not None:
+                    const = total
+                    continue
+            i = last.get(a.eid)
+            if i is not None and _exact(entries[i][0] + k) is not None:
+                entries[i][0] += k
+            else:
+                last[a.eid] = len(entries)
+                entries.append([k, a])
+        pairs = "".join(f"({float(k)!r}, _t{a.eid}), " for k, a in entries if k)
+        return f"_lin({float(const)!r}, ({pairs}))"
+
+    def rhs(n, args):
+        if n.op == "const" or n.eid in coef:
+            return None
+        if n.op == "var":
+            return f"_bound(_env, {n.name!r})"
+        terms = _linear(n)
+        if terms is not None:
+            if all(_exact(q) is not None for q, _ in terms):
+                return lin_call(terms)
+            if len(terms) == 1:
+                (q, a), = terms
+                mid = float(q)
+                return (f"_scale_interval(_t{a.eid}, {rd.next_down(mid)!r}, "
+                        f"{rd.next_up(mid)!r})")
+        return f"_{n.op}({', '.join([*args, *map(repr, n.params), '_alloc'])})"
+
+    return rhs
+
+
+# An affine program calls `af.lin` and `af.scale_interval` for linear
+# nodes and each other op's row (so `mul` reaches `af.mul` through the
+# row's lookup at each call, where a wrapper on the affine module sees it)
+# with the allocator appended. Its constants are forms, built once per
+# program.
+_AFFINE_NS = {"_bound": _bound, "_lin": af.lin,
+              "_scale_interval": af.scale_interval,
               **{f"_{op}": row.affine for op, row in OPS.items()}}
+
+
+def _affine_program(roots):
+    order = _postorder(roots)
+    ns = dict(_AFFINE_NS)
+    ns.update({f"_t{n.eid}": AffineForm(n.value) for n in order
+               if n.op == "const"})
+    return _program(roots, "def _fn(_env, _alloc):",
+                    _affine_rhs(roots, order), ns)
 
 
 def eval_affine_many(exprs, env: dict, alloc: NoiseAllocator) -> list:
@@ -389,8 +520,7 @@ def eval_affine_many(exprs, env: dict, alloc: NoiseAllocator) -> list:
     key = tuple([r.eid for r in roots])
     fn = home._prog.get(key)
     if fn is None:
-        fn = home._prog[key] = _program(roots, "def _fn(_env, _alloc):",
-                                        _affine_rhs, dict(_AFFINE_NS))
+        fn = home._prog[key] = _affine_program(roots)
     return fn(env, alloc)
 
 

@@ -224,17 +224,6 @@ def env_condense(env: Env, budget: int, alloc) -> Env:
     return {v: af.condense(f, budget, alloc) for v, f in env.items()}
 
 
-def scale_interval(x: AffineForm, lo: float, hi: float) -> AffineForm:
-    """x scaled by an uncertain scalar s in [lo, hi]; no fresh symbol."""
-    mid = 0.5 * (lo + hi)
-    r = rd.next_up(max(hi - mid, mid - lo))
-    out = af.scale(x, mid)
-    if r != 0.0:
-        extra = rd.mul_up(r, af.to_interval(x).mag)
-        out = AffineForm(out.center, out.dev, rd.next_up(out.slack + extra))
-    return out
-
-
 def _scaled_coef(h: float, fr: Fraction):
     mid, r = _coef(fr)
     if r == 0.0:

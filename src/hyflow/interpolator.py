@@ -33,7 +33,7 @@ from . import expr as ex
 from . import interval as iv
 from .affine import NoiseAllocator
 from .errors import DomainError
-from .integrator import FlowContext, scale_interval
+from .integrator import FlowContext
 from .interval import Interval
 
 
@@ -82,7 +82,7 @@ def eval_gpoly(g: GPoly, t: Interval, alloc: NoiseAllocator,
     # and b1 = (tau - H) s^2, with s = tau / H
     tau = af.from_interval(t, alloc)
     inv = iv.div(Interval(1.0, 1.0), Interval(h, h))
-    s = scale_interval(tau, inv.lo, inv.hi)
+    s = af.scale_interval(tau, inv.lo, inv.hi)
     u = 1.0 - s
     b0 = af.mul(tau, af.mul(u, u, alloc), alloc)
     s2 = af.mul(s, s, alloc)

@@ -443,6 +443,125 @@ def test_add_scaled_many_encloses_the_exact_combination(seed):
         assert abs(exact - exact_at(r, val)) <= Fraction(r.slack)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_lin_encloses_the_exact_combination(seed):
+    # const + sum(c * x) evaluated exactly at one valuation lies within the
+    # result's center plus its deviations there, plus or minus its slack;
+    # unit coefficients, repeated forms and exact cancellation included
+    rng = random.Random(seed)
+
+    def coef():
+        return rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-6, 2)
+
+    terms = []
+    for j in range(rng.randint(1, 5)):
+        ids = [i for i in range(4) if rng.random() < 0.6]
+        ids += [10 * (j + 1) + k for k in range(rng.randint(0, 3))]
+        x = AffineForm(coef(), {i: coef() for i in ids},
+                       rng.choice((0.0, abs(coef()))))
+        c = rng.choice((1.0, -1.0, 0.5, coef()))
+        terms.append((c, x))
+    if rng.random() < 0.5:
+        terms.append((rng.choice((1.0, 3.0)), terms[0][1]))
+    # a term that cancels symbol 9 to exactly 0
+    terms += [(1.0, AffineForm(0.0, {9: 0.75})), (-0.5, AffineForm(0.0, {9: 1.5}))]
+    const = rng.choice((0.0, coef()))
+    r = af.lin(const, terms)
+    assert 9 not in r.dev
+
+    ids = set().union(*(x.dev for _, x in terms))
+    for trial in range(12):
+        if trial < 4:
+            val = {i: Fraction(rng.choice((-1, 1))) for i in ids}
+        else:
+            val = {i: Fraction(rng.uniform(-1.0, 1.0)) for i in ids}
+        exact = Fraction(const)
+        for c, x in terms:
+            pos = Fraction(rng.choice((-1.0, 1.0, rng.uniform(-1.0, 1.0))))
+            exact += Fraction(c) * exact_at(x, val, pos)
+        assert abs(exact - exact_at(r, val)) <= Fraction(r.slack)
+
+
+def test_lin_of_no_terms_is_its_constant():
+    r = af.lin(0.5, ())
+    assert (r.center, r.dev, r.slack) == (0.5, {}, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_scale_interval_encloses_every_scaling(seed):
+    rng = random.Random(seed)
+    x = AffineForm(rng.uniform(-5, 5), {i: rng.uniform(-1, 1) for i in range(3)},
+                   rng.choice((0.0, 1e-3)))
+    lo = rng.uniform(-2, 2)
+    hi = rng.choice((lo, lo + rng.uniform(0, 1)))
+    r = af.scale_interval(x, lo, hi)
+    assert set(r.dev) <= set(x.dev)  # no fresh symbol
+    for _ in range(12):
+        val = {i: Fraction(rng.uniform(-1.0, 1.0)) for i in x.dev}
+        s = Fraction(rng.choice((lo, hi, rng.uniform(lo, hi))))
+        exact = s * exact_at(x, val, Fraction(rng.uniform(-1.0, 1.0)))
+        assert abs(exact - exact_at(r, val)) <= Fraction(r.slack)
+    if lo == hi:  # a point scalar is a plain scaling
+        assert r.slack == af.scale(x, lo).slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000))
+def test_mul_encloses_the_exact_product(seed):
+    # x * y evaluated exactly at one valuation, each slack at some position,
+    # lies within the product's center plus its deviations there, plus or
+    # minus its slack and its fresh symbol's coefficient; deviations and
+    # slacks far below the centers' rounding leave that room to the
+    # rounding charges
+    rng = random.Random(seed)
+
+    def coef():
+        return rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-3, 2)
+
+    def form():
+        ids = [i for i in range(6) if rng.random() < 0.6]
+        tiny = 10.0 ** rng.choice((-20, -10, 0))
+        return AffineForm(coef(), {i: coef() * tiny for i in ids},
+                          rng.choice((0.0, 1e-30, abs(coef()) * tiny)))
+
+    x, y = form(), form()
+    alloc = NoiseAllocator(100)
+    r = af.mul(x, y, alloc)
+    fresh = [c for i, c in r.dev.items() if i >= 100]
+    assert len(fresh) <= 1
+    room = Fraction(r.slack) + sum(map(Fraction, fresh))
+    ids = set(x.dev) | set(y.dev)
+    for trial in range(12):
+        val = {i: Fraction(rng.choice((-1.0, 1.0, rng.uniform(-1.0, 1.0))))
+               for i in ids}
+
+        def pos():
+            return Fraction(rng.choice((-1.0, 1.0, rng.uniform(-1.0, 1.0))))
+
+        exact = exact_at(x, val, pos()) * exact_at(y, val, pos())
+        val.update((i, Fraction(0)) for i in r.dev if i >= 100)
+        assert abs(exact - exact_at(r, val)) <= room
+
+
+def test_mul_by_a_form_without_symbols_draws_none():
+    # D_x * D_y is exactly 0 when one operand's deviation sum is empty, so
+    # the product needs no fresh symbol for it, slack or not
+    rng = random.Random(3)
+    x = AffineForm(0.7, {0: 0.25, 1: -0.5}, 1e-9)
+    for y in (AffineForm(-2.0, None, 1e-3), AffineForm(1.5, None, 0.0)):
+        for a, b in ((x, y), (y, x)):
+            alloc = NoiseAllocator(100)
+            r = af.mul(a, b, alloc)
+            assert alloc.fresh() == 100 and set(r.dev) <= {0, 1}
+            for _ in range(50):
+                val = {i: rng.uniform(-1, 1) for i in x.dev}
+                value = (af.sample(x, val, rng.uniform(-1, 1))
+                         * af.sample(y, val, rng.uniform(-1, 1)))
+                check_contains(r, value, tol=0.0)
+
+
 def test_hull_pointwise_soundness_shared_symbols():
     # Joining forms that share symbols must stay sound for every valuation
     # of the shared part; exercised with third forms correlated to both.

@@ -8,6 +8,7 @@ import pytest
 
 from hyflow import affine as af
 from hyflow import benchmarks, engine
+from hyflow import dsl as D
 from hyflow import expr as ex
 from hyflow.affine import NoiseAllocator, Rel
 from hyflow.engine import SimConfig, simulate, validate_monte_carlo
@@ -459,3 +460,26 @@ def test_validator_stops_at_a_window_that_opens_before_the_segment():
     assert check(branch(10.6)) == (True, None)
     ok, detail = check(branch(10.3))
     assert not ok and detail["kind"] == "hull" and detail["t"] > 0.3
+
+
+COMPOUND_BALL = """\
+set duration = 0.3;
+init y = [1, 1.01];
+init vy = 0;
+y' = vy;
+vy' = -9.81;
+on y <= 0 and y >= -1 do { vy = -0.8*vy };
+"""
+
+
+def test_flowpipe_carries_the_transform_warnings():
+    ha, settings = D.lower_to_automaton(D.parse_dsl(COMPOUND_BALL))
+    pipe = simulate(ha, SimConfig(**settings))
+    assert pipe.complete
+    assert pipe.warnings == (
+        "event0: compound guard: cannot verify boundary exit",)
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY["wolfgram"], duration=0.05)
+    assert simulate(ha, cfg).warnings == (
+        "leave-circle: guard is not of the form variable-vs-expression; "
+        "boundary exit not verified",)
+    assert simulate(decay_automaton(), SimConfig(duration=0.1)).warnings == ()

@@ -2,8 +2,11 @@
 differentiation against finite differences, stage-polynomial derivatives,
 resets and the guard strictness transform."""
 
+import dis
 import gc
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +17,7 @@ from hyflow import expr as ex
 from hyflow.engine import simulate, validate_monte_carlo
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
 from hyflow.config import SimConfig
-from hyflow.errors import ModelError
+from hyflow.errors import DomainError, ModelError
 from hyflow.integrator import ODE23, FlowContext
 from hyflow.interval import Interval
 from hyflow.trivalent import Trivalent
@@ -221,24 +224,39 @@ def test_dropped_model_frees_its_nodes():
 # --------------------------------------------------------- affine programs
 
 
-def vanderpol_dags():
-    """vanderpol's ode23 f^(3) (Lie) and stage-derivative roots, and an
-    environment over its initial box plus the step-time variable."""
-    ha, _cfg = benchmarks.load(benchmarks.REGISTRY["vanderpol"])
-    (flow,) = ha.flows.values()
-    ctx = FlowContext(ha.variables, flow, ODE23)
-    p = ctx.table.order
-    lie = [ctx.f_deriv(p)[v] for v in ha.variables]
-    stage = [ctx.phi_deriv()[v] for v in ha.variables]
+def model_dags(name, pad=0.0):
+    """The flow, ode23 f^(3) (Lie) and stage-derivative roots of every
+    location of a registry model, by (location, side), and an environment
+    over its initial box, each side widened by `pad` times (1 + its
+    magnitude), plus the step-time variable."""
+    ha, _cfg = benchmarks.load(benchmarks.REGISTRY[name])
     alloc = NoiseAllocator()
-    env = {v: af.from_interval(ha.initial_box[v], alloc) for v in ha.variables}
+    env = {}
+    for v in ha.variables:
+        box = ha.initial_box[v]
+        d = pad * (1.0 + box.mag)
+        env[v] = af.from_interval(Interval(box.lo - d, box.hi + d), alloc)
     env[ex.TAU] = af.from_interval(Interval(0.0, 0.02), alloc)
-    return lie, stage, env, alloc
+    dags = {}
+    for loc, flow in ha.flows.items():
+        ctx = FlowContext(ha.variables, flow, ODE23)
+        p = ctx.table.order
+        dags[loc, "flow"] = [flow[v] for v in ha.variables]
+        dags[loc, "lie"] = [ctx.f_deriv(p)[v] for v in ha.variables]
+        dags[loc, "stage"] = [ctx.phi_deriv()[v] for v in ha.variables]
+    return dags, env, alloc
+
+
+def vanderpol_dags():
+    dags, env, alloc = model_dags("vanderpol")
+    return dags["main", "lie"], dags["main", "stage"], env, alloc
 
 
 def interpreted(roots, env, alloc):
     """The roots' values by a plain recursive walk: each node once, its
-    last argument first, each op applied through its row."""
+    last argument first, each op applied through its row, except that a
+    division by a constant c scales by an enclosure of 1/c, as programs
+    do, where the div row would take a reciprocal and a product."""
     vals = {}
 
     def visit(n):
@@ -246,13 +264,19 @@ def interpreted(roots, env, alloc):
             return
         for a in reversed(n.args):
             visit(a)
+        args = [vals[a.eid] for a in n.args]
         if n.op == "const":
             vals[n.eid] = AffineForm(n.value)
         elif n.op == "var":
             vals[n.eid] = env[n.name]
+        elif n.op == "div" and n.args[1].op == "const" and n.args[1].value:
+            q = 1 / Fraction(n.args[1].value)
+            m = float(q)
+            lo, hi = (m, m) if Fraction(m) == q else (
+                math.nextafter(m, -math.inf), math.nextafter(m, math.inf))
+            vals[n.eid] = af.scale_interval(args[0], lo, hi)
         else:
-            vals[n.eid] = ex.OPS[n.op].affine(
-                *(vals[a.eid] for a in n.args), *n.params, alloc)
+            vals[n.eid] = ex.OPS[n.op].affine(*args, *n.params, alloc)
 
     for r in roots:
         visit(r)
@@ -264,18 +288,48 @@ def exact(form):
 
 
 def test_affine_program_matches_a_per_node_walk():
-    """Programs draw fresh noise symbols in the walk's order, so centers,
-    symbol ids, coefficients and slacks agree exactly, on the first
-    (compiling) call and on the cached one."""
-    lie, stage, env, alloc = vanderpol_dags()
-    start = alloc.fresh()
-    for roots in (lie, stage, lie + stage):
-        for _ in range(2):
-            a_prog, a_walk = NoiseAllocator(start), NoiseAllocator(start)
-            got = ex.eval_affine_many(roots, env, a_prog)
-            want = interpreted(roots, env, a_walk)
-            assert [exact(f) for f in got] == [exact(f) for f in want]
-            assert a_prog.fresh() == a_walk.fresh()
+    """A program sums each linear subtree in one `af.lin` call, which
+    rounds differently from a node-by-node walk, so over the flow, Lie and
+    stage DAGs of every registry model the two agree up to rounding: on
+    the first (compiling) call and the cached one, they draw the same
+    fresh symbols (the walk, too, scales at a division by a constant,
+    where the div row would draw one) and each root reads the same ones,
+    each root's width agrees within 1e-9 relative, and the scalar value
+    of the DAG at sampled points of the environment lies in every root.
+    The initial boxes are widened by 1e-3 relative: from a
+    point, a width is all rounding charge, which fused sums lay out
+    differently by design (lorenz's flow: 2.8e-13 fused, 7.1e-14 walked).
+    For the same reason the widths may also differ by 1e-14 of the root's
+    magnitude, which matters only where the width is a tiny share of it
+    (car's third Lie root: width 6.4e-11 at magnitude 1.6e-3)."""
+    rng = random.Random(5)
+    for name in benchmarks.REGISTRY:
+        dags, env, alloc = model_dags(name, pad=1e-3)
+        start = alloc.fresh()
+        order = list(env)
+        ids = {i for f in env.values() for i in f.dev}
+        for (loc, side), roots in dags.items():
+            where = f"{name} {loc} {side}"
+            for _ in range(2):
+                a_prog, a_walk = NoiseAllocator(start), NoiseAllocator(start)
+                got = ex.eval_affine_many(roots, env, a_prog)
+                want = interpreted(roots, env, a_walk)
+                assert a_prog.fresh() == a_walk.fresh(), where
+                for g, w in zip(got, want):
+                    assert set(g.dev) == set(w.dev), where
+                    wg, ww = af.to_interval(g).width, af.to_interval(w).width
+                    floor = 1e-14 * af.to_interval(w).mag
+                    assert abs(wg - ww) <= 1e-9 * ww + floor, (where, wg, ww)
+            if not all(af.to_interval(f).width for f in got):
+                continue
+            fn = ex.compile_scalar(roots, order)
+            for _ in range(20):
+                val = {i: rng.uniform(-1.0, 1.0) for i in ids}
+                for f, value in zip(got, fn([af.sample(env[v], val)
+                                             for v in order])):
+                    box = af.to_interval(f)
+                    tol = 1e-12 * (1.0 + abs(value))
+                    assert box.lo - tol <= value <= box.hi + tol, where
 
 
 def test_affine_program_is_compiled_once(monkeypatch):
@@ -283,6 +337,10 @@ def test_affine_program_is_compiled_once(monkeypatch):
     first = ex.eval_affine_many(iter(stage), env, NoiseAllocator(1000))
     home = max(stage, key=lambda r: r.eid)
     assert tuple(r.eid for r in stage) in home._prog
+    fn = home._prog[tuple(r.eid for r in stage)]
+    # constants are forms built once; no node is kept alive by a program
+    assert not any(isinstance(v, ex.Expr) for v in fn.__globals__.values())
+    assert any(isinstance(v, AffineForm) for v in fn.__globals__.values())
 
     def no_compile(*args):
         raise AssertionError("program compiled again")
@@ -296,7 +354,8 @@ def test_affine_program_is_compiled_once(monkeypatch):
 def test_affine_program_products_reach_the_affine_module(monkeypatch):
     """A program multiplies through `OPS["mul"]`, which looks `af.mul` up
     at each call, so a wrapper installed after compiling sees every
-    product."""
+    product of two non-constants; a product with a constant factor is a
+    term of an `af.lin` sum."""
     lie, _stage, env, _alloc = vanderpol_dags()
     ex.eval_affine_many(lie, env, NoiseAllocator(1000))
     calls = []
@@ -308,8 +367,71 @@ def test_affine_program_products_reach_the_affine_module(monkeypatch):
 
     monkeypatch.setattr(af, "mul", counted)
     ex.eval_affine_many(lie, env, NoiseAllocator(1000))
-    products = sum(n.op == "mul" for n in ex._postorder(lie))
+    order = ex._postorder(lie)
+    products = sum(n.op == "mul" and all(a.op != "const" for a in n.args)
+                   for n in order)
+    assert any(n.op == "mul" and n.args[0].op == "const" for n in order)
     assert products > 0 and len(calls) == products
+
+
+def kernel_calls(roots):
+    """The calls one evaluation of the affine program of `roots` makes,
+    counted in its bytecode: one per node that gets a line."""
+    fn = ex._affine_program(tuple(roots))
+    return sum(ins.opname.startswith("CALL")
+               for ins in dis.get_instructions(fn))
+
+
+def test_fused_programs_pin_their_kernel_calls():
+    """Stage programs make one call per line: a `_bound` per variable, an
+    `af.lin` per maximal linear subtree, and one per other node. Before
+    linear subtrees were fused and constants built once, vanderpol's made
+    126 calls and car's 294, one per node; a change that undoes the fusion
+    fails here."""
+    counts = {}
+    for name in ("vanderpol", "car"):
+        dags, _env, _alloc = model_dags(name)
+        stage = dags["main", "stage"]
+        counts[name] = (ex.count_nodes(*stage), kernel_calls(stage))
+    assert counts == {"vanderpol": (126, 83), "car": (294, 169)}
+
+
+def test_linear_subtrees_fuse_into_one_call():
+    x, y, z = ex.var("x"), ex.var("y"), ex.var("z")
+    xy = ex.mul(x, y)
+    # 0.5*(x*y - 3*z) + (x*y + 0.25): one sum over x*y and z, the like
+    # terms merged to 1.5, the constant folded in
+    e = ex.add(ex.mul(ex.const(0.5), ex.sub(xy, ex.mul(ex.const(3.0), z))),
+               ex.add(xy, ex.const(0.25)))
+    assert kernel_calls([e]) == 3 + 1 + 1  # 3 _bound, x*y, one lin
+    alloc = NoiseAllocator()
+    env = env_from_boxes(alloc, x=(1.0, 2.0), y=(-1.0, 0.5), z=(0.0, 3.0))
+    got = ex.eval_affine(e, env, NoiseAllocator(100))
+    want = af.lin(0.25, ((1.5, af.mul(env["x"], env["y"], NoiseAllocator(100))),
+                         (-1.5, env["z"])))
+    assert exact(got) == exact(want)
+    # 0.1 * 3 is not a float: the product by 3 stays a term of its own
+    assert kernel_calls([ex.mul(ex.const(0.1), ex.mul(ex.const(3.0), z))]) == 3
+
+
+def test_division_by_a_constant_is_a_scaling():
+    x = ex.var("x")
+    alloc = NoiseAllocator()
+    env = env_from_boxes(alloc, x=(1.0, 2.0))
+    start = alloc.fresh()
+    # 1/3 is not a float: x scaled by an enclosure of it, no fresh symbol
+    third = NoiseAllocator(start)
+    got = ex.eval_affine(ex.div(x, ex.const(3.0)), env, third)
+    assert third.fresh() == start
+    box = af.to_interval(got)
+    assert box.lo <= 1.0 / 3.0 and box.hi >= 2.0 / 3.0
+    assert box.width < 1.0 / 3.0 + 1e-14
+    # 1/4 is: the division is a term of the sum around it
+    assert kernel_calls([ex.add(ex.div(x, ex.const(4.0)), x)]) == 2
+    quarter = ex.eval_affine(ex.div(x, ex.const(4.0)), env, alloc)
+    assert exact(quarter) == exact(af.lin(0.0, ((0.25, env["x"]),)))
+    with pytest.raises(DomainError, match="division by exact zero"):
+        ex.eval_affine(ex.div(x, ex.const(0.0)), env, alloc)
 
 
 # ------------------------------------------------------------- derivatives
