@@ -648,20 +648,6 @@ def compare(x: AffineForm, rel: Rel) -> Trivalent:
     return Trivalent.TRUE if lo else Trivalent.FALSE
 
 
-def condense(x: AffineForm, budget: int, alloc: NoiseAllocator) -> AffineForm:
-    """Reduce to at most `budget` noise symbols; the concretization only grows."""
-    if budget < 1:
-        raise ValueError("condense budget must be >= 1")
-    if len(x.dev) <= budget:
-        return x
-    items = sorted(x.dev.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-    keep = items[: budget - 1]
-    folded = rd.sum_abs_up(v for _, v in items[budget - 1:])
-    dev = dict(sorted(keep))
-    dev[alloc.fresh()] = folded
-    return AffineForm(x.center, dev, x.slack)
-
-
 def remap(x: AffineForm, mapping: dict, alloc: NoiseAllocator) -> AffineForm:
     """Rename noise symbols through `mapping` (extended with fresh ids).
 
@@ -676,70 +662,6 @@ def remap(x: AffineForm, mapping: dict, alloc: NoiseAllocator) -> AffineForm:
             mapping[i] = j
         dev[j] = v
     return AffineForm(x.center, dev, x.slack)
-
-
-def fold_private(forms: dict, alloc: NoiseAllocator) -> tuple:
-    """(folded forms, folds): in each form of `forms`, the noise symbols
-    that no other form of the dict reads are replaced by one fresh symbol
-    s whose coefficient is C, an upper bound on the sum of their absolute
-    values; `folds[s]` is (C, the replaced coefficients).
-
-    The fold is exact: s stands for sum(c_j eps_j)/C, which lies in
-    [-1, 1], and the affine operations see a form's private symbols only
-    through that combination. So an evaluation over the folded forms,
-    mapped back by `unfold`, is sound over the original symbols. A form
-    with fewer than two private symbols is left as it is.
-    """
-    shared: dict = {}
-    for f in forms.values():
-        for i in f.dev:
-            shared[i] = i in shared
-    out, folds = {}, {}
-    for k, f in forms.items():
-        dev, private, c = {}, {}, 0.0
-        for i, v in f.dev.items():
-            if shared[i]:
-                dev[i] = v
-            else:
-                private[i] = v
-                c += v if v >= 0.0 else -v
-        n = len(private)
-        if n < 2:
-            out[k] = f
-            continue
-        c += c * (n * _EPS) + n * _SUBNORM  # as in `radius`
-        s = alloc.fresh()
-        dev[s] = c
-        folds[s] = (c, private)
-        out[k] = _mk(f.center, dev, f.slack)
-    return out, folds
-
-
-def unfold(x: AffineForm, folds: dict) -> AffineForm:
-    """x with each coefficient K on a fold symbol of `folds` (from
-    `fold_private`) mapped back to K*c_j/C on each symbol j it replaced;
-    the rounding goes to slack. x must not read those symbols j itself,
-    as no form computed from the folded ones does."""
-    if not any(i in folds for i in x.dev):
-        return x
-    dev = {}
-    esum, ecnt, err = 0.0, 0, 0.0
-    for i, k in x.dev.items():
-        fold = folds.get(i)
-        if fold is None:
-            dev[i] = k
-            continue
-        c, private = fold
-        q = k / c
-        # q's own rounding, carried by every c_j, and sum |c_j| <= c
-        err = rd.next_up(err + rd.mul_up(c, abs(q) * _EPS + _SUBNORM))
-        for j, cj in private.items():
-            g = q * cj
-            esum += g if g >= 0.0 else -g
-            ecnt += 1
-            if g != 0.0:
-                dev[j] = g
-    return _mk(x.center, dev, _finish_slack(rd.next_up(x.slack + err), esum, ecnt))
 
 
 def sample(x: AffineForm, valuation: dict, slack_pos: float = 0.0) -> float:

@@ -31,15 +31,16 @@ successor continues the current task in place (no fork, and it does not
 count against the branch cap); otherwise each live successor is forked and
 queued in order, and each aborted one is finished as a branch.
 
-A task's set is stored folded: `_enter`, which every successor passes
-through, replaces each variable's private noise symbols (those no other
-variable reads) with one symbol (`af.fold_private`) and keeps the folds.
-This is exact for the set, not only for one step: the affine operations
-see a variable's private symbols only through their sum, and a committed
-set is never again read jointly with its earlier forms. So steps,
-crossings and segment boxes all run over a few symbols per variable. The
-set is unfolded (`af.unfold`) only just before the next `env_condense`,
-whose per-variable ranking must see the private coefficients.
+`_enter`, which every successor passes through, reduces the task's set
+jointly (`env_condense`): it keeps the CONDENSE_BUDGET shared noise
+symbols whose boxing would cost the most width, and in each variable
+merges every other symbol into one fresh symbol whose coefficient C
+bounds the sum of their absolute values. That is sound, since the fresh
+symbol is read by that variable alone and takes the value
+sum(c_j eps_j)/C, which lies in [-1, 1]. Merging a variable's private
+symbols loses nothing, since the affine operations see them only through
+their sum. So steps, crossings and segment boxes all run over at most
+CONDENSE_BUDGET shared symbols and one private symbol per variable.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .interval import Interval
 from .reference import ReferenceSimulator
 from .trivalent import Trivalent
 
-CONDENSE_BUDGET = 100  # noise symbols per variable kept at each step start
+CONDENSE_BUDGET = 30   # shared noise symbols a set keeps at each step start
 MIN_SEPARATION = 1e-5  # step below which simultaneous edges branch; above
                        # integrator.H_MIN, so a halved step is never clamped
 MAX_EXTENSIONS = 24    # steps a crossing may extend past its step
@@ -113,7 +114,6 @@ class _Task:
     crossings: list
     disarmed: set
     steps: int = 0
-    folds: dict = field(default_factory=dict)  # `af.fold_private` of env
 
 
 @dataclass
@@ -254,14 +254,7 @@ class _Engine:
         if s.crossing is not None:
             task.crossings.append(s.crossing)
         task.location, task.t, task.h = s.location, s.t, s.h
-        # condense must rank the unfolded coefficients: there the private
-        # ones crowd small shared symbols out of the budget, and vanderpol's
-        # x and y share under 20 symbols; a folded set is under budget, so
-        # shared symbols pile up to ~100 and a step costs 2.2x the CPU
-        env = env_condense({v: af.unfold(f, task.folds)
-                            for v, f in s.env.items()},
-                           CONDENSE_BUDGET, self.alloc)
-        task.env, task.folds = af.fold_private(env, self.alloc)
+        task.env = env_condense(s.env, CONDENSE_BUDGET, self.alloc)
         task.disarmed = set(s.disarmed)
 
     def _step(self, task, env, t, h, disarmed, diag, skip=frozenset()):

@@ -31,6 +31,10 @@ a priori enclosure over the whole step:
   symbols apart widens lorenz's final box from 3.27 to 5.70.
 * `step_control` drives the step size from the classical embedded-pair
   estimate; soundness never depends on it.
+* `env_condense` is the one order reduction of a set: it keeps the shared
+  noise symbols whose boxing would cost the most width, jointly across
+  the variables, and merges every other symbol of a form into one fresh
+  symbol. The engine applies it to every set a step starts from.
 
 A Butcher table declares only its coefficients. Its order p, and the order
 of its embedded estimate, are derived when it is built, by checking the
@@ -43,8 +47,10 @@ State environments are plain dicts variable -> AffineForm.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import _round as rd
@@ -221,7 +227,38 @@ def env_remap(env: Env, alloc) -> Env:
 
 
 def env_condense(env: Env, budget: int, alloc) -> Env:
-    return {v: af.condense(f, budget, alloc) for v, f in env.items()}
+    """The set `env` reduced jointly to at most `budget` shared symbols.
+
+    A symbol's cost of boxing is ||g||_1 - ||g||_inf of its coefficients g
+    across the forms (Girard's criterion); the `budget` costliest symbols
+    that two or more forms read are kept. In each form every other symbol
+    is replaced by one fresh symbol whose coefficient C bounds the sum of
+    their absolute values. That is sound: the fresh symbol, read by this
+    form alone, takes the value sum(c_j eps_j)/C, which lies in [-1, 1].
+    A private symbol costs 0 and is always merged, and merging it loses
+    nothing, since the affine operations see a form's private symbols only
+    through their sum. A form with nothing to merge but one private symbol
+    is left as it is.
+    """
+    readers = Counter(chain.from_iterable(f.dev for f in env.values()))
+
+    def cost(i):
+        mags = [abs(f.dev.get(i, 0.0)) for f in env.values()]
+        return sum(mags) - max(mags)
+
+    shared = sorted((i for i, n in readers.items() if n > 1),
+                    key=lambda i: (-cost(i), i))
+    keep = frozenset(shared[:budget])
+    out = {}
+    for v, f in env.items():
+        dropped = [i for i in f.dev if i not in keep]
+        if len(dropped) < 2 and all(readers[i] == 1 for i in dropped):
+            out[v] = f
+            continue
+        dev = {i: c for i, c in f.dev.items() if i in keep}
+        dev[alloc.fresh()] = rd.sum_abs_up(f.dev[i] for i in dropped)
+        out[v] = AffineForm(f.center, dev, f.slack)
+    return out
 
 
 def _scaled_coef(h: float, fr: Fraction):
@@ -405,38 +442,28 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     the components share, which is a convex zonotope and so contains the
     hull of that side's values: the Lie side over the a priori enclosure
     z_env, keeping its correlation with the state, and the stage side over
-    a renamed copy of the start set and tau in [0, h].
-
-    Only the forms a side's DAGs read go in, and in those each variable's
-    private symbols are first folded into one (`af.fold_private`). This
-    loses nothing, since the affine operations see them only through
-    their sum; the Lie side is mapped back with `af.unfold`, and the stage
-    side needs no mapping, as its symbols are all fresh. The engine hands
-    the step a folded start set, so this fold merges only the Picard
-    offsets' symbols and the symbols that turn private once the variables
-    a DAG does not read are left out. The scheme-side
-    derivative gets a small relative inflation covering the float
-    representation of the Butcher coefficients inside the symbolic
-    polynomial.
+    a renamed copy of the start set and tau in [0, h]. Only the forms a
+    side's DAGs read go in. The engine hands the step a reduced start set
+    (`env_condense`), whose forms hold one private symbol each, so both
+    sides run over a few symbols per variable. The scheme-side derivative
+    gets a small relative inflation covering the float representation of
+    the Butcher coefficients inside the symbolic polynomial. The weight's
+    mass is an interval, and it scales each component without a fresh
+    symbol (`af.scale_interval`).
     """
     p = ctx.table.order
     fp, phi = ctx.f_deriv(p), ctx.phi_deriv()
     lie = [fp[v] for v in ctx.variables]
     stage = [phi[v] for v in ctx.variables]
-    z_fold, folds = af.fold_private(_read_by(lie, z_env), alloc)
-    a_vals = ex.eval_affine_many(lie, z_fold, alloc)
-    denv = env_remap(af.fold_private(_read_by(stage, env), alloc)[0], alloc)
+    a_vals = ex.eval_affine_many(lie, _read_by(lie, z_env), alloc)
+    denv = env_remap(_read_by(stage, env), alloc)
     denv[ex.TAU] = af.from_interval(Interval(0.0, h), alloc)
     b_vals = ex.eval_affine_many(stage, denv, alloc)
     fact = float(math.factorial(p + 1))
     scale_iv = iv.div(iv.pow_int(Interval(h, h), p + 1), Interval(fact, fact))
-    out = {}
-    for vname, av, bv in zip(ctx.variables, a_vals, b_vals):
-        bv = inflate_form(bv, 1e-12, 1e-306)
-        diff = av - bv
-        out[vname] = af.unfold(
-            af.mul(af.from_interval(scale_iv, alloc), diff, alloc), folds)
-    return out
+    return {vname: af.scale_interval(av - inflate_form(bv, 1e-12, 1e-306),
+                                     scale_iv.lo, scale_iv.hi)
+            for vname, av, bv in zip(ctx.variables, a_vals, b_vals)}
 
 
 # ------------------------------------------------------------ step control
@@ -464,11 +491,10 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
     The flow over the start set, f0 = f(env), is evaluated once, before the
     first attempt; every attempt's Picard enclosure and first stage read
     it, and the outcome returns it. Sound over any start set, and cheaper
-    over one whose variables share few symbols, such as the folded sets
-    the engine hands it. Reads
-    `cfg.tol` and `cfg.max_dt`. Raises IntegrationError when the
-    minimal step size cannot produce a verified enclosure or an acceptable
-    error estimate.
+    over one with few symbols, such as the reduced sets (`env_condense`)
+    the engine hands it. Reads `cfg.tol` and `cfg.max_dt`. Raises
+    IntegrationError when the minimal step size cannot produce a verified
+    enclosure or an acceptable error estimate.
     """
     h = min(max(h, H_MIN), cfg.max_dt)
     rejections = 0

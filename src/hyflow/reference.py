@@ -100,17 +100,24 @@ class ReferenceSimulator:
             out[pos] = v
         return out
 
-    def _chain(self, loc, x):
+    def _chain(self, loc, x, entered_by=None):
+        """Follow the edges whose guards are true at x, until none is.
+        The edge just taken, `entered_by`, is skipped when its reset may
+        land on its own guard boundary (`boundary_reset`), as the engine's
+        chain leaves it disarmed; the step loop fires it again only once
+        its guard has turned false."""
         for _ in range(MAX_CHAIN):
             hit = None
             for idx, edge in self.ha.outgoing(loc):
+                if idx == entered_by and edge.boundary_reset:
+                    continue
                 if self._guards[idx](list(x)):
                     hit = (idx, edge)
                     break
             if hit is None:
                 return loc, x
-            idx, edge = hit
-            x = self._apply_reset(idx, x)
+            entered_by, edge = hit
+            x = self._apply_reset(entered_by, x)
             loc = edge.target
         raise ModelError("reference simulation: immediate-transition chain too long")
 
@@ -163,7 +170,7 @@ class ReferenceSimulator:
             traj._jumps.add(len(traj.times) - 1)
             x = self._apply_reset(fired, x_evt)
             loc = edge.target
-            loc, x = self._chain(loc, x)
+            loc, x = self._chain(loc, x, fired)
             f = self._flows[loc]
             guard_idx = [idx for idx, _ in self.ha.outgoing(loc)]
             t = t_evt

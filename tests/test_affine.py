@@ -1,6 +1,6 @@
 """Affine-form core: worked examples plus the sampled range-soundness,
-cancellation, hull-containment, condense, private-symbol fold and
-scaled-sum properties."""
+cancellation, hull-containment, joint order reduction and scaled-sum
+properties."""
 
 import math
 import random
@@ -15,6 +15,7 @@ from hyflow import affine as af
 from hyflow import expr as ex
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
 from hyflow.errors import DomainError
+from hyflow.integrator import env_condense
 from hyflow.interval import Interval
 from hyflow.trivalent import Trivalent
 
@@ -134,20 +135,6 @@ def test_compare_examples():
     assert af.compare(AffineForm(0.0), Rel.LE) is Trivalent.TRUE
     assert af.compare(AffineForm(0.0), Rel.LT) is Trivalent.FALSE
     assert af.compare(AffineForm(0.0), Rel.GE) is Trivalent.TRUE
-
-
-def test_condense_examples():
-    alloc = NoiseAllocator(10)
-    x = AffineForm(1.0, {0: 1.0, 1: 1.0, 2: 1.0})
-    c = af.condense(x, 1, alloc)
-    assert len(c.dev) == 1
-    assert list(c.dev.values())[0] >= 3.0
-    box = af.to_interval(c)
-    assert box.lo <= -2.0 and box.hi >= 4.0
-
-    same = af.condense(x, 3, alloc)
-    assert same.dev == x.dev
-    assert af.condense(AffineForm(5.0), 1, alloc).dev == {}
 
 
 def test_nonlinear_examples():
@@ -278,17 +265,6 @@ def test_hull_containment_property(cx, cy, dx, dy):
         assert bh.lo <= b.lo + 1e-12 and bh.hi >= b.hi - 1e-12
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.floats(-20, 20), st.lists(st.floats(-5, 5), min_size=1, max_size=8),
-       st.integers(1, 8))
-def test_condense_never_shrinks(cx, dx, budget):
-    x = make_form(cx, dx)
-    c = af.condense(x, budget, NoiseAllocator(100))
-    assert len(c.dev) <= budget
-    bx, bc = af.to_interval(x), af.to_interval(c)
-    assert bc.lo <= bx.lo + 1e-12 and bc.hi >= bx.hi - 1e-12
-
-
 @st.composite
 def forms_sharing_symbols(draw):
     """2-3 forms over symbols 0..2, each read by any of them, plus up to 5
@@ -320,52 +296,98 @@ def sum_product_sin_dags(draw, names):
     return nodes[-2:]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(0, 10_000))
-def test_fold_private_is_exact(data, seed):
-    forms = data.draw(forms_sharing_symbols())
-    roots = data.draw(sum_product_sin_dags(list(forms)))
+def test_env_condense_examples():
+    # symbol 0 costs |1| + |2| - 2 = 1 to box, symbol 1 costs 0.5; 2 and 3
+    # are x's own
+    env = {"x": AffineForm(1.0, {0: 1.0, 1: 3.0, 2: 0.25, 3: 0.25}, 1e-3),
+           "y": AffineForm(0.0, {0: 2.0, 1: -0.5}),
+           "z": AffineForm(5.0)}
+    out = env_condense(env, 1, NoiseAllocator(10))
+    assert out["x"].dev.keys() == {0, 10} and out["x"].dev[0] == 1.0
+    assert out["x"].dev[10] >= 3.5 and out["x"].slack == 1e-3
+    assert out["y"].dev.keys() == {0, 11} and out["y"].dev[11] >= 0.5
+    assert out["z"] is env["z"]
+    # within the budget only x's private symbols merge
+    out = env_condense(env, 2, NoiseAllocator(10))
+    assert out["x"].dev.keys() == {0, 1, 10} and out["x"].dev[10] >= 0.5
+    assert out["y"] is env["y"]
+    # a lone private symbol is left as it is
+    one = {"x": AffineForm(0.0, {0: 1.0, 1: 1.0}), "y": AffineForm(0.0, {0: 1.0})}
+    assert env_condense(one, 1, NoiseAllocator(10)) == one
+
+
+def readers_of(forms):
+    """symbol -> the number of forms of `forms` that read it"""
     readers: dict = {}
     for f in forms.values():
         for i in f.dev:
             readers[i] = readers.get(i, 0) + 1
-    alloc = NoiseAllocator(1000)
-    folded, folds = af.fold_private(forms, alloc)
-    for k, f in forms.items():
-        g = folded[k]
-        b, bg = af.to_interval(f), af.to_interval(g)
-        assert bg.lo <= b.lo + 1e-12 and bg.hi >= b.hi - 1e-12
-        assert {i: c for i, c in f.dev.items() if readers[i] > 1} == {
-            i: c for i, c in g.dev.items() if readers.get(i, 0) > 1}
-        assert len(set(g.dev) - set(f.dev)) <= 1
+    return readers
 
-    got = [af.unfold(r, folds)
-           for r in ex.eval_affine_many(roots, folded, alloc)]
+
+@settings(max_examples=200, deadline=None)
+@given(forms_sharing_symbols(), st.integers(0, 4))
+def test_env_condense_keeps_the_costliest_shared_symbols(forms, budget):
+    out = env_condense(forms, budget, NoiseAllocator(1000))
+    readers = readers_of(forms)
+    shared = {i for i, n in readers.items() if n > 1}
+    kept = {i for i, n in readers_of(out).items() if n > 1}
+    assert len(kept) <= budget and kept <= shared
+    for k, f in forms.items():
+        g = out[k]
+        fresh = set(g.dev) - set(f.dev)
+        assert len(fresh) <= 1
+        assert {i: c for i, c in g.dev.items() if i not in fresh} == {
+            i: c for i, c in f.dev.items() if i in g.dev}
+        assert (g.center, g.slack) == (f.center, f.slack)
+    cost = {i: sum(abs(f.dev.get(i, 0.0)) for f in forms.values())
+            - max(abs(f.dev.get(i, 0.0)) for f in forms.values())
+            for i in shared}
+    if kept != shared:
+        assert len(kept) == budget
+        assert min((cost[i] for i in kept), default=math.inf) >= max(
+            cost[i] for i in shared - kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 10_000))
+def test_env_condense_is_exact_at_the_merged_value(data, seed):
+    forms = data.draw(forms_sharing_symbols())
+    budget = data.draw(st.integers(0, 4))
+    alloc = NoiseAllocator(1000)
+    out = env_condense(forms, budget, alloc)
+    merged = {}  # fresh symbol -> (its coefficient, the ones it replaced)
+    for k, f in forms.items():
+        for s in set(out[k].dev) - set(f.dev):
+            assert s not in merged  # read by one form alone
+            merged[s] = (out[k].dev[s], {i: c for i, c in f.dev.items()
+                                         if i not in out[k].dev})
+    # at one valuation of the original symbols, every reduced form takes
+    # its original value with each merged symbol at sum(c_j eps_j)/C
+    readers = readers_of(forms)
+    rng = random.Random(seed)
+    for _ in range(20):
+        v = rand_valuation(rng, readers)
+        joint = dict(v)
+        for s, (c, replaced) in merged.items():
+            joint[s] = sum(cj * v[j] for j, cj in replaced.items()) / c
+            assert abs(joint[s]) <= 1.0
+        for k, f in forms.items():
+            pos = rng.uniform(-1, 1)
+            assert math.isclose(af.sample(out[k], joint, pos),
+                                af.sample(f, v, pos),
+                                rel_tol=1e-12, abs_tol=1e-12)
+    if budget < 3:
+        return
+    # the forms share at most 3 symbols, so only private ones merged, and
+    # that loses nothing: an evaluation over the reduced set is as wide
+    roots = data.draw(sum_product_sin_dags(list(forms)))
+    got = ex.eval_affine_many(roots, out, alloc)
     ref = ex.eval_affine_many(roots, forms, NoiseAllocator(1000))
     for r, r_ref in zip(got, ref):
         b, b_ref = af.to_interval(r), af.to_interval(r_ref)
         tol = 1e-12 * b_ref.mag + 1e-300  # subnormal rounding terms
         assert abs(b.lo - b_ref.lo) <= tol and abs(b.hi - b_ref.hi) <= tol
-
-    # at a valuation of the original symbols the folded forms take the
-    # original values with each fold symbol at sum(c_j eps_j)/C, and the
-    # unfolded result holds the true value up to its own fresh symbols
-    fn = ex.compile_scalar(roots, list(forms))
-    rng = random.Random(seed)
-    for _ in range(20):
-        v = rand_valuation(rng, readers)
-        on_fold = dict(v)
-        for s, (c, private) in folds.items():
-            on_fold[s] = sum(cj * v[j] for j, cj in private.items()) / c
-        slack = {k: rng.uniform(-1, 1) for k in forms}
-        point = [af.sample(forms[k], v, slack[k]) for k in forms]
-        for k, x in zip(forms, point):
-            assert math.isclose(af.sample(folded[k], on_fold, slack[k]), x,
-                                rel_tol=1e-12, abs_tol=1e-12)
-        for r, val in zip(got, fn(point)):
-            loose = r.slack + sum(abs(c) for i, c in r.dev.items()
-                                  if i not in readers)
-            assert abs(val - af.sample(r, v)) <= loose + 1e-9
 
 
 @settings(max_examples=300, deadline=None)
@@ -373,11 +395,11 @@ def test_fold_private_is_exact(data, seed):
                 min_size=2, max_size=40))
 @example([1.0] + [2.0 ** -53] * 40)  # every float addition rounds down
 @example([1.7e-300, 5e-300, -3e-299, 1.1e-300])
-def test_fold_private_bound_covers_the_exact_sum(coefs):
+def test_env_condense_bound_covers_the_exact_sum(coefs):
     form = AffineForm(0.0, dict(enumerate(coefs)))
-    _, folds = af.fold_private({"x": form}, NoiseAllocator(100))
-    [(c, private)] = folds.values()
-    assert private == form.dev
+    out = env_condense({"x": form}, 0, NoiseAllocator(100))
+    [(s, c)] = out["x"].dev.items()
+    assert s == 100
     assert Fraction(c) >= sum(Fraction(abs(v)) for v in coefs)
 
 

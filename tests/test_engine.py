@@ -6,11 +6,10 @@ import math
 
 import pytest
 
-from hyflow import affine as af
 from hyflow import benchmarks, engine
 from hyflow import dsl as D
 from hyflow import expr as ex
-from hyflow.affine import NoiseAllocator, Rel
+from hyflow.affine import Rel
 from hyflow.engine import SimConfig, simulate, validate_monte_carlo
 from hyflow.errors import ModelError
 from hyflow.events import ZC_PRECISION
@@ -180,7 +179,8 @@ def test_width_discipline_on_contractive_system():
 
 def test_crossing_extension_steps_start_condensed(monkeypatch):
     # watertank's first crossing extends its step across the guard; every
-    # step, extensions included, must start within the condense budget
+    # step, extensions included, starts from a reduced set: at most
+    # CONDENSE_BUDGET shared symbols and one private symbol per variable
     sizes = []
     step = engine.guaranteed_step
 
@@ -192,13 +192,13 @@ def test_crossing_extension_steps_start_condensed(monkeypatch):
     ha, cfg = benchmarks.load(benchmarks.REGISTRY["watertank"], duration=3.0)
     pipe = simulate(ha, cfg)
     assert pipe.complete and pipe.stats["crossings"] >= 1
-    assert max(sizes) <= engine.CONDENSE_BUDGET
+    assert max(sizes) <= engine.CONDENSE_BUDGET + 1
 
 
 def test_tasks_step_from_their_folded_set(monkeypatch):
-    # a task's set is folded where it enters the engine, after condense has
-    # ranked its unfolded coefficients; condensing the folded set instead
-    # keeps ~100 symbols shared between x and y
+    # a task's set is reduced jointly where it enters the engine: each
+    # variable's private symbols fold into one, and at most CONDENSE_BUDGET
+    # symbols stay shared
     starts = []
     step = engine.guaranteed_step
 
@@ -212,9 +212,11 @@ def test_tasks_step_from_their_folded_set(monkeypatch):
     assert pipe.complete and pipe.stats["crossings"] == 0
     assert len(starts) == pipe.stats["steps"] > 50
     for env in starts:
-        assert af.fold_private(env, NoiseAllocator())[1] == {}
+        shared = env["x"].dev.keys() & env["y"].dev.keys()
+        assert len(shared) <= engine.CONDENSE_BUDGET
+        assert all(len(f.dev.keys() - shared) <= 1 for f in env.values())
     assert max(len(env["x"].dev.keys() & env["y"].dev.keys())
-               for env in starts[50:]) <= 30
+               for env in starts[50:]) == engine.CONDENSE_BUDGET
 
 
 def test_extension_watches_the_edges_its_step_rearmed():

@@ -274,34 +274,23 @@ def rotation_start(alloc, n_private=150):
     return ctx, env
 
 
-def unfolded_truncation(ctx, env, z_env, h, alloc):
-    """The truncation bound evaluated over every symbol of the start set and
-    the enclosure, without folding: the reference the fold must match."""
-    p = ctx.table.order
-    fp, phi = ctx.f_deriv(p), ctx.phi_deriv()
-    a_vals = ex.eval_affine_many([fp[v] for v in ctx.variables], z_env, alloc)
-    denv = gi.env_remap(env, alloc)
-    denv[ex.TAU] = af.from_interval(Interval(0.0, h), alloc)
-    b_vals = ex.eval_affine_many([phi[v] for v in ctx.variables], denv, alloc)
-    fact = float(math.factorial(p + 1))
-    scale = iv.div(iv.pow_int(Interval(h, h), p + 1), Interval(fact, fact))
-    return {v: af.mul(af.from_interval(scale, alloc),
-                      av - gi.inflate_form(bv, 1e-12, 1e-306), alloc)
-            for v, av, bv in zip(ctx.variables, a_vals, b_vals)}
-
-
 def test_folded_truncation_matches_the_unfolded_bound():
+    # the engine hands the step a reduced start set, in which each
+    # variable's private symbols are folded into one; that loses nothing,
+    # so the bound over it is the bound over every start symbol
     alloc = NoiseAllocator()
     ctx, env = rotation_start(alloc)
     assert all(len(f.dev) > CONDENSE_BUDGET for f in env.values())
+    folded = gi.env_condense(env, CONDENSE_BUDGET, alloc)
+    assert all(len(f.dev) == 2 for f in folded.values())
     h = 0.1
-    z = picard(ctx, env, h, alloc)
-    got = gi.truncation_bound(ctx, env, z, h, alloc)
-    ref = unfolded_truncation(ctx, env, z, h, alloc)
+    ref = gi.truncation_bound(ctx, env, picard(ctx, env, h, alloc), h, alloc)
+    got = gi.truncation_bound(ctx, folded, picard(ctx, folded, h, alloc), h,
+                              alloc)
     for v in ctx.variables:
         assert box(got, v).width == pytest.approx(box(ref, v).width, rel=1e-12)
         # the remainder keeps its correlation with the start set
-        assert set(env[v].dev) <= set(got[v].dev)
+        assert set(folded[v].dev) <= set(got[v].dev)
 
 
 def test_guaranteed_step_encloses_rotation_from_many_symbols():
@@ -320,27 +309,6 @@ def test_guaranteed_step_encloses_rotation_from_many_symbols():
             loose = form.slack + sum(abs(k) for i, k in form.dev.items()
                                      if i not in start)
             assert abs(exact - af.sample(form, val)) <= loose + 1e-15
-
-
-def test_step_over_the_folded_start_matches_the_unfolded_step():
-    # the engine hands the step a folded set; the step over it, mapped back
-    # onto the start symbols, is the step over the unfolded set
-    alloc = NoiseAllocator()
-    ctx, env = rotation_start(alloc)
-    cfg = SimConfig(duration=1.0)
-    ref = gi.guaranteed_step(ctx, env, 0.05, cfg, alloc)
-    folded, folds = af.fold_private(env, alloc)
-    assert all(len(f.dev) == 2 for f in folded.values())
-    out = gi.guaranteed_step(ctx, folded, 0.05, cfg, alloc)
-    assert (out.h_used, out.h_next) == (ref.h_used, ref.h_next)
-    for got_env, ref_env in ((out.x_next, ref.x_next), (out.hull, ref.hull)):
-        for v in ctx.variables:
-            got = af.unfold(got_env[v], folds)
-            assert got.center == ref_env[v].center
-            assert af.to_interval(got).width == pytest.approx(
-                box(ref_env, v).width, rel=1e-9)
-            # every start symbol is read again
-            assert set(env[v].dev) <= set(got.dev)
 
 
 # ------------------------------------------------------------ step control
@@ -378,7 +346,7 @@ def test_guaranteed_step_decay_run_to_one():
         for s in (0.0, 0.5, 1.0):
             assert box(out.hull, "x").contains(math.exp(-(t + s * out.h_used)))
         t += out.h_used
-        env = {"x": af.condense(out.x_next["x"], 60, alloc)}
+        env = gi.env_condense(out.x_next, CONDENSE_BUDGET, alloc)
         h = out.h_next
     assert box(env, "x").contains(math.exp(-t))
     assert box(env, "x").width < 1e-5
