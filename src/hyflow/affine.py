@@ -470,17 +470,16 @@ def square(x: AffineForm, alloc: NoiseAllocator) -> AffineForm:
     return _mk(center, dev, _finish_slack(slack, esum, ecnt))
 
 
-def _unary_taylor(x, alloc, f0_fn, d0_fn, d2_mag):
+def _unary_taylor(x, rad, alloc, f0_fn, d0_fn, d2_mag):
     """First-order Taylor at the center with an interval-bounded remainder.
 
-    d2_mag bounds |f''| over the range of `x`, so the remainder over that
-    range is d2_mag/2 * radius^2, carried by a fresh symbol. Library
+    d2_mag bounds |f''| over the range of `x`, and `rad` is its radius, so
+    the remainder is d2_mag/2 * rad^2, carried by a fresh symbol. Library
     evaluation error for f and f' is covered by LIBM_STEPS ulps.
     """
     c = x.center
     f0 = f0_fn(c)
     d0 = d0_fn(c)
-    rad = x.radius
     delta = rd.mul_up(rd.mul_up(0.5 * d2_mag, rad), rad)
     err = rd.LIBM_STEPS * rd.ulp(f0)
     if d0 != 0.0:
@@ -534,7 +533,9 @@ def nonlinear_unary(name: str, x: AffineForm, alloc: NoiseAllocator) -> AffineFo
     """Apply sin/cos/exp/sqrt/log/recip to an affine form: a first-order
     Taylor model, or the plain range where that is tighter."""
     f0_fn, d0_fn, d2_fn, range_fn = _UNARY[name]
-    box = to_interval(x)
+    c, rad = x.center, x.radius  # as to_interval, keeping the radius
+    box = Interval(c, c) if rad == 0.0 else Interval(
+        rd.next_down(c - rad), rd.next_up(c + rad))
     # Hard domain checks: no sound finite enclosure exists outside these.
     if name == "sqrt" and box.lo < 0.0:
         raise DomainError(f"sqrt of range [{box.lo}, {box.hi}]")
@@ -544,7 +545,7 @@ def nonlinear_unary(name: str, x: AffineForm, alloc: NoiseAllocator) -> AffineFo
         raise DomainError(f"reciprocal of range [{box.lo}, {box.hi}] containing zero")
     rng = range_fn(box)
     try:
-        form = _unary_taylor(x, alloc, f0_fn, d0_fn, d2_fn(box, rng))
+        form = _unary_taylor(x, rad, alloc, f0_fn, d0_fn, d2_fn(box, rng))
     except (DomainError, OverflowError, ZeroDivisionError):
         form = None
     if form is not None:

@@ -73,13 +73,16 @@ def edge_cannot_fire(edge, flow, hull_env, alloc) -> bool:
     For a guard `g < 0` whose step starts with g >= 0 (surely false, or on
     the boundary right after a jump), a nonnegative derivative of g along
     the flow over the whole hull proves g stays >= 0, so the edge cannot
-    fire during the step.
+    fire during the step. That Lie derivative is one forward pass of
+    `ex.derivative` seeded with the flow, with no per-node derivative memo;
+    it raises ModelError on a variable without a flow, and then no
+    certificate holds.
     """
     g = edge.guard
     if not isinstance(g, ex.Comparison):
         return False
     try:
-        gdot = ex.total_derivative(g.expr, flow)
+        gdot = ex.derivative(g.expr, flow)
         d = ex.eval_affine(gdot, hull_env, alloc)
     except ex.ModelError:
         return False

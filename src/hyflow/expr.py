@@ -6,6 +6,10 @@ subtrees are the same object, so repeated differentiation and substitution
 polynomial in the number of *distinct* subterms. Smart constructors fold
 constants and the cheap identities; there is deliberately no general CAS.
 
+`derivative` is the one derivative routine, a forward pass seeded per
+variable: seeded with the flow, it gives Lie derivatives. No node keeps a
+derivative memo.
+
 Every operator is declared once, as a row of `OPS`: its constant fold, its
 smart constructor, its affine evaluation, its derivative rule, the
 templates of its compiled scalar code and of its text, and, for add, sub,
@@ -28,8 +32,8 @@ constant whose reciprocal is not a float scales by an enclosure of it, and
 constants are forms built once per program.
 
 The intern table holds its nodes weakly, and each node carries its own
-free-variable and derivative memos and its affine programs, so a dropped
-model takes its caches with it.
+free-variable memo and its affine programs, so a dropped model takes its
+caches with it.
 """
 
 from __future__ import annotations
@@ -57,12 +61,12 @@ NODE_CAP = 200_000
 
 class Expr:
     """A DAG node. `params` holds an op's non-expression operands (pow's
-    exponent); `_fv` and `_deriv` memoise the free variables and the
-    partial derivatives by variable name, and `_prog` the affine programs
-    of root tuples this node is the newest of, by their eids."""
+    exponent); `_fv` memoises the free variables and `_prog` the affine
+    programs of root tuples this node is the newest of, by their eids. No
+    node keeps a derivative memo."""
 
     __slots__ = ("op", "args", "value", "name", "params", "eid", "_fv",
-                 "_deriv", "_prog", "__weakref__")
+                 "_prog", "__weakref__")
 
     def __init__(self, op, args, value, name, params, eid):
         self.op = op
@@ -72,7 +76,6 @@ class Expr:
         self.params = params
         self.eid = eid
         self._fv = None
-        self._deriv = None
         self._prog = None
 
     def __repr__(self):
@@ -339,19 +342,26 @@ def count_nodes(*roots) -> int:
     return len(_postorder(roots))
 
 
-def derivative(e: Expr, v: str) -> Expr:
-    """Partial derivative of `e` with respect to variable `v`."""
-    for n in _postorder((e,), lambda node: v in (node._deriv or ())):
+def derivative(e: Expr, seeds: dict, memo: dict | None = None) -> Expr:
+    """The derivative of `e`, in one forward pass over its DAG: a
+    variable's is `seeds[name]`, and every other node's its row's `deriv`
+    rule. Seeded with a flow, this is the Lie derivative along it. A
+    variable the seeds do not name raises ModelError. `memo` maps node
+    eids to derivatives under these seeds; sharing one across the roots
+    of an order, and on to the next order, walks each node once."""
+    if memo is None:
+        memo = {}
+    for n in _postorder((e,), lambda node: node.eid in memo):
         if n.op == "const":
-            d = ZERO
+            memo[n.eid] = ZERO
         elif n.op == "var":
-            d = ONE if n.name == v else ZERO
+            d = seeds.get(n.name)
+            if d is None:
+                raise ModelError(f"no derivative seeded for '{n.name}'")
+            memo[n.eid] = d
         else:
-            d = OPS[n.op].deriv(n, *(a._deriv[v] for a in n.args))
-        if n._deriv is None:
-            n._deriv = {}
-        n._deriv[v] = d
-    return e._deriv[v]
+            memo[n.eid] = OPS[n.op].deriv(n, *(memo[a.eid] for a in n.args))
+    return memo[e.eid]
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
@@ -693,35 +703,21 @@ class HybridAutomaton:
         missing = names - set(self.initial_box)
         if missing:
             raise ModelError(f"initial box lacks {sorted(missing)}")
+        for v, box in self.initial_box.items():
+            if not math.isfinite(box.hi - box.lo):
+                raise ModelError(f"initial range [{box.lo}, {box.hi}] of "
+                                 f"'{v}' is wider than a float can hold")
 
     def outgoing(self, loc: str):
         return [(k, e) for k, e in enumerate(self.edges) if e.source == loc]
 
 
-# ------------------------------------------------------- total derivatives
-
-
-def total_derivative(e: Expr, flow: dict) -> Expr:
-    """Derivative of e along trajectories of x' = flow(x) (Lie derivative).
-
-    Time dependence must be expressed through a clock variable with flow 1;
-    iterating this p times yields the p-th time derivative used by the
-    remainder bounds.
-    """
-    out = ZERO
-    for v in sorted(free_vars(e)):
-        fv = flow.get(v)
-        if fv is None:
-            raise ModelError(f"no flow for variable '{v}' in total derivative")
-        out = add(out, mul(derivative(e, v), fv))
-    return out
-
-
 TAU = "__tau"
 
 
-def stage_poly_derivative(a_coeffs, b_coeffs, flow: dict, variables, order: int) -> dict:
-    """(order)-th derivative w.r.t. step time of the scheme's polynomial map.
+def stage_poly_derivative(a_coeffs, b_coeffs, flow: dict, variables, order: int) -> list:
+    """(order)-th derivative w.r.t. step time of the scheme's polynomial
+    map, one root per variable of `variables`, in order.
 
     The scheme result as a function of the intra-step time tau is
     x + tau * sum(b_i k_i(tau)) with the stages expanded symbolically; its
@@ -730,26 +726,24 @@ def stage_poly_derivative(a_coeffs, b_coeffs, flow: dict, variables, order: int)
     """
     tau = var(TAU)
     stages = []
-    for i, row in enumerate(a_coeffs):
-        mapping = {}
-        for v in variables:
-            acc = ZERO
-            for j, aij in enumerate(row[:i]):
-                if aij != 0.0:
-                    acc = add(acc, mul(const(aij), stages[j][v]))
-            mapping[v] = add(var(v), mul(tau, acc))
-        stages.append({v: substitute(flow[v], mapping) for v in variables})
-    phi = {}
-    for v in variables:
+
+    def advance(v, coeffs):  # v + tau * sum(c_j * stage_j of v)
         acc = ZERO
-        for i, bi in enumerate(b_coeffs):
-            if bi != 0.0:
-                acc = add(acc, mul(const(bi), stages[i][v]))
-        phi[v] = add(var(v), mul(tau, acc))
-    deriv = phi
+        for c, stage in zip(coeffs, stages):
+            if c != 0.0:
+                acc = add(acc, mul(const(c), stage[v]))
+        return add(var(v), mul(tau, acc))
+
+    for i, row in enumerate(a_coeffs):
+        mapping = {v: advance(v, row[:i]) for v in variables}
+        stages.append({v: substitute(flow[v], mapping) for v in variables})
+    deriv = [advance(v, b_coeffs) for v in variables]
+    seeds = {v: ZERO for v in variables}
+    seeds[TAU] = ONE
+    memo: dict = {}
     for _ in range(order):
-        deriv = {v: derivative(e, TAU) for v, e in deriv.items()}
-        n = count_nodes(*deriv.values())
+        deriv = [derivative(e, seeds, memo) for e in deriv]
+        n = count_nodes(*deriv)
         if n > NODE_CAP:
             raise ConfigError(
                 f"stage-derivative expression exceeds {NODE_CAP} nodes "

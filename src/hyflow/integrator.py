@@ -23,12 +23,14 @@ a priori enclosure over the whole step:
   h^(p+1)/(p+1)! * (conv{f^(p)(x(xi))} - conv{Phi^(p+1)(tau, x0)}), the
   hulls of the p-th flow derivative along the trajectory and of the
   (p+1)-th step-time derivative of the scheme polynomial, for xi and tau
-  in [0, h]. One mean weight serves every component, so there is no
-  separate intermediate time per component. An affine form over symbols
-  the components share is a convex zonotope, and a form that holds every
-  value of a side holds its hull. That licenses the shared symbols. The
-  sharing carries real width: renaming each component's non-state
-  symbols apart widens lorenz's final box from 3.27 to 5.70.
+  in [0, h]. f^(p) is p forward passes of `ex.derivative` seeded with the
+  flow, with no per-node derivative memo. One mean weight serves every
+  component, so there is no separate intermediate time per component. An
+  affine form over symbols the components share is a convex zonotope, and
+  a form that holds every value of a side holds its hull. That licenses
+  the shared symbols. The sharing carries real width: renaming each
+  component's non-state symbols apart widens lorenz's final box from 3.27
+  to 5.70.
 * `step_control` drives the step size from the classical embedded-pair
   estimate; soundness never depends on it.
 * `env_condense` is the one order reduction of a set: it keeps the shared
@@ -185,7 +187,8 @@ class FlowContext:
         self.flow = dict(flow)
         self.table = table
         self._flow_list = [self.flow[v] for v in self.variables]
-        self._lie = [self.flow]
+        self._lie = [self._flow_list]
+        self._lie_memo: dict = {}
         self._phi_deriv = None
         self._scalar_flow = None
 
@@ -199,16 +202,17 @@ class FlowContext:
                                                   self.variables)
         return self._scalar_flow
 
-    def f_deriv(self, k: int) -> dict:
-        """k-th derivative of the flow vector along itself (f is k=0)."""
+    def f_deriv(self, k: int) -> list:
+        """The k-th Lie derivative of the flow (f is k=0), by variable: each
+        order is one forward pass of `ex.derivative` seeded with the flow.
+        No node keeps a derivative memo; this context keeps one across the
+        orders, since each order's DAG contains much of the one below."""
         while len(self._lie) <= k:
-            prev = self._lie[-1]
-            self._lie.append(
-                {v: ex.total_derivative(e, self.flow) for v, e in prev.items()}
-            )
+            self._lie.append([ex.derivative(e, self.flow, self._lie_memo)
+                              for e in self._lie[-1]])
         return self._lie[k]
 
-    def phi_deriv(self) -> dict:
+    def phi_deriv(self) -> list:
         if self._phi_deriv is None:
             t = self.table
             self._phi_deriv = ex.stage_poly_derivative(
@@ -452,9 +456,7 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     symbol (`af.scale_interval`).
     """
     p = ctx.table.order
-    fp, phi = ctx.f_deriv(p), ctx.phi_deriv()
-    lie = [fp[v] for v in ctx.variables]
-    stage = [phi[v] for v in ctx.variables]
+    lie, stage = ctx.f_deriv(p), ctx.phi_deriv()
     a_vals = ex.eval_affine_many(lie, _read_by(lie, z_env), alloc)
     denv = env_remap(_read_by(stage, env), alloc)
     denv[ex.TAU] = af.from_interval(Interval(0.0, h), alloc)

@@ -60,8 +60,7 @@ def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
         for v in ctx.variables:
             if not af.to_interval(env[v]).subset_of(af.to_interval(z_use[v])):
                 z_use[v] = af.hull(z_use[v], env[v], alloc)
-    f3 = ctx.f_deriv(3)
-    f3_forms = ex.eval_affine_many([f3[v] for v in ctx.variables], z_use, alloc)
+    f3_forms = ex.eval_affine_many(ctx.f_deriv(3), z_use, alloc)
     rem_scale = {v: iv.div(af.to_interval(f), Interval(24.0, 24.0))  # 4!
                  for v, f in zip(ctx.variables, f3_forms)}
     dx = {v: x1[v] - x0[v] for v in ctx.variables}

@@ -226,3 +226,16 @@ def test_json_init_bounds_must_be_finite_numbers(bounds):
     with pytest.raises(SchemaError) as info:
         parse_json_automaton(doc)
     assert info.value.path == "/init/box/T"
+
+
+@pytest.mark.parametrize("load", [
+    lambda: D.lower_to_automaton(D.parse_dsl(
+        "set duration=1;\ninit T = [-1e308, 1e308];\nT' = -T;\n")),
+    lambda: parse_json_automaton(
+        THERMO.replace('"T": [20, 20.1]', '"T": [-1e308, 1e308]')),
+], ids=["dsl", "json"])
+def test_initial_range_whose_width_overflows_is_a_model_error(load):
+    """Both frontends build the automaton, which rejects the range and
+    names its variable, before a step could meet its infinite radius."""
+    with pytest.raises(ModelError, match="'T'"):
+        load()

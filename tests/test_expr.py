@@ -180,7 +180,8 @@ def test_op_row_is_consistent(op, operands):
     f = ex.compile_scalar([e, *args], ["x", "y"])
     alloc = NoiseAllocator()
     got = af.to_interval(ex.eval_affine(e, env_from_boxes(alloc, **BOX), alloc))
-    grad = ex.compile_scalar([ex.derivative(e, "x"), ex.derivative(e, "y")],
+    grad = ex.compile_scalar([ex.derivative(e, {"x": ex.ONE, "y": ex.ZERO}),
+                              ex.derivative(e, {"x": ex.ZERO, "y": ex.ONE})],
                              ["x", "y"])
     h = 1e-6
     for p in POINTS:
@@ -242,8 +243,8 @@ def model_dags(name, pad=0.0):
         ctx = FlowContext(ha.variables, flow, ODE23)
         p = ctx.table.order
         dags[loc, "flow"] = [flow[v] for v in ha.variables]
-        dags[loc, "lie"] = [ctx.f_deriv(p)[v] for v in ha.variables]
-        dags[loc, "stage"] = [ctx.phi_deriv()[v] for v in ha.variables]
+        dags[loc, "lie"] = ctx.f_deriv(p)
+        dags[loc, "stage"] = ctx.phi_deriv()
     return dags, env, alloc
 
 
@@ -383,17 +384,26 @@ def kernel_calls(roots):
 
 
 def test_fused_programs_pin_their_kernel_calls():
-    """Stage programs make one call per line: a `_bound` per variable, an
-    `af.lin` per maximal linear subtree, and one per other node. Before
-    linear subtrees were fused and constants built once, vanderpol's made
-    126 calls and car's 294, one per node; a change that undoes the fusion
-    fails here."""
+    """Programs make one call per line: a `_bound` per variable, an
+    `af.lin` per maximal linear subtree, and one per other node, pinned
+    here as (nodes, calls). Before linear subtrees were fused and
+    constants built once, vanderpol's stage program made 126 calls and
+    car's 294, one per node; a change that undoes the fusion fails here.
+    The f^(3) (Lie) programs are one forward pass along the flow; built
+    as sums of partials times the flow they grow, lorenz's to (140, 62),
+    and fail here."""
     counts = {}
-    for name in ("vanderpol", "car"):
+    for name in ("vanderpol", "car", "lorenz", "brusselator"):
         dags, _env, _alloc = model_dags(name)
-        stage = dags["main", "stage"]
-        counts[name] = (ex.count_nodes(*stage), kernel_calls(stage))
-    assert counts == {"vanderpol": (126, 83), "car": (294, 169)}
+        for side in ("lie", "stage"):
+            roots = dags["main", side]
+            counts[name, side] = (ex.count_nodes(*roots), kernel_calls(roots))
+    assert counts == {
+        ("vanderpol", "lie"): (46, 31), ("vanderpol", "stage"): (126, 83),
+        ("car", "lie"): (75, 49), ("car", "stage"): (294, 169),
+        ("lorenz", "lie"): (70, 41), ("lorenz", "stage"): (135, 78),
+        ("brusselator", "lie"): (57, 36), ("brusselator", "stage"): (163, 96),
+    }
 
 
 def test_linear_subtrees_fuse_into_one_call():
@@ -440,13 +450,16 @@ def test_division_by_a_constant_is_a_scaling():
 def test_total_derivative_base_cases():
     x = ex.var("x")
     flow = {"x": ex.neg(x)}
-    assert ex.total_derivative(x, flow) is ex.neg(x)
+    assert ex.derivative(x, flow) is ex.neg(x)
     t = ex.var("t")
     flow_t = {"t": ex.ONE}
-    d = ex.total_derivative(ex.pow_int(t, 2), flow_t)
+    d = ex.derivative(ex.pow_int(t, 2), flow_t)
     fn = ex.compile_scalar((d,), ["t"])
     for v in (0.0, 1.3, -2.0):
         assert fn([v])[0] == pytest.approx(2 * v)
+    # a variable the seeds do not name (edge_cannot_fire relies on it)
+    with pytest.raises(ModelError, match="'t'"):
+        ex.derivative(ex.mul(x, t), flow)
 
 
 def brusselator_flow():
@@ -459,8 +472,10 @@ def brusselator_flow():
 
 def test_total_derivative_vs_finite_differences():
     flow = brusselator_flow()
-    f1x = ex.total_derivative(flow["x"], flow)
-    f1y = ex.total_derivative(flow["y"], flow)
+    memo = {}  # shared across roots and orders, it changes no node
+    f1x, f1y = (ex.derivative(flow[v], flow, memo) for v in "xy")
+    for e in (f1x, f1y):
+        assert ex.derivative(e, flow, memo) is ex.derivative(e, flow)
     names = ["x", "y"]
     f = ex.compile_scalar((flow["x"], flow["y"]), names)
     d = ex.compile_scalar((f1x, f1y), names)
@@ -481,7 +496,7 @@ def test_total_derivative_vs_finite_differences():
 def test_abs_derivative_straddles_zero():
     u = ex.var("u")
     flow = {"u": ex.ONE}
-    d = ex.total_derivative(ex.abs_(u), flow)  # sgn(u) * 1
+    d = ex.derivative(ex.abs_(u), flow)  # sgn(u) * 1
     alloc = NoiseAllocator()
     env = env_from_boxes(alloc, u=(-1.0, 1.0))
     box = af.to_interval(ex.eval_affine(d, env, alloc))
@@ -496,13 +511,13 @@ BS23_B = (2 / 9, 1 / 3, 4 / 9)
 
 def test_stage_derivative_constant_flow():
     d = ex.stage_poly_derivative(BS23_A, BS23_B, {"x": ex.ONE}, ("x",), 3)
-    assert d["x"] is ex.ZERO
+    assert d == [ex.ZERO]
 
 
 def test_stage_derivative_euler_linear():
     # Euler on x' = x gives phi = x + tau*x, so the second derivative is 0.
     d = ex.stage_poly_derivative(((),), (1.0,), {"x": ex.var("x")}, ("x",), 2)
-    assert d["x"] is ex.ZERO
+    assert d == [ex.ZERO]
 
 
 def test_stage_derivative_ode23_matches_finite_difference():
@@ -516,7 +531,7 @@ def test_stage_derivative_ode23_matches_finite_difference():
         k3 = -(x0 + 3 * tau / 4 * k2)
         return x0 + tau / 9 * (2 * k1 + 3 * k2 + 4 * k3)
 
-    fn = ex.compile_scalar((d3["x"],), ["x", ex.TAU])
+    fn = ex.compile_scalar(d3, ["x", ex.TAU])
     x0 = 1.7
     for tau in (0.05, 0.1, 0.2, 0.3, 0.4):
         h = 1e-3
