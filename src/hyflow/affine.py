@@ -8,12 +8,11 @@ near-zero form instead of the interval-arithmetic blowup); nonlinear
 operations linearize at the center and bound the remainder with a fresh
 noise symbol.
 
-Linear combinations take one pass and one running-error sum however many
-terms they have: `lin` with exact float coefficients (each linear subtree
-of a compiled `expr` program is one call), `scale_interval` by an
-uncertain scalar in an interval (a division by a constant, the
-interpolator's 1/H), and `add_scaled_many` with interval coefficients over
-a base form (the Runge-Kutta stages).
+There is one linear kernel, `lin`: a sum of forms, each scaled by a
+float or by an uncertain scalar in an interval, takes one pass and one
+running-error sum however many terms it has. `neg` (exact) and
+`add_const` (which charges its exact rounding error) are its only
+shortcuts.
 
 Noise symbols are plain integers issued by a `NoiseAllocator`; all forms
 that interact must share one allocator. A simulation run has one
@@ -110,14 +109,14 @@ class AffineForm:
     # lives in `mul` below.
     def __add__(self, other):
         if isinstance(other, AffineForm):
-            return _add(self, other, 1.0)
+            return lin(0.0, ((1.0, 1.0, self), (1.0, 1.0, other)))
         return add_const(self, float(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, AffineForm):
-            return _add(self, other, -1.0)
+            return lin(0.0, ((1.0, 1.0, self), (-1.0, -1.0, other)))
         return add_const(self, -float(other))
 
     def __rsub__(self, other):
@@ -129,7 +128,8 @@ class AffineForm:
     def __mul__(self, other):
         if isinstance(other, AffineForm):
             raise TypeError("use mul(x, y, alloc) for form*form products")
-        return scale(self, float(other))
+        a = float(other)
+        return lin(0.0, ((a, a, self),))
 
     __rmul__ = __mul__
 
@@ -203,42 +203,6 @@ def _finish_slack(base: float, esum: float, ecnt: int) -> float:
     return rd.next_up(base + esum * _EPS + (ecnt + 1) * _SUBNORM)
 
 
-def _add(x: AffineForm, y: AffineForm, sign: float) -> AffineForm:
-    yc = y.center if sign > 0 else -y.center
-    center = x.center + yc
-    esum = abs(center)
-    ecnt = 1
-    dev = dict(x.dev)
-    if sign > 0:
-        for i, yi in y.dev.items():
-            xi = dev.get(i)
-            if xi is None:
-                dev[i] = yi
-            else:
-                g = xi + yi
-                esum += abs(g)
-                ecnt += 1
-                if g == 0.0:
-                    del dev[i]
-                else:
-                    dev[i] = g
-    else:
-        for i, yi in y.dev.items():
-            xi = dev.get(i)
-            if xi is None:
-                dev[i] = -yi
-            else:
-                g = xi - yi
-                esum += abs(g)
-                ecnt += 1
-                if g == 0.0:
-                    del dev[i]
-                else:
-                    dev[i] = g
-    slack = rd.next_up(x.slack + y.slack) if y.slack != 0.0 else x.slack
-    return _mk(center, dev, _finish_slack(slack, esum, ecnt))
-
-
 def add_const(x: AffineForm, c: float) -> AffineForm:
     if c == 0.0:
         return x
@@ -248,136 +212,80 @@ def add_const(x: AffineForm, c: float) -> AffineForm:
     return _mk(s, dict(x.dev), slack)
 
 
-def scale(x: AffineForm, a: float) -> AffineForm:
-    if a == 0.0:
-        return AffineForm(0.0)
-    if a == 1.0:
-        return x
-    if a == -1.0:
-        return neg(x)
-    c = a * x.center
-    esum = abs(c)
-    dev = {}
-    for i, xi in x.dev.items():
-        g = a * xi
-        dev[i] = g
-        esum += g if g >= 0.0 else -g
-    ecnt = 1 + len(dev)
-    slack = x.slack
-    if slack != 0.0:
-        sa = abs(a) * slack
-        slack = sa + sa * _EPS + _SUBNORM
-    return _mk(c, dev, _finish_slack(slack, esum, ecnt))
-
-
-def scale_interval(x: AffineForm, lo: float, hi: float) -> AffineForm:
-    """x scaled by an uncertain scalar s in [lo, hi]; no fresh symbol.
-    x is scaled by the midpoint m, and (s - m) x goes to slack."""
-    mid = 0.5 * (lo + hi)
-    out = scale(x, mid)
-    r = max(hi - mid, mid - lo)
-    if r != 0.0:
-        extra = rd.mul_up(rd.next_up(r), to_interval(x).mag)
-        out = AffineForm(out.center, out.dev, rd.next_up(out.slack + extra))
-    return out
-
-
 def lin(const: float, terms) -> AffineForm:
-    """const + sum(c * x) over `terms`, pairs (c, x) of an exact float c
-    and a form; one pass, no fresh symbol.
+    """const + sum(s * x) over `terms`, triples (lo, hi, x) of a form x and
+    an uncertain scalar s in [lo, hi], a point where lo == hi; one pass, no
+    fresh symbol. Every sum of scaled sets is one call: the operators `+`,
+    `-` and `*` by a float, the Runge-Kutta stages, the interpolant, and
+    each linear subtree of a compiled `expr` program.
 
-    Sound by the rules of `add_scaled_many` with every scalar a point:
-    every partial sum, the slacks' included, enters one running-error sum,
-    and exact zero sums are dropped. A product by c = +-1 is exact; the
-    products by any other c are charged at once, as |c| times x's center
-    and deviations in magnitude. `expr` compiles each linear subtree of a
-    DAG to one call.
+    x is scaled by the midpoint m. A product by m = +-1 is exact; the
+    products by any other m are charged at once, as |m| times x's center
+    and deviations in magnitude. Every partial sum that can round enters
+    the same running-error sum; a sum onto an exact zero cannot round, so
+    the first term's center and slack are taken as they are. Exact zero
+    coefficients are dropped, and a term whose scalar is the point 0 is
+    skipped, so a product by 0 stays exactly 0. The rest, (s - m) x with
+    |s - m| <= r, is bounded by r |x| and goes to slack, rounded upward;
+    |x| is x's interval magnitude.
     """
     center = const
     dev: dict = {}
     slack = esum = 0.0
     ecnt = 0
-    for c, x in terms:
-        xdev = x.dev
-        xs = x.slack
-        center += c * x.center
-        esum += center if center >= 0.0 else -center
-        ecnt += 2 * len(xdev) + 4
-        if c == 1.0 or c == -1.0:
-            if xs != 0.0:
-                slack += xs
-                esum += slack
+    for lo, hi, x in terms:
+        xc, xdev, xs = x.center, x.dev, x.slack
+        if lo == hi:
+            m = lo
         else:
-            a = abs(c)
-            esum += a * (abs(x.center) + sum(map(abs, xdev.values())))
+            m = 0.5 * (lo + hi)
+            dsum = sum(map(abs, xdev.values()))
+            n = len(xdev) + 2
+            mag = abs(xc) + xs + dsum
+            mag += mag * (n * _EPS) + n * _SUBNORM
+            r = rd.next_up(max(hi - m, m - lo))
+            slack = rd.next_up(slack + rd.mul_up(r, mag))
+        if m == 0.0:
+            continue
+        p = m * xc
+        if m != 1.0 and m != -1.0:
+            a = abs(m)
+            if lo == hi:
+                dsum = sum(map(abs, xdev.values()))
+            esum += a * (abs(xc) + dsum)
+            ecnt += len(xdev) + 1
             if xs != 0.0:
                 xs *= a
+                esum += xs
+                ecnt += 1
+        if center != 0.0:
+            center += p
+            esum += center if center >= 0.0 else -center
+            ecnt += 1
+        else:
+            center = p
+        if xs != 0.0:
+            if slack != 0.0:
                 slack += xs
-                esum += xs + slack
+                esum += slack
+                ecnt += 1
+            else:
+                slack = xs
         if not dev:
-            dev = dict(xdev) if c == 1.0 else {i: c * v for i, v in xdev.items()}
+            dev = dict(xdev) if m == 1.0 else {i: m * v for i, v in xdev.items()}
             continue
         for i, xi in xdev.items():
             d = dev.get(i)
             if d is None:
-                dev[i] = c * xi
+                dev[i] = m * xi
                 continue
-            s = d + c * xi
+            s = d + m * xi
             if s == 0.0:
                 del dev[i]
             else:
                 dev[i] = s
                 esum += s if s >= 0.0 else -s
-    return _mk(center, dev, _finish_slack(slack, esum, ecnt))
-
-
-def add_scaled_many(base: AffineForm, terms) -> AffineForm:
-    """base + sum(s * x) over `terms`, triples (lo, hi, x) with the
-    uncertain scalar s in [lo, hi]; one pass, no fresh symbol.
-
-    Sound by the rules of `scale` then `_add`, in the same order, so the
-    center and coefficients are the same floats: x is scaled by the
-    midpoint m, every product and partial sum enters one running-error
-    sum, and exact zero coefficients are dropped. The rest, (s - m) x with
-    |s - m| <= r, is bounded by r |x| and goes to slack with |m| times x's
-    slack; |x| is x's interval magnitude, as `to_interval` rounds it.
-    """
-    center = base.center
-    dev = dict(base.dev)
-    slack = base.slack
-    esum, ecnt = 0.0, 0
-    for lo, hi, x in terms:
-        mid = 0.5 * (lo + hi)
-        c = mid * x.center
-        center += c
-        esum += abs(c) + abs(center)
-        t = x.slack
-        for i, xi in x.dev.items():
-            t += xi if xi >= 0.0 else -xi
-            g = mid * xi
-            d = dev.get(i)
-            if d is None:
-                esum += g if g >= 0.0 else -g
-                if g != 0.0:
-                    dev[i] = g
-                continue
-            s = d + g
-            esum += abs(g) + abs(s)
-            ecnt += 1
-            if s == 0.0:
-                del dev[i]
-            else:
-                dev[i] = s
-        n = len(x.dev) + 1
-        ecnt += n + 1
-        if x.slack != 0.0:
-            slack = rd.next_up(slack + rd.mul_up(abs(mid), x.slack))
-        mag = abs(x.center)
-        if t != 0.0:
-            t += t * (n * _EPS) + n * _SUBNORM
-            mag = max(abs(rd.next_down(x.center - t)), abs(rd.next_up(x.center + t)))
-        r = rd.next_up(max(hi - mid, mid - lo))
-        slack = rd.next_up(slack + rd.mul_up(r, mag))
+                ecnt += 1
     return _mk(center, dev, _finish_slack(slack, esum, ecnt))
 
 
@@ -388,9 +296,9 @@ def neg(x: AffineForm) -> AffineForm:
 def mul(x: AffineForm, y: AffineForm, alloc: NoiseAllocator) -> AffineForm:
     """Range-sound product: linearization plus one fresh quadratic symbol."""
     if not y.dev and y.slack == 0.0:
-        return scale(x, y.center)
+        return lin(0.0, ((y.center, y.center, x),))
     if not x.dev and x.slack == 0.0:
-        return scale(y, x.center)
+        return lin(0.0, ((x.center, x.center, y),))
     xc, yc = x.center, y.center
     center = xc * yc
     xdev, ydev = x.dev, y.dev

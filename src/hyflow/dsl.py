@@ -386,6 +386,9 @@ class _Parser:
                     if hi < lo:
                         raise ParseError(f"inverted interval [{lo}, {hi}]",
                                          v.span)
+                    if not math.isfinite(hi - lo):
+                        raise ParseError(f"interval [{lo}, {hi}] is wider "
+                                         f"than a float can hold", v.span)
                     m.inits[name_tok.text] = Interval(lo, hi)
                 else:
                     x = self.parse_signed_number()

@@ -26,10 +26,11 @@ by the independent reference simulator and tests) every node gets one.
 Over affine forms (range-sound, used by the guaranteed engine;
 `eval_affine_many` builds the program for a tuple of roots on first use and
 keeps it on the newest root), each maximal linear subtree is one `af.lin`
-call: linear operations are exact on the noise symbols, so the subtree
-needs one pass and one rounding sum, not one per node. A division by a
-constant whose reciprocal is not a float scales by an enclosure of it, and
-constants are forms built once per program.
+call, the one linear kernel: linear operations are exact on the noise
+symbols, so the subtree needs one pass and one rounding sum, not one per
+node. Its coefficients are exact rationals, each passed as the tightest
+float interval around it (a division by a constant c is a term scaled by
+an enclosure of 1/c), and constants are forms built once per program.
 
 The intern table holds its nodes weakly, and each node carries its own
 free-variable memo and its affine programs, so a dropped model takes its
@@ -367,7 +368,7 @@ def derivative(e: Expr, seeds: dict, memo: dict | None = None) -> Expr:
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Replace variables per `mapping` (name -> Expr), rebuilding the DAG."""
     memo: dict = {}
-    for n in _postorder((e,), lambda node: node.eid in memo):
+    for n in _postorder((e,)):
         if n.op == "var":
             memo[n.eid] = mapping.get(n.name, n)
         elif n.op == "const":
@@ -412,29 +413,36 @@ def _linear(n: Expr):
     return None if row is None or row.linear is None else row.linear(n)
 
 
-def _exact(q: Fraction) -> float | None:
-    """q as a float when it is one exactly, else None."""
+def _enclosure(q: Fraction):
+    """The tightest float interval (lo, hi) around q, a point where q is a
+    float; None where no finite one exists."""
     try:
-        f = float(q)
+        m = float(q)
     except OverflowError:
         return None
-    return f if Fraction(f) == q else None
+    f = Fraction(m)
+    if f == q:
+        return m, m
+    lo, hi = (m, rd.next_up(m)) if f < q else (rd.next_down(m), m)
+    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None
 
 
 def _affine_rhs(roots, order):
     """The `rhs` of the affine program of `roots`, whose nodes in
     `_postorder` order are `order`.
 
-    A linear node (its row's `linear`) read once, by a linear node of
-    exact coefficients, and not a root is interior: it gets no line, and
-    the nearest node above it that is not interior sums its whole linear
-    subtree in one `af.lin` call. A coefficient is a product of
-    coefficients along the path, kept in `Fraction`; where one would not
-    be exactly a float, the node below stays a term of its own. Constant
-    terms are folded into `lin`'s constant while the sum stays exact, and
-    like terms are merged where the merged coefficient is exact. A linear
-    node whose own coefficient is not a float (a division by a constant c
-    with 1/c inexact) scales its argument by an enclosure of it.
+    A linear node (its row's `linear`) read once, by a linear node, and
+    not a root is interior: it gets no line, and the nearest node above it
+    that is not interior sums its whole linear subtree in one `af.lin`
+    call. A coefficient is a product of coefficients along the path, kept
+    in `Fraction` and emitted as the tightest float interval around it,
+    which is a point where the coefficient is a float; so a division by a
+    constant c scales by an enclosure of 1/c. A coefficient with no finite
+    float enclosure is never emitted: the node below it stays a term of
+    its own, and a node whose own coefficient has none is evaluated by its
+    row. Constant terms are folded into `lin`'s constant while the sum
+    stays a float, and like terms are merged where the merged coefficient
+    has an enclosure.
     """
     uses = Counter(a.eid for n in order for a in n.args)
     for r in roots:
@@ -445,10 +453,12 @@ def _affine_rhs(roots, order):
         if terms is None:
             continue
         k = coef.get(n.eid, 1)
+        if any(_enclosure(k * q) is None for q, _ in terms):
+            continue
         for q, a in terms:
             sub = _linear(a) if uses[a.eid] == 1 else None
-            if sub is not None and _exact(k * q) is not None and all(
-                    _exact(k * q * q2) is not None for q2, _ in sub):
+            if sub is not None and all(
+                    _enclosure(k * q * q2) is not None for q2, _ in sub):
                 coef[a.eid] = k * q
 
     def lin_call(terms):
@@ -463,17 +473,22 @@ def _affine_rhs(roots, order):
                 continue
             if a.op == "const":
                 total = const + k * Fraction(a.value)
-                if _exact(total) is not None:
+                box = _enclosure(total)
+                if box is not None and box[0] == box[1]:
                     const = total
                     continue
             i = last.get(a.eid)
-            if i is not None and _exact(entries[i][0] + k) is not None:
+            if i is not None and _enclosure(entries[i][0] + k) is not None:
                 entries[i][0] += k
             else:
                 last[a.eid] = len(entries)
                 entries.append([k, a])
-        pairs = "".join(f"({float(k)!r}, _t{a.eid}), " for k, a in entries if k)
-        return f"_lin({float(const)!r}, ({pairs}))"
+        triples = []
+        for k, a in entries:
+            if k:
+                lo, hi = _enclosure(k)
+                triples.append(f"({lo!r}, {hi!r}, _t{a.eid}), ")
+        return f"_lin({float(const)!r}, ({''.join(triples)}))"
 
     def rhs(n, args):
         if n.op == "const" or n.eid in coef:
@@ -481,26 +496,19 @@ def _affine_rhs(roots, order):
         if n.op == "var":
             return f"_bound(_env, {n.name!r})"
         terms = _linear(n)
-        if terms is not None:
-            if all(_exact(q) is not None for q, _ in terms):
-                return lin_call(terms)
-            if len(terms) == 1:
-                (q, a), = terms
-                mid = float(q)
-                return (f"_scale_interval(_t{a.eid}, {rd.next_down(mid)!r}, "
-                        f"{rd.next_up(mid)!r})")
+        if terms is not None and all(_enclosure(q) is not None
+                                     for q, _ in terms):
+            return lin_call(terms)
         return f"_{n.op}({', '.join([*args, *map(repr, n.params), '_alloc'])})"
 
     return rhs
 
 
-# An affine program calls `af.lin` and `af.scale_interval` for linear
-# nodes and each other op's row (so `mul` reaches `af.mul` through the
-# row's lookup at each call, where a wrapper on the affine module sees it)
-# with the allocator appended. Its constants are forms, built once per
-# program.
+# An affine program calls `af.lin` for linear nodes and each other op's row
+# (so `mul` reaches `af.mul` through the row's lookup at each call, where a
+# wrapper on the affine module sees it) with the allocator appended. Its
+# constants are forms, built once per program.
 _AFFINE_NS = {"_bound": _bound, "_lin": af.lin,
-              "_scale_interval": af.scale_interval,
               **{f"_{op}": row.affine for op, row in OPS.items()}}
 
 
@@ -562,7 +570,7 @@ def compile_scalar(exprs, var_order):
 def to_text(e: Expr) -> str:
     """Deterministic infix rendering, parseable by the DSL expression parser."""
     memo: dict = {}
-    for n in _postorder((e,), lambda node: node.eid in memo):
+    for n in _postorder((e,)):
         if n.op == "const":
             v = n.value
             memo[n.eid] = repr(v) if v >= 0 else f"({v!r})"

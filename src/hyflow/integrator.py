@@ -16,8 +16,8 @@ a priori enclosure over the whole step:
 * `rk_stages` evaluates the scheme in affine arithmetic with the Butcher
   coefficients treated as exact rationals (their float representation error
   is folded into slack), so the result encloses the exact-real scheme.
-  k1 is f0; each later stage argument, and the result, is one pass of
-  `af.add_scaled_many` over the start form.
+  k1 is f0; each later stage argument, and the result, is one `af.lin`
+  call, with the start form a term of unit scalar.
 * `truncation_bound` bounds the local distance between scheme and true
   solution through the integral form of the Taylor remainder: it lies in
   h^(p+1)/(p+1)! * (conv{f^(p)(x(xi))} - conv{Phi^(p+1)(tau, x0)}), the
@@ -367,19 +367,18 @@ def rk_stages(ctx: FlowContext, env: Env, f0: Env, h: float, alloc) -> Env:
 
     The first stage is k1 = f0 = f(env), as `guaranteed_step` gives it.
     Each later stage argument env[v] + sum_j h a_ij k_j[v], and the result
-    env[v] + sum_i h b_i k_i[v], is one `af.add_scaled_many` pass over the
-    start form, with each h*coefficient enclosed in the float interval
-    `_scaled_coef` gives. The kernel computes the center and coefficients
-    that scaling each term and adding it would, and charges the coefficient
-    widths and every rounding to slack, so the result is sound without an
-    intermediate copy of the start form.
+    env[v] + sum_i h b_i k_i[v], is one `af.lin` call over the start form
+    and the stages, with each h*coefficient enclosed in the float interval
+    `_scaled_coef` gives. The kernel charges the coefficient widths and
+    every rounding to slack, so the result is sound without an
+    intermediate form per term.
     """
     ks = [f0]
 
     def combine(row):
         coefs = [(*_scaled_coef(h, fr), j) for j, fr in enumerate(row) if fr]
-        return {v: af.add_scaled_many(
-                    env[v], [(lo, hi, ks[j][v]) for lo, hi, j in coefs])
+        return {v: af.lin(0.0, [(1.0, 1.0, env[v]),
+                                 *[(lo, hi, ks[j][v]) for lo, hi, j in coefs]])
                 for v in ctx.variables}
 
     for row in ctx.table.a[1:]:
@@ -453,7 +452,7 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     gets a small relative inflation covering the float representation of
     the Butcher coefficients inside the symbolic polynomial. The weight's
     mass is an interval, and it scales each component without a fresh
-    symbol (`af.scale_interval`).
+    symbol, as one interval term of `af.lin`.
     """
     p = ctx.table.order
     lie, stage = ctx.f_deriv(p), ctx.phi_deriv()
@@ -463,8 +462,8 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     b_vals = ex.eval_affine_many(stage, denv, alloc)
     fact = float(math.factorial(p + 1))
     scale_iv = iv.div(iv.pow_int(Interval(h, h), p + 1), Interval(fact, fact))
-    return {vname: af.scale_interval(av - inflate_form(bv, 1e-12, 1e-306),
-                                     scale_iv.lo, scale_iv.hi)
+    return {vname: af.lin(0.0, ((scale_iv.lo, scale_iv.hi,
+                                 av - inflate_form(bv, 1e-12, 1e-306)),))
             for vname, av, bv in zip(ctx.variables, a_vals, b_vals)}
 
 

@@ -81,11 +81,11 @@ def eval_gpoly(g: GPoly, t: Interval, alloc: NoiseAllocator,
     # and b1 = (tau - H) s^2, with s = tau / H
     tau = af.from_interval(t, alloc)
     inv = iv.div(Interval(1.0, 1.0), Interval(h, h))
-    s = af.scale_interval(tau, inv.lo, inv.hi)
+    s = af.lin(0.0, ((inv.lo, inv.hi, tau),))
     u = 1.0 - s
     b0 = af.mul(tau, af.mul(u, u, alloc), alloc)
     s2 = af.mul(s, s, alloc)
-    a1 = af.mul(af.add_const(af.scale(s, -2.0), 3.0), s2, alloc)
+    a1 = af.mul(af.add_const(s * -2.0, 3.0), s2, alloc)
     b1 = af.mul(tau - h, s2, alloc)
     # remainder factor tau^2 (tau - H)^2, evaluated as an interval
     prod = iv.mul(iv.pow_int(t, 2), iv.pow_int(iv.sub(t, Interval(h, h)), 2))
@@ -93,11 +93,11 @@ def eval_gpoly(g: GPoly, t: Interval, alloc: NoiseAllocator,
     for v in g.variables:
         if names is not None and v not in names:
             continue
-        acc = g.x0[v] + af.mul(b0, g.f0[v], alloc)
-        acc = acc + af.mul(a1, g.dx[v], alloc)
-        acc = acc + af.mul(b1, g.f1[v], alloc)
+        terms = [(1.0, 1.0, g.x0[v]), (1.0, 1.0, af.mul(b0, g.f0[v], alloc)),
+                 (1.0, 1.0, af.mul(a1, g.dx[v], alloc)),
+                 (1.0, 1.0, af.mul(b1, g.f1[v], alloc))]
         rem = iv.mul(g.rem_scale[v], prod)
         if rem.lo != 0.0 or rem.hi != 0.0:
-            acc = acc + af.from_interval(rem, alloc)
-        out[v] = acc
+            terms.append((1.0, 1.0, af.from_interval(rem, alloc)))
+        out[v] = af.lin(0.0, terms)
     return out

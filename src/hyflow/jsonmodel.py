@@ -22,6 +22,7 @@ failures raise SchemaError with a JSON-pointer path.
 from __future__ import annotations
 
 import json
+import math
 
 from .config import FIELD_TYPES, REQUIRED, check_setting, finite_float
 from .dsl import parse_expr_string, parse_guard_string
@@ -137,6 +138,9 @@ def parse_json_automaton(text: str):
                               "numbers", f"/init/box/{v}")
         if bounds[0] > bounds[1]:
             raise SchemaError(f"inverted range {pair}", f"/init/box/{v}")
+        if not math.isfinite(bounds[1] - bounds[0]):
+            raise SchemaError(f"range {pair} is wider than a float can hold",
+                              f"/init/box/{v}")
         box[v] = Interval(*bounds)
     config = _optional(doc, "config", dict, {}, "")
     settings = {}

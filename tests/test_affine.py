@@ -68,7 +68,7 @@ def test_combine_cancellation():
 
 def test_combine_scale_and_shift():
     x = make_form(2.0, [1.0])
-    r = af.add_const(af.scale(x, 2.0), 1.0)
+    r = af.add_const(x * 2.0, 1.0)
     assert r.center == 5.0
     assert list(r.dev.values()) == [2.0]
 
@@ -180,7 +180,7 @@ def test_division():
 def test_combine_range_soundness(cx, cy, dx, dy, a, b, c, seed):
     x = make_form(cx, dx)
     y = make_form(cy, dy)
-    r = af.add_const(af.scale(x, a) + af.scale(y, b), c)
+    r = af.add_const(x * a + y * b, c)
     rng = random.Random(seed)
     ids = set(x.dev) | set(y.dev)
     for _ in range(20):
@@ -413,9 +413,10 @@ def exact_at(x, val, slack_pos=0):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10_000))
 def test_add_scaled_many_encloses_the_exact_combination(seed):
-    # base + sum(s * x), each s at lo, mid or hi of its interval, evaluated
-    # exactly at one valuation, lies within the result's center plus its
-    # deviations at that valuation, plus or minus its slack
+    # base + sum(s * x) as one lin call, base a unit term: each s at lo,
+    # mid or hi of its interval, evaluated exactly at one valuation, lies
+    # within the result's center plus its deviations at that valuation,
+    # plus or minus its slack
     rng = random.Random(seed)
 
     def coef():
@@ -437,15 +438,18 @@ def test_add_scaled_many_encloses_the_exact_combination(seed):
         terms.append((lo, hi, x))
     # a term that cancels base's coefficient on symbol 9 to exactly 0
     terms.append((-0.5, -0.5, AffineForm(coef(), {9: 1.5}, 0.0)))
-    r = af.add_scaled_many(base, terms)
+    r = af.lin(0.0, ((1.0, 1.0, base), *terms))
     assert 9 not in r.dev
 
     # the same floats as scaling each term by its midpoint and adding it
-    ref = base
+    center, ref = base.center, dict(base.dev)
     for lo, hi, x in terms:
-        ref = ref + af.scale(x, 0.5 * (lo + hi))
-    assert r.center == ref.center
-    assert r.dev == {i: c for i, c in ref.dev.items() if c != 0.0}
+        m = 0.5 * (lo + hi)
+        center += m * x.center
+        for i, c in x.dev.items():
+            ref[i] = ref.get(i, 0.0) + m * c
+    assert r.center == center
+    assert r.dev == {i: c for i, c in ref.items() if c != 0.0}
 
     ids = set(base.dev).union(*(x.dev for _, _, x in terms))
     for trial in range(12):
@@ -465,16 +469,32 @@ def test_add_scaled_many_encloses_the_exact_combination(seed):
         assert abs(exact - exact_at(r, val)) <= Fraction(r.slack)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10_000))
 def test_lin_encloses_the_exact_combination(seed):
-    # const + sum(c * x) evaluated exactly at one valuation lies within the
-    # result's center plus its deviations there, plus or minus its slack;
-    # unit coefficients, repeated forms and exact cancellation included
+    # const + sum(s * x) over triples (lo, hi, x), each s at lo, mid or hi
+    # of its interval, evaluated exactly at one valuation with each slack
+    # at some position, lies within the result's center plus its
+    # deviations there, plus or minus its slack; point, interval, unit and
+    # zero scalars, repeated forms and exact cancellation included
     rng = random.Random(seed)
 
     def coef():
         return rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-6, 2)
+
+    def scalar():
+        kind = rng.choice(("point", "interval", "unit", "zero"))
+        if kind == "point":
+            c = rng.choice((0.5, coef()))
+            return c, c
+        if kind == "unit":
+            c = rng.choice((1.0, -1.0))
+            return c, c
+        if kind == "zero":  # the point 0, or an interval of midpoint 0
+            c = rng.choice((0.0, abs(coef())))
+            return -c, c
+        lo = coef()
+        return lo, lo + abs(coef()) * rng.choice((1e-15, 1.0))
 
     terms = []
     for j in range(rng.randint(1, 5)):
@@ -482,43 +502,64 @@ def test_lin_encloses_the_exact_combination(seed):
         ids += [10 * (j + 1) + k for k in range(rng.randint(0, 3))]
         x = AffineForm(coef(), {i: coef() for i in ids},
                        rng.choice((0.0, abs(coef()))))
-        c = rng.choice((1.0, -1.0, 0.5, coef()))
-        terms.append((c, x))
+        terms.append((*scalar(), x))
     if rng.random() < 0.5:
-        terms.append((rng.choice((1.0, 3.0)), terms[0][1]))
-    # a term that cancels symbol 9 to exactly 0
-    terms += [(1.0, AffineForm(0.0, {9: 0.75})), (-0.5, AffineForm(0.0, {9: 1.5}))]
+        terms.append((*scalar(), terms[0][2]))
+    # a pair that cancels symbol 9 to exactly 0
+    terms += [(1.0, 1.0, AffineForm(0.0, {9: 0.75})),
+              (-0.5, -0.5, AffineForm(0.0, {9: 1.5}))]
     const = rng.choice((0.0, coef()))
     r = af.lin(const, terms)
     assert 9 not in r.dev
+    ids = set().union(*(x.dev for _, _, x in terms))
+    assert set(r.dev) <= ids  # no fresh symbol
 
-    ids = set().union(*(x.dev for _, x in terms))
+    # the same floats as scaling each term by its midpoint and adding it
+    center, dev = const, {}
+    for lo, hi, x in terms:
+        m = 0.5 * (lo + hi)
+        center += m * x.center
+        for i, c in x.dev.items():
+            dev[i] = dev.get(i, 0.0) + m * c
+    assert r.center == center
+    assert r.dev == {i: c for i, c in dev.items() if c != 0.0}
+
     for trial in range(12):
         if trial < 4:
             val = {i: Fraction(rng.choice((-1, 1))) for i in ids}
         else:
             val = {i: Fraction(rng.uniform(-1.0, 1.0)) for i in ids}
         exact = Fraction(const)
-        for c, x in terms:
+        for lo, hi, x in terms:
+            s = rng.choice((Fraction(lo), (Fraction(lo) + Fraction(hi)) / 2,
+                            Fraction(hi)))
             pos = Fraction(rng.choice((-1.0, 1.0, rng.uniform(-1.0, 1.0))))
-            exact += Fraction(c) * exact_at(x, val, pos)
+            exact += s * exact_at(x, val, pos)
         assert abs(exact - exact_at(r, val)) <= Fraction(r.slack)
 
 
 def test_lin_of_no_terms_is_its_constant():
     r = af.lin(0.5, ())
     assert (r.center, r.dev, r.slack) == (0.5, {}, 0.0)
+    # a term whose scalar is the point 0 is skipped, so a product by an
+    # exact zero stays exactly 0
+    x = AffineForm(3.0, {1: 0.25}, 1e-3)
+    r = af.lin(0.5, ((0.0, 0.0, x),))
+    assert (r.center, r.dev, r.slack) == (0.5, {}, 0.0)
+    r = af.mul(x, af.ZERO, NoiseAllocator())
+    assert (r.center, r.dev, r.slack) == (0.0, {}, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10_000))
 def test_scale_interval_encloses_every_scaling(seed):
+    # s * x for every s in [lo, hi], as a lin call of one term
     rng = random.Random(seed)
     x = AffineForm(rng.uniform(-5, 5), {i: rng.uniform(-1, 1) for i in range(3)},
                    rng.choice((0.0, 1e-3)))
     lo = rng.uniform(-2, 2)
     hi = rng.choice((lo, lo + rng.uniform(0, 1)))
-    r = af.scale_interval(x, lo, hi)
+    r = af.lin(0.0, ((lo, hi, x),))
     assert set(r.dev) <= set(x.dev)  # no fresh symbol
     for _ in range(12):
         val = {i: Fraction(rng.uniform(-1.0, 1.0)) for i in x.dev}
@@ -526,7 +567,16 @@ def test_scale_interval_encloses_every_scaling(seed):
         exact = s * exact_at(x, val, Fraction(rng.uniform(-1.0, 1.0)))
         assert abs(exact - exact_at(r, val)) <= Fraction(r.slack)
     if lo == hi:  # a point scalar is a plain scaling
-        assert r.slack == af.scale(x, lo).slack
+        assert r.slack == (x * lo).slack
+
+
+def test_unit_terms_and_point_scalings_charge_no_rounding():
+    # a product by +-1 and a sum onto an exact zero cannot round
+    x = AffineForm(3.0, {1: 0.25, 2: -0.5}, 1e-3)
+    for r in (x * 1.0, af.lin(0.0, ((1.0, 1.0, x),))):
+        assert (r.center, r.dev, r.slack) == (x.center, x.dev, x.slack)
+    r = -1.0 * x
+    assert (r.center, r.dev, r.slack) == (-3.0, {1: -0.25, 2: 0.5}, 1e-3)
 
 
 @settings(max_examples=300, deadline=None)

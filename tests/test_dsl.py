@@ -7,6 +7,7 @@ from hyflow import dsl as D
 from hyflow import expr as ex
 from hyflow.affine import Rel
 from hyflow.errors import ModelError, ParseError, SchemaError
+from hyflow.expr import HybridAutomaton
 from hyflow.interval import Interval
 from hyflow.jsonmodel import parse_json_automaton
 
@@ -228,14 +229,27 @@ def test_json_init_bounds_must_be_finite_numbers(bounds):
     assert info.value.path == "/init/box/T"
 
 
-@pytest.mark.parametrize("load", [
-    lambda: D.lower_to_automaton(D.parse_dsl(
-        "set duration=1;\ninit T = [-1e308, 1e308];\nT' = -T;\n")),
-    lambda: parse_json_automaton(
+@pytest.mark.parametrize("load, where", [
+    (lambda: D.parse_dsl(
+        "set duration=1;\ninit T = [-1e308, 1e308];\nT' = -T;\n"),
+     lambda error: (error.span.line, error.span.col) == (2, 10)),
+    (lambda: parse_json_automaton(
         THERMO.replace('"T": [20, 20.1]', '"T": [-1e308, 1e308]')),
+     lambda error: error.path == "/init/box/T"),
 ], ids=["dsl", "json"])
-def test_initial_range_whose_width_overflows_is_a_model_error(load):
-    """Both frontends build the automaton, which rejects the range and
-    names its variable, before a step could meet its infinite radius."""
-    with pytest.raises(ModelError, match="'T'"):
+def test_initial_range_whose_width_overflows_is_a_model_error(load, where):
+    """Each frontend rejects the range with a located error, a `ParseError`
+    at its span or a `SchemaError` at its JSON pointer, before a step could
+    meet its infinite radius."""
+    with pytest.raises((ParseError, SchemaError),
+                       match="wider than a float can hold") as info:
         load()
+    assert where(info.value)
+
+
+def test_automaton_built_in_code_rejects_an_overflowing_range():
+    """An automaton built without a frontend checks the range itself and
+    names its variable."""
+    with pytest.raises(ModelError, match="'T'"):
+        HybridAutomaton(("T",), {"l": {"T": ex.neg(ex.var("T"))}}, [], "l",
+                        {"T": Interval(-1e308, 1e308)})

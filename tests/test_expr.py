@@ -275,7 +275,7 @@ def interpreted(roots, env, alloc):
             m = float(q)
             lo, hi = (m, m) if Fraction(m) == q else (
                 math.nextafter(m, -math.inf), math.nextafter(m, math.inf))
-            vals[n.eid] = af.scale_interval(args[0], lo, hi)
+            vals[n.eid] = af.lin(0.0, ((lo, hi, args[0]),))
         else:
             vals[n.eid] = ex.OPS[n.op].affine(*args, *n.params, alloc)
 
@@ -391,18 +391,30 @@ def test_fused_programs_pin_their_kernel_calls():
     car's 294, one per node; a change that undoes the fusion fails here.
     The f^(3) (Lie) programs are one forward pass along the flow; built
     as sums of partials times the flow they grow, lorenz's to (140, 62),
-    and fail here."""
+    and fail here. A scaling by a coefficient that is not a float, such as
+    the 0.1 of thermostat's f^(3) = (-0.1)^3 (-0.1 (T - 14)), is a term of
+    the sum around it; as a call of its own it made thermostat's Lie
+    programs 5 calls, watertank's 17 and 21, and car's 49 and 169."""
     counts = {}
-    for name in ("vanderpol", "car", "lorenz", "brusselator"):
+    for name in ("vanderpol", "car", "lorenz", "brusselator", "watertank",
+                 "thermostat"):
         dags, _env, _alloc = model_dags(name)
-        for side in ("lie", "stage"):
-            roots = dags["main", side]
-            counts[name, side] = (ex.count_nodes(*roots), kernel_calls(roots))
+        for (loc, side), roots in dags.items():
+            if side != "flow" and ex.count_nodes(*roots) > 1:
+                counts[name, loc, side] = (ex.count_nodes(*roots),
+                                           kernel_calls(roots))
     assert counts == {
-        ("vanderpol", "lie"): (46, 31), ("vanderpol", "stage"): (126, 83),
-        ("car", "lie"): (75, 49), ("car", "stage"): (294, 169),
-        ("lorenz", "lie"): (70, 41), ("lorenz", "stage"): (135, 78),
-        ("brusselator", "lie"): (57, 36), ("brusselator", "stage"): (163, 96),
+        ("vanderpol", "main", "lie"): (46, 31),
+        ("vanderpol", "main", "stage"): (126, 83),
+        ("car", "main", "lie"): (75, 45), ("car", "main", "stage"): (294, 152),
+        ("lorenz", "main", "lie"): (70, 41),
+        ("lorenz", "main", "stage"): (135, 74),
+        ("brusselator", "main", "lie"): (57, 36),
+        ("brusselator", "main", "stage"): (163, 94),
+        ("watertank", "drain", "lie"): (37, 14),
+        ("watertank", "fill", "lie"): (40, 18),
+        ("thermostat", "cool", "lie"): (8, 2),
+        ("thermostat", "heat", "lie"): (11, 2),
     }
 
 
@@ -417,11 +429,25 @@ def test_linear_subtrees_fuse_into_one_call():
     alloc = NoiseAllocator()
     env = env_from_boxes(alloc, x=(1.0, 2.0), y=(-1.0, 0.5), z=(0.0, 3.0))
     got = ex.eval_affine(e, env, NoiseAllocator(100))
-    want = af.lin(0.25, ((1.5, af.mul(env["x"], env["y"], NoiseAllocator(100))),
-                         (-1.5, env["z"])))
+    xy_form = af.mul(env["x"], env["y"], NoiseAllocator(100))
+    want = af.lin(0.25, ((1.5, 1.5, xy_form), (-1.5, -1.5, env["z"])))
     assert exact(got) == exact(want)
-    # 0.1 * 3 is not a float: the product by 3 stays a term of its own
-    assert kernel_calls([ex.mul(ex.const(0.1), ex.mul(ex.const(3.0), z))]) == 3
+    # 0.1 * 3 is not a float: the sum scales z by an enclosure of it
+    tenth = ex.mul(ex.const(0.1), ex.mul(ex.const(3.0), z))
+    assert kernel_calls([tenth]) == 1 + 1  # _bound, one lin
+    got = ex.eval_affine(tenth, env, NoiseAllocator(100))
+    q = Fraction(0.1) * 3
+    assert got.dev.keys() == env["z"].dev.keys()
+    box = af.to_interval(got)
+    assert box.lo <= 0 and Fraction(box.hi) >= 3 * q
+    assert box.width < 0.9 + 1e-14
+    # a product with no finite float enclosure stays two terms, and its
+    # overflow is a domain error of the evaluation, not of the compiler
+    huge = ex.mul(ex.const(1e200), ex.mul(ex.const(1e200), z))
+    assert kernel_calls([huge]) == 1 + 2
+    with pytest.raises(DomainError):
+        ex.eval_affine(huge, env_from_boxes(NoiseAllocator(), z=(1.0, 2.0)),
+                       NoiseAllocator(100))
 
 
 def test_division_by_a_constant_is_a_scaling():
@@ -439,9 +465,13 @@ def test_division_by_a_constant_is_a_scaling():
     # 1/4 is: the division is a term of the sum around it
     assert kernel_calls([ex.add(ex.div(x, ex.const(4.0)), x)]) == 2
     quarter = ex.eval_affine(ex.div(x, ex.const(4.0)), env, alloc)
-    assert exact(quarter) == exact(af.lin(0.0, ((0.25, env["x"]),)))
+    assert exact(quarter) == exact(af.lin(0.0, ((0.25, 0.25, env["x"]),)))
     with pytest.raises(DomainError, match="division by exact zero"):
         ex.eval_affine(ex.div(x, ex.const(0.0)), env, alloc)
+    # 1/5e-324 has no finite float enclosure: the div row evaluates the
+    # node, and its overflow is a domain error
+    with pytest.raises(DomainError):
+        ex.eval_affine(ex.div(x, ex.const(5e-324)), env, alloc)
 
 
 # ------------------------------------------------------------- derivatives
