@@ -18,7 +18,9 @@ One routine, `_crossing`, decides every edge the step hull does not
 refute, from the guard's verdict at the step end (`classify`). While the
 verdict is UNKNOWN the step extends, up to MAX_EXTENSIONS steps; a surely
 true end brackets the crossing window with `tight_interval`, any other end
-with `resolve_hull_only`. Each window gives one successor per option of
+with `resolve_hull_only`. Both narrow the window from its ends over the
+step's interpolant, as far as certified bounds on the guard's rate along
+the flow allow (see `events`). Each window gives one successor per option of
 the immediate-transition chain after the reset. When the end is not surely
 true, the trajectories that have not crossed go on too. While several
 edges are surely or maybe crossed in one step, the step is halved, down to
@@ -55,8 +57,8 @@ from .affine import NoiseAllocator
 from .errors import (ConfigError, DomainError, HyflowError, IntegrationError,
                      InvariantViolation, ModelError, ZenoError)
 from .config import SimConfig
-from .events import (ZC_PRECISION, chain_immediate, classify, cross,
-                     edge_cannot_fire, resolve_hull_only, tight_interval)
+from .events import (chain_immediate, classify, cross, edge_cannot_fire,
+                     resolve_hull_only, tight_interval)
 from .expr import HybridAutomaton, prepare_automaton
 from .integrator import ODE23, FlowContext, env_condense, guaranteed_step
 from .interpolator import build_gpoly
@@ -373,7 +375,7 @@ class _Engine:
             narrow = (tight_interval if end is Trivalent.TRUE
                       else resolve_hull_only)
             window = narrow(gpoly, edge.guard, Interval(0.0, span),
-                            ZC_PRECISION, self.alloc)
+                            self.alloc)
         stays = maybe and end is not Trivalent.TRUE
         if window is None and not stays:
             return []

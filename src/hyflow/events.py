@@ -8,16 +8,23 @@ engine needs to decide a crossing: TRUE means every trajectory has crossed
 by the end, UNKNOWN that some may not have yet, FALSE that any crossing
 turned back within the step.
 
-Crossing times are narrowed by ordered bisection over the guaranteed
-interpolant. `tight_interval` brackets a crossing whose guard is surely
-true at the span end: its lower pass discards sub-spans where the guard is
-surely false, its upper pass spans where it is surely true.
+Crossing times are narrowed from the ends of the span inward by certified
+bounds on the guard's rate, over the guaranteed interpolant. At a point
+time the interpolant holds every trajectory's state, so each guard
+comparison and its Lie derivative along the flow, evaluated there, bound
+every trajectory's value and rate; over the bracket between the ends it
+holds every state too, so the second Lie derivative over it bounds how fast
+any rate changes. Where the guard has a verdict at an end by a margin, it
+keeps that verdict until the margin can close, and the end moves that far;
+each round re-evaluates the moved ends and re-bounds over the shrunken
+bracket, until neither end moves. `tight_interval` brackets a crossing
+whose guard is surely true at the span end: its left end advances through
+surely false times, its right end retreats through surely true ones.
 `resolve_hull_only` brackets a possible crossing that need not have
-happened by the span end: both its passes discard surely false spans. One
-routine (`_boundary`) runs every pass; it interpolates only the guard's
-free variables, and a verdict memo scoped to one call lets a second pass
-reuse the spans the first one evaluated (each pass still counts every span
-it visits against its budget, so the memo changes cost, never a result).
+happened by the span end: both ends move through surely false times, and
+when they meet the guard is refuted. One routine (`_narrow`) serves both
+and every guard kind; it interpolates only the variables the guard and its
+derivatives read.
 After a jump, `chain_immediate` follows the transitions whose guards are
 already true and splits on an ambiguous one, so every special case becomes
 a disjunctive branch, never a silent continuation.
@@ -25,20 +32,20 @@ a disjunctive branch, never a silent continuation.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 
+from . import _round as rd
 from . import affine as af
 from . import expr as ex
 from .affine import NoiseAllocator, Rel
-from .errors import InvariantViolation, ZenoError
+from .errors import DomainError, InvariantViolation, ZenoError
 from .interpolator import GPoly, eval_gpoly
 from .interval import Interval
 from .trivalent import Trivalent
 
 
-MAX_CHAIN = 16              # immediate transitions before a ZenoError
-MAX_BISECTION_EVALS = 600   # interpolant spans one bisection pass may visit
-ZC_PRECISION = 1e-6         # width at which crossing-time bisection stops
+MAX_CHAIN = 16   # immediate transitions before a ZenoError
+MAX_ROUNDS = 5   # narrowing rounds per crossing window
 
 
 def classify(ha, location, env_start, env_end, env_hull, alloc, skip=()):
@@ -91,64 +98,130 @@ def edge_cannot_fire(edge, flow, hull_env, alloc) -> bool:
     return af.compare(d, Rel.LE) is Trivalent.TRUE
 
 
-def _boundary(gpoly: GPoly, guard, a: float, b: float, precision: float,
-              alloc: NoiseAllocator, max_evals: int, memo: dict, *,
-              discard: Trivalent, from_left: bool) -> float | None:
-    """Ordered bisection of [a, b]: the first point, scanning from the left
-    (else from the right), of a span whose guard verdict is not `discard`.
+def _comparisons(guard) -> list:
+    if isinstance(guard, ex.Comparison):
+        return [guard]
+    return [c for item in guard.items for c in _comparisons(item)]
 
-    A span stops the scan when its verdict is the other definite one, when
-    it is no wider than `precision`, or when the pass has visited
-    `max_evals` spans. Returns None when every span is discarded. `memo`
-    maps (a, b) to the verdict over that span.
+
+def _reach(guard, verdict, ahead: bool, at: dict, curve: dict) -> float:
+    """How far from a bracket end, forward when `ahead` else backward, the
+    guard surely keeps `verdict` (TRUE or FALSE). `at` maps each comparison
+    to the ranges of its expression and of its first Lie derivative at the
+    end; `curve` to the range of its second Lie derivative over the
+    bracket the move stays in. 0: the guard does not surely have the
+    verdict at the end; inf: its margins cannot close.
+
+    A comparison's margin m (its expression, negated where the verdict
+    needs it negative) is at least `margin` > 0 at the end; per unit of
+    time moved it falls at most `fall` there, and its fall speeds up by at
+    most `accel` per unit of time over the bracket. So m stays positive up
+    to the first root of margin - fall s - accel s^2 / 2, rounded down.
+    One item decides an `and` that is false and an `or` that is true, so
+    those take their items' largest reach; the others need every item and
+    take the smallest.
     """
-    names = ex.guard_free_vars(guard)
-    work = deque([(a, b)])
-    evals = 0
-    while work:
-        a, b = work.popleft() if from_left else work.pop()
-        tri = memo.get((a, b))
-        if tri is None:
-            env = eval_gpoly(gpoly, Interval(a, b), alloc, names=names)
-            tri = memo[(a, b)] = ex.eval_guard(guard, env, alloc)
-        evals += 1
-        if tri is discard:
-            continue
-        if (tri is not Trivalent.UNKNOWN or (b - a) <= precision
-                or evals >= max_evals):
-            return a if from_left else b
-        m = 0.5 * (a + b)
-        if from_left:
-            work.appendleft((m, b))
-            work.appendleft((a, m))
-        else:
-            work.append((a, m))
-            work.append((m, b))
-    return None
+    if isinstance(guard, ex.BoolOp):
+        reach = [_reach(g, verdict, ahead, at, curve) for g in guard.items]
+        one = (guard.kind == "and") == (verdict is Trivalent.FALSE)
+        return max(reach) if one else min(reach)
+    (q, d), k = at[guard], curve[guard]
+    plain = (guard.rel in (Rel.GT, Rel.GE)) == (verdict is Trivalent.TRUE)
+    margin = q.lo if plain else -q.hi
+    if margin <= 0.0:
+        return 0.0
+    fall = -d.lo if plain == ahead else d.hi
+    accel = -k.lo if plain else k.hi
+    disc = rd.add_up(rd.mul_up(fall, fall), rd.mul_up(2.0 * accel, margin))
+    if disc < 0.0:
+        return math.inf
+    den = rd.add_up(fall, rd.next_up(math.sqrt(disc)))
+    return rd.div_down(2.0 * margin, den) if den > 0.0 else math.inf
 
 
-def tight_interval(gpoly: GPoly, guard, span: Interval, precision: float,
-                   alloc: NoiseAllocator,
-                   max_evals: int = MAX_BISECTION_EVALS) -> Interval:
+def _narrow(gpoly: GPoly, guard, span: Interval, alloc: NoiseAllocator,
+            right: Trivalent) -> Interval | None:
+    """`span` narrowed from both ends: the left end advances through times
+    where the guard is surely false, the right end retreats through times
+    where it has the verdict `right`. None when the two moves meet, so that
+    no time in `span` escapes them.
+
+    Each round evaluates the guard and its first Lie derivative at the ends
+    that moved, bounds its second Lie derivative over the bracket, and
+    moves each end by its `_reach`, rounded inward and kept within the
+    bracket the bound holds over. The loop stops when neither end moves,
+    after MAX_ROUNDS rounds, or at a DomainError (a guard or derivative
+    that cannot be evaluated leaves the bracket as it is). A guard with a
+    kink or a jump (`ex.smooth`) is not narrowed at all; the flow, as for
+    the interpolant's remainder, is taken to be smooth.
+    """
+    comps = _comparisons(guard)
+    exprs = [c.expr for c in comps]
+    if not ex.smooth(*exprs):
+        return span  # the margins' Taylor bound needs two derivatives
+    rates = [ex.derivative(e, gpoly.flow) for e in exprs]
+    curves = [ex.derivative(d, gpoly.flow) for d in rates]
+    names = ex.guard_free_vars(guard).union(*map(ex.free_vars, rates))
+    curve_names = frozenset().union(*map(ex.free_vars, curves))
+    flat = dict.fromkeys(comps, Interval(0.0, 0.0))
+
+    def point(t: float) -> dict:
+        env = eval_gpoly(gpoly, Interval(t, t), alloc, names=names)
+        forms = [af.to_interval(f) for f in
+                 ex.eval_affine_many([*exprs, *rates], env, alloc)]
+        return dict(zip(comps, zip(forms, forms[len(comps):])))
+
+    a, b = span.lo, span.hi
+    at_a = at_b = None
+    for _ in range(MAX_ROUNDS):
+        try:
+            if at_a is None:
+                at_a = point(a)
+            if at_b is None:
+                at_b = at_a if a == b else point(b)
+            # an end moves only where the guard has its verdict: there its
+            # reach is positive under any bound, a zero one included
+            if not (_reach(guard, Trivalent.FALSE, True, at_a, flat)
+                    or _reach(guard, right, False, at_b, flat)):
+                break
+            env = eval_gpoly(gpoly, Interval(a, b), alloc, names=curve_names)
+            curve = dict(zip(comps, map(af.to_interval, ex.eval_affine_many(
+                curves, env, alloc))))
+        except DomainError:
+            break
+        a2 = min(b, rd.add_down(
+            a, _reach(guard, Trivalent.FALSE, True, at_a, curve)))
+        b2 = max(a, rd.sub_up(b, _reach(guard, right, False, at_b, curve)))
+        if a2 >= b2:
+            return None
+        if a2 <= a and b2 >= b:
+            break
+        if a2 > a:
+            a, at_a = a2, None
+        if b2 < b:
+            b, at_b = b2, None
+    return Interval(a, b)
+
+
+def tight_interval(gpoly: GPoly, guard, span: Interval,
+                   alloc: NoiseAllocator) -> Interval:
     """Enclosure of the first crossing time within `span`.
 
     Preconditions (established by the caller): the guard is surely false at
-    the span start and surely true at the span end. Soundness does not
-    depend on the evaluation budget; exhausting it only widens the result.
+    the span start and surely true at the span end. The interpolant holds
+    every trajectory's state at each time of a bracket, so the guard's Lie
+    derivatives over it bound every trajectory's rate there, and Taylor's
+    theorem bounds how far every trajectory keeps the verdict it has at an
+    end. So every trajectory is false up to the left end, which only
+    advances through surely false times, and true just after the right
+    end, which only retreats through surely true times: its first crossing
+    lies between. The round cap bounds only the cost; stopping early only
+    widens the result.
     """
-    lo, hi = span.lo, span.hi
-    memo: dict = {}
-    # lower pass: leftmost point not provably false
-    lower = _boundary(gpoly, guard, lo, hi, precision, alloc, max_evals,
-                      memo, discard=Trivalent.FALSE, from_left=True)
-    # upper pass: rightmost point not provably true
-    upper = _boundary(gpoly, guard, lo, hi, precision, alloc, max_evals,
-                      memo, discard=Trivalent.TRUE, from_left=False)
-    lower = hi if lower is None else lower
-    upper = lo if upper is None else upper
-    if lower > upper:  # numeric safety: keep a sound, possibly wider interval
-        lower, upper = upper, lower
-    return Interval(lower, upper)
+    window = _narrow(gpoly, guard, span, alloc, Trivalent.TRUE)
+    # the moves meet only if no trajectory is both false at the start and
+    # true at the end, against the preconditions
+    return span if window is None else window
 
 
 def cross(edge, gpoly: GPoly, t_zc: Interval, alloc: NoiseAllocator) -> dict:
@@ -157,26 +230,21 @@ def cross(edge, gpoly: GPoly, t_zc: Interval, alloc: NoiseAllocator) -> dict:
     return edge.reset.apply_affine(eval_gpoly(gpoly, t_zc, alloc), alloc)
 
 
-def resolve_hull_only(gpoly: GPoly, guard, span: Interval, precision: float,
-                      alloc: NoiseAllocator,
-                      max_evals: int = MAX_BISECTION_EVALS) -> Interval | None:
+def resolve_hull_only(gpoly: GPoly, guard, span: Interval,
+                      alloc: NoiseAllocator) -> Interval | None:
     """Distinguish a spurious hull activation from a possible double
     crossing within the step.
 
-    Returns None when bisection over the interpolant refutes the guard
-    everywhere, else the hull of the times that could not be refuted.
+    Returns None when the guard is refuted everywhere in `span`, else the
+    hull of the times that could not be refuted. Both ends move through
+    surely false times only. As in `tight_interval`, the interpolant holds
+    every trajectory's state at each time of a bracket, so the guard's Lie
+    derivatives over it bound every trajectory's rate, and each end moves
+    no further than any trajectory's margin to the guard could close; the
+    right end's move runs backward in time, so a margin closes there where
+    it grows forward.
     """
-    lo, hi = span.lo, span.hi
-    memo: dict = {}
-    lower = _boundary(gpoly, guard, lo, hi, precision, alloc, max_evals,
-                      memo, discard=Trivalent.FALSE, from_left=True)
-    if lower is None:
-        return None
-    # latest time not provably false bounds the possible crossing window
-    upper = _boundary(gpoly, guard, lower, hi, precision, alloc, max_evals,
-                      memo, discard=Trivalent.FALSE, from_left=False)
-    upper = hi if upper is None else upper
-    return Interval(lower, max(lower, upper))
+    return _narrow(gpoly, guard, span, alloc, Trivalent.FALSE)
 
 
 def chain_immediate(ha, location: str, env: dict, entered_by: int | None,

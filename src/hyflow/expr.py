@@ -343,6 +343,13 @@ def count_nodes(*roots) -> int:
     return len(_postorder(roots))
 
 
+def smooth(*roots) -> bool:
+    """Whether the DAG of `roots` is twice continuously differentiable
+    wherever it evaluates: `abs` has a kink and `sgn` a jump, which their
+    `deriv` rules do not see."""
+    return all(n.op not in ("abs", "sgn") for n in _postorder(roots))
+
+
 def derivative(e: Expr, seeds: dict, memo: dict | None = None) -> Expr:
     """The derivative of `e`, in one forward pass over its DAG: a
     variable's is `seeds[name]`, and every other node's its row's `deriv`

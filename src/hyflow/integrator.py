@@ -49,10 +49,8 @@ State environments are plain dicts variable -> AffineForm.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import _round as rd
@@ -244,14 +242,23 @@ def env_condense(env: Env, budget: int, alloc) -> Env:
     through their sum. A form with nothing to merge but one private symbol
     is left as it is.
     """
-    readers = Counter(chain.from_iterable(f.dev for f in env.values()))
-
-    def cost(i):
-        mags = [abs(f.dev.get(i, 0.0)) for f in env.values()]
-        return sum(mags) - max(mags)
-
+    # one pass over the forms, in env order: per symbol, its readers and
+    # the running sum and max of its coefficients' magnitudes
+    readers: dict = {}
+    l1: dict = {}
+    linf: dict = {}
+    for f in env.values():
+        for i, c in f.dev.items():
+            m = abs(c)
+            if i in readers:
+                readers[i] += 1
+                l1[i] += m
+                if m > linf[i]:
+                    linf[i] = m
+            else:
+                readers[i], l1[i], linf[i] = 1, m, m
     shared = sorted((i for i, n in readers.items() if n > 1),
-                    key=lambda i: (-cost(i), i))
+                    key=lambda i: (-(l1[i] - linf[i]), i))
     keep = frozenset(shared[:budget])
     out = {}
     for v, f in env.items():

@@ -18,7 +18,10 @@ one, so the identity is exact; the plain sum would lose it, because each
 basis form carries its own linearisation symbols, and its width would then
 scale with |x| instead of with x_1 - x_0, which `GPoly` holds.
 `eval_gpoly(..., names=...)` evaluates only the named variables (a guard
-reads a few); each result is bitwise the one a full evaluation gives.
+reads a few); each result is bitwise the one a full evaluation gives. At a
+point time the basis is three interval scalars, so each variable is one
+linear combination of its node data; over an interval of times it is
+affine forms in one shared time symbol.
 
 Times are local to the step: tau = 0 at its start and the span is [0, H];
 callers translate to absolute time.
@@ -46,6 +49,7 @@ class GPoly:
     dx: dict             # x1 - x0, the data of the partition-of-unity form
     f1: dict             # enclosure of f(x) at tau = H
     rem_scale: dict      # var -> Interval: f'''(z) / 4!
+    flow: dict           # var -> Expr: the flow the trajectories follow
 
 
 def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
@@ -64,7 +68,7 @@ def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
     rem_scale = {v: iv.div(af.to_interval(f), Interval(24.0, 24.0))  # 4!
                  for v, f in zip(ctx.variables, f3_forms)}
     dx = {v: x1[v] - x0[v] for v in ctx.variables}
-    return GPoly(ctx.variables, span, x0, f0, dx, f1, rem_scale)
+    return GPoly(ctx.variables, span, x0, f0, dx, f1, rem_scale, ctx.flow)
 
 
 def eval_gpoly(g: GPoly, t: Interval, alloc: NoiseAllocator,
@@ -79,23 +83,35 @@ def eval_gpoly(g: GPoly, t: Interval, alloc: NoiseAllocator,
             f"time [{t.lo}, {t.hi}] outside interpolation span [0, {h}]")
     # the basis of the form above: b0 = tau (1 - s)^2, a1 = (3 - 2s) s^2
     # and b1 = (tau - H) s^2, with s = tau / H
-    tau = af.from_interval(t, alloc)
     inv = iv.div(Interval(1.0, 1.0), Interval(h, h))
-    s = af.lin(0.0, ((inv.lo, inv.hi, tau),))
-    u = 1.0 - s
-    b0 = af.mul(tau, af.mul(u, u, alloc), alloc)
-    s2 = af.mul(s, s, alloc)
-    a1 = af.mul(af.add_const(s * -2.0, 3.0), s2, alloc)
-    b1 = af.mul(tau - h, s2, alloc)
+    if t.lo == t.hi:
+        s = iv.mul(t, inv)
+        s2 = iv.pow_int(s, 2)
+        basis = [iv.mul(t, iv.pow_int(iv.sub(Interval(1.0, 1.0), s), 2)),
+                 iv.mul(iv.sub(Interval(3.0, 3.0), iv.add(s, s)), s2),
+                 iv.mul(iv.sub(t, Interval(h, h)), s2)]
+
+        def term(b, x):
+            return (b.lo, b.hi, x)
+    else:
+        tau = af.from_interval(t, alloc)
+        s = af.lin(0.0, ((inv.lo, inv.hi, tau),))
+        u = 1.0 - s
+        s2 = af.mul(s, s, alloc)
+        basis = [af.mul(tau, af.mul(u, u, alloc), alloc),
+                 af.mul(af.add_const(s * -2.0, 3.0), s2, alloc),
+                 af.mul(tau - h, s2, alloc)]
+
+        def term(b, x):
+            return (1.0, 1.0, af.mul(b, x, alloc))
     # remainder factor tau^2 (tau - H)^2, evaluated as an interval
     prod = iv.mul(iv.pow_int(t, 2), iv.pow_int(iv.sub(t, Interval(h, h)), 2))
     out = {}
     for v in g.variables:
         if names is not None and v not in names:
             continue
-        terms = [(1.0, 1.0, g.x0[v]), (1.0, 1.0, af.mul(b0, g.f0[v], alloc)),
-                 (1.0, 1.0, af.mul(a1, g.dx[v], alloc)),
-                 (1.0, 1.0, af.mul(b1, g.f1[v], alloc))]
+        terms = [(1.0, 1.0, g.x0[v]),
+                 *map(term, basis, (g.f0[v], g.dx[v], g.f1[v]))]
         rem = iv.mul(g.rem_scale[v], prod)
         if rem.lo != 0.0 or rem.hi != 0.0:
             terms.append((1.0, 1.0, af.from_interval(rem, alloc)))

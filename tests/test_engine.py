@@ -12,7 +12,6 @@ from hyflow import expr as ex
 from hyflow.affine import Rel
 from hyflow.engine import SimConfig, simulate, validate_monte_carlo
 from hyflow.errors import ModelError
-from hyflow.events import ZC_PRECISION
 from hyflow.expr import HybridAutomaton, Reset
 from hyflow.interval import Interval
 
@@ -99,7 +98,7 @@ def test_bouncing_ball_first_bounce_time():
     t_zc, label = crossings[0]
     assert label == "bounce"
     assert t_zc.lo <= t_star <= t_zc.hi
-    assert t_zc.width <= 2.0 * ZC_PRECISION + 1e-9
+    assert t_zc.width <= 1e-9
 
 
 def test_bouncing_ball_five_bounces_match_reference():
@@ -118,7 +117,7 @@ def test_bouncing_ball_five_bounces_match_reference():
         v *= c
         times.append(times[-1] + 2.0 * v / g)
     for expected, (t_zc, _) in zip(times, crossings):
-        assert t_zc.lo - 1e-7 <= expected <= t_zc.hi + 1e-7, (expected, t_zc)
+        assert t_zc.lo - 1e-12 <= expected <= t_zc.hi + 1e-12, (expected, t_zc)
 
 
 def test_bouncing_ball_monte_carlo():

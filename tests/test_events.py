@@ -1,4 +1,4 @@
-"""Event-solver building blocks: status classification, bisection
+"""Event-solver building blocks: status classification, rate-bounded
 enclosures of crossing times, hull-only resolution (the graze cases),
 simultaneity policy and immediate chains."""
 
@@ -88,7 +88,7 @@ def ball_gpoly(y0=10.0, t_lo=1.3, span=0.3):
 def test_tight_interval_ball_bounce():
     g, alloc, span, t_lo = ball_gpoly()
     guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), 1e-6, alloc)
+    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), alloc)
     t_star = math.sqrt(20.0 / 9.81) - t_lo  # local coordinates
     assert t_zc.lo <= t_star <= t_zc.hi
     assert t_zc.width <= 2.5e-6
@@ -109,7 +109,7 @@ def linear_root_gpoly():
 def test_tight_interval_linear_root():
     g, alloc, span = linear_root_gpoly()
     guard = ex.comparison(ex.var("x"), Rel.GT, ex.ZERO)
-    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), 1e-9, alloc)
+    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), alloc)
     assert t_zc.lo <= 1.0 <= t_zc.hi
     assert t_zc.width <= 1e-6
 
@@ -119,7 +119,7 @@ def test_cross_applies_reset():
     ha = ball_automaton()
     edge = ex.prepare_automaton(ha)[0].edges[0]
     guard = edge.guard
-    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), 1e-6, alloc)
+    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), alloc)
     post = ev.cross(edge, g, t_zc, alloc)
     vy = af.to_interval(post["y"])
     vv = af.to_interval(post["v"])
@@ -134,8 +134,7 @@ def test_resolve_hull_only_refutes_spurious():
     # trajectory stays well above the floor; a fat hull alone must not branch
     g, alloc, span, _ = ball_gpoly(t_lo=0.0, span=0.2)
     guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    assert ev.resolve_hull_only(g, guard, Interval(0.0, span), 1e-6,
-                                alloc) is None
+    assert ev.resolve_hull_only(g, guard, Interval(0.0, span), alloc) is None
 
 
 def graze_gpoly():
@@ -153,7 +152,7 @@ def graze_gpoly():
 def test_resolve_hull_only_detects_graze():
     g, alloc, span = graze_gpoly()
     guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    window = ev.resolve_hull_only(g, guard, Interval(0.0, span), 1e-7, alloc)
+    window = ev.resolve_hull_only(g, guard, Interval(0.0, span), alloc)
     assert window is not None
     assert window.lo >= 0.0 and window.hi <= span
 
@@ -257,8 +256,9 @@ def test_edge_cannot_fire_certificate():
 
 def plain_boundary(gpoly, guard, a, b, precision, alloc, max_evals, discard,
                    from_left):
-    """Reference pass: the unshared bisection loop, every span evaluated
-    afresh on every variable."""
+    """Reference pass: ordered bisection of [a, b], every span evaluated
+    afresh on every variable; the first point, scanning from the left
+    (else from the right), of a span whose verdict is not `discard`."""
     work = [(a, b)]
     evals = 0
     while work:
@@ -300,22 +300,111 @@ def plain_resolve_hull_only(g, guard, span, precision, alloc, max_evals):
     return Interval(lower, max(lower, upper))
 
 
-@pytest.mark.parametrize("max_evals", [600, 7])
-def test_shared_bisection_matches_plain_two_pass(max_evals):
+def clock_gpoly():
+    # x' = 1 from x = -1 and z' = 2 from z = -1/2: x > 0 from local time 1,
+    # z > 0 from 1/4, z < 1 until 3/4 and z > 3 from 7/4
+    ctx = FlowContext(("x", "z"), {"x": ex.ONE, "z": ex.const(2.0)}, ODE23)
+    alloc = NoiseAllocator()
+    env0 = {"x": AffineForm(-1.0), "z": AffineForm(-0.5)}
+    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
+    out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
+    return g, alloc, out.h_used
+
+
+def encloses(window, plain, t_star):
+    """`window` lies inside the `plain` two-pass window and holds t_star."""
+    return plain.lo <= window.lo <= t_star <= window.hi <= plain.hi
+
+
+def test_narrowing_lies_inside_the_plain_two_pass_window():
     below = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    g, alloc, span, _ = ball_gpoly()
-    for precision in (1e-6, 1e-3):
-        args = (g, below, Interval(0.0, span), precision, alloc, max_evals)
-        assert ev.tight_interval(*args) == plain_tight_interval(*args)
+    g, alloc, span, t_lo = ball_gpoly()
+    args = (g, below, Interval(0.0, span), 1e-6, alloc, 600)
+    window = ev.tight_interval(g, below, Interval(0.0, span), alloc)
+    assert encloses(window, plain_tight_interval(*args),
+                    math.sqrt(20.0 / 9.81) - t_lo)
     g, alloc, span = linear_root_gpoly()
-    args = (g, ex.comparison(ex.var("x"), Rel.GT, ex.ZERO),
-            Interval(0.0, span), 1e-9, alloc, max_evals)
-    assert ev.tight_interval(*args) == plain_tight_interval(*args)
-    hull_only_cases = [(*graze_gpoly(), 1e-7),
-                       (*ball_gpoly(t_lo=0.0, span=0.2)[:3], 1e-6)]
-    for g, alloc, span, precision in hull_only_cases:
-        args = (g, below, Interval(0.0, span), precision, alloc, max_evals)
-        assert ev.resolve_hull_only(*args) == plain_resolve_hull_only(*args)
+    above = ex.comparison(ex.var("x"), Rel.GT, ex.ZERO)
+    args = (g, above, Interval(0.0, span), 1e-6, alloc, 600)
+    window = ev.tight_interval(g, above, Interval(0.0, span), alloc)
+    assert encloses(window, plain_tight_interval(*args), 1.0)
+    # the graze touches y = 0 at local time 1e-3 and never crosses it
+    g, alloc, span = graze_gpoly()
+    args = (g, below, Interval(0.0, span), 1e-6, alloc, 600)
+    window = ev.resolve_hull_only(g, below, Interval(0.0, span), alloc)
+    assert encloses(window, plain_resolve_hull_only(*args), 1e-3)
+    g, alloc, span, _ = ball_gpoly(t_lo=0.0, span=0.2)
+    args = (g, below, Interval(0.0, span), 1e-6, alloc, 600)
+    assert plain_resolve_hull_only(*args) is None
+    assert ev.resolve_hull_only(g, below, Interval(0.0, span), alloc) is None
+
+
+def clock_guard(kind, *items):
+    return ex.BoolOp(kind, tuple(ex.comparison(ex.var(v), rel, ex.const(c))
+                                 for v, rel, c in items))
+
+
+@pytest.mark.parametrize("kind, t_star", [("and", 1.0), ("or", 0.25)])
+def test_tight_interval_narrows_compound_guards(kind, t_star):
+    g, alloc, span = clock_gpoly()
+    guard = clock_guard(kind, ("x", Rel.GT, 0.0), ("z", Rel.GT, 0.0))
+    window = ev.tight_interval(g, guard, Interval(0.0, span), alloc)
+    plain = plain_tight_interval(g, guard, Interval(0.0, span), 1e-6, alloc,
+                                 600)
+    assert encloses(window, plain, t_star)
+    assert window.width <= 1e-12
+
+
+def test_resolve_hull_only_narrows_compound_guards():
+    g, alloc, span = clock_gpoly()
+    # x > 0 only after z < 1 has ended: each item refutes a part of the
+    # span, and together they refute all of it
+    never = clock_guard("and", ("x", Rel.GT, 0.0), ("z", Rel.LT, 1.0))
+    assert plain_resolve_hull_only(g, never, Interval(0.0, span), 1e-6,
+                                   alloc, 600) is None
+    assert ev.resolve_hull_only(g, never, Interval(0.0, span), alloc) is None
+    # true from x > 0 on, which comes before z > 3
+    either = clock_guard("or", ("x", Rel.GT, 0.0), ("z", Rel.GT, 3.0))
+    window = ev.resolve_hull_only(g, either, Interval(0.0, span), alloc)
+    plain = plain_resolve_hull_only(g, either, Interval(0.0, span), 1e-6,
+                                    alloc, 600)
+    assert encloses(window, plain, 1.0)
+    assert window.hi == span and window.lo >= 1.0 - 1e-12
+
+
+def test_a_guard_with_a_kink_is_not_narrowed():
+    # |x| > 1 along x = tau - 1/2: the margin 1 - |x| rises until the kink
+    # at tau = 1/2 and falls after it, so its second derivative (zero on
+    # either side) must not be used to refute the crossing at tau = 3/2
+    ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
+    alloc = NoiseAllocator()
+    env0 = {"x": AffineForm(-0.5)}
+    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
+    out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
+    guard = ex.comparison(ex.abs_(ex.var("x")), Rel.GT, ex.ONE)
+    span = Interval(0.0, out.h_used)
+    window = ev.resolve_hull_only(g, guard, span, alloc)
+    assert window is not None and window.contains(1.5)
+    assert ev.tight_interval(g, guard, span, alloc).contains(1.5)
+
+
+def test_a_rate_that_cannot_be_evaluated_leaves_the_window_sound():
+    # sqrt(x) > 1/2 along x = tau: the guard's rate 1 / (2 sqrt(x)) has no
+    # bound at the span start, so the narrowing stops instead of aborting
+    ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
+    alloc = NoiseAllocator()
+    env0 = {"x": AffineForm(0.0)}
+    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=1.0)
+    out = gi.guaranteed_step(ctx, env0, 1.0, cfg, alloc)
+    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
+                       alloc)
+    guard = ex.comparison(ex.sqrt(ex.var("x")), Rel.GT, ex.const(0.5))
+    span = Interval(0.0, out.h_used)
+    assert ev.tight_interval(g, guard, span, alloc).contains(0.25)
 
 
 def test_thermostat_narrows_in_few_interpolant_evaluations(monkeypatch):
@@ -329,7 +418,7 @@ def test_thermostat_narrows_in_few_interpolant_evaluations(monkeypatch):
     ha, cfg = benchmarks.load(benchmarks.REGISTRY["thermostat"])
     pipe = simulate(ha, cfg)
     assert pipe.complete and pipe.stats["crossings"] > 0
-    assert len(calls) <= 60 * pipe.stats["crossings"]
+    assert len(calls) <= 20 * pipe.stats["crossings"]
 
 
 def test_bouncing_ball_first_window_holds_registry_reference():

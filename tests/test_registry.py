@@ -145,18 +145,18 @@ SLOW = {
 
 
 # final and peak tight-box widths of each FAST entry whose flowpipe
-# completes, pinned before the truncation bound folded private symbols
+# completes, and its widest crossing window (lorenz has no crossings),
+# pinned when crossing windows were first narrowed by certified rate bounds
 # (lorenz's when its Lie derivatives were first built in one forward pass
-# along the flow), and its widest crossing window (lorenz has no crossings),
-# pinned before the interpolant was specialised to its two nodes; a width
-# may shrink, but not grow by more than WIDTH_SLACK of its pin
+# along the flow); a width may shrink, but not grow by more than
+# WIDTH_SLACK of its pin
 WIDTH_CEILINGS = {
-    "bouncing_ball": (0.00822420, 0.00822420, 3.09753e-4),
-    "wolfgram": (0.493363, 0.493363, 0.0106570),
-    "hybrid3d": (0.0106074, 0.0351990, 4.36307e-3),
-    "diode_oscillator": (0.169412, 0.184192, 0.0707722),
-    "thermostat": (0.168996, 0.235538, 0.168074),
-    "sinusoidal_ball": (3.33258e-05, 5.17314e-05, 2.25258e-6),
+    "bouncing_ball": (9.89229e-10, 9.89229e-10, 3.71668e-11),
+    "wolfgram": (0.493322, 0.493322, 0.0106564),
+    "hybrid3d": (0.0106059, 0.0351941, 4.36257e-3),
+    "diode_oscillator": (0.169384, 0.184161, 0.0707602),
+    "thermostat": (0.168994, 0.235535, 0.168072),
+    "sinusoidal_ball": (4.20994e-06, 6.27373e-06, 2.19692e-7),
     "lorenz": (2.74327, 3.93027, 0.0),
 }
 WIDTH_SLACK = 1e-3
