@@ -94,16 +94,22 @@ def test_tight_interval_ball_bounce():
     assert t_zc.width <= 2.5e-6
 
 
-def linear_root_gpoly():
-    # x' = 1 from x = -1: guard x > 0 crosses at local time 1
-    ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
+def step_gpoly(flow, start, span):
+    """The interpolant of one guaranteed step of `span` along `flow` from
+    the point `start` (var -> float)."""
+    ctx = FlowContext(tuple(flow), flow, ODE23)
     alloc = NoiseAllocator()
-    env0 = {"x": AffineForm(-1.0)}
-    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
-    out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
+    env0 = {v: AffineForm(x) for v, x in start.items()}
+    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=span)
+    out = gi.guaranteed_step(ctx, env0, span, cfg, alloc)
     g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
                        alloc)
     return g, alloc, out.h_used
+
+
+def linear_root_gpoly():
+    # x' = 1 from x = -1: guard x > 0 crosses at local time 1
+    return step_gpoly({"x": ex.ONE}, {"x": -1.0}, 2.0)
 
 
 def test_tight_interval_linear_root():
@@ -303,14 +309,8 @@ def plain_resolve_hull_only(g, guard, span, precision, alloc, max_evals):
 def clock_gpoly():
     # x' = 1 from x = -1 and z' = 2 from z = -1/2: x > 0 from local time 1,
     # z > 0 from 1/4, z < 1 until 3/4 and z > 3 from 7/4
-    ctx = FlowContext(("x", "z"), {"x": ex.ONE, "z": ex.const(2.0)}, ODE23)
-    alloc = NoiseAllocator()
-    env0 = {"x": AffineForm(-1.0), "z": AffineForm(-0.5)}
-    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
-    out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
-    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
-                       alloc)
-    return g, alloc, out.h_used
+    return step_gpoly({"x": ex.ONE, "z": ex.const(2.0)},
+                      {"x": -1.0, "z": -0.5}, 2.0)
 
 
 def encloses(window, plain, t_star):
@@ -378,15 +378,9 @@ def test_a_guard_with_a_kink_is_not_narrowed():
     # |x| > 1 along x = tau - 1/2: the margin 1 - |x| rises until the kink
     # at tau = 1/2 and falls after it, so its second derivative (zero on
     # either side) must not be used to refute the crossing at tau = 3/2
-    ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
-    alloc = NoiseAllocator()
-    env0 = {"x": AffineForm(-0.5)}
-    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=2.0)
-    out = gi.guaranteed_step(ctx, env0, 2.0, cfg, alloc)
-    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
-                       alloc)
+    g, alloc, h = step_gpoly({"x": ex.ONE}, {"x": -0.5}, 2.0)
     guard = ex.comparison(ex.abs_(ex.var("x")), Rel.GT, ex.ONE)
-    span = Interval(0.0, out.h_used)
+    span = Interval(0.0, h)
     window = ev.resolve_hull_only(g, guard, span, alloc)
     assert window is not None and window.contains(1.5)
     assert ev.tight_interval(g, guard, span, alloc).contains(1.5)
@@ -395,15 +389,9 @@ def test_a_guard_with_a_kink_is_not_narrowed():
 def test_a_rate_that_cannot_be_evaluated_leaves_the_window_sound():
     # sqrt(x) > 1/2 along x = tau: the guard's rate 1 / (2 sqrt(x)) has no
     # bound at the span start, so the narrowing stops instead of aborting
-    ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
-    alloc = NoiseAllocator()
-    env0 = {"x": AffineForm(0.0)}
-    cfg = SimConfig(duration=1.0, tol=1.0, max_dt=1.0)
-    out = gi.guaranteed_step(ctx, env0, 1.0, cfg, alloc)
-    g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
-                       alloc)
+    g, alloc, h = step_gpoly({"x": ex.ONE}, {"x": 0.0}, 1.0)
     guard = ex.comparison(ex.sqrt(ex.var("x")), Rel.GT, ex.const(0.5))
-    span = Interval(0.0, out.h_used)
+    span = Interval(0.0, h)
     assert ev.tight_interval(g, guard, span, alloc).contains(0.25)
 
 
