@@ -318,25 +318,29 @@ def encloses(window, plain, t_star):
     return plain.lo <= window.lo <= t_star <= window.hi <= plain.hi
 
 
-def test_narrowing_lies_inside_the_plain_two_pass_window():
+@pytest.mark.parametrize("max_evals", [600, 7])
+def test_shared_bisection_matches_plain_two_pass(max_evals):
+    """The one narrowing that serves both passes gives a window inside the
+    plain two-pass bisection window, whatever the bisection's evaluation
+    budget, and the window holds the exact crossing (or graze) time."""
     below = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
     g, alloc, span, t_lo = ball_gpoly()
-    args = (g, below, Interval(0.0, span), 1e-6, alloc, 600)
+    args = (g, below, Interval(0.0, span), 1e-6, alloc, max_evals)
     window = ev.tight_interval(g, below, Interval(0.0, span), alloc)
     assert encloses(window, plain_tight_interval(*args),
                     math.sqrt(20.0 / 9.81) - t_lo)
     g, alloc, span = linear_root_gpoly()
     above = ex.comparison(ex.var("x"), Rel.GT, ex.ZERO)
-    args = (g, above, Interval(0.0, span), 1e-6, alloc, 600)
+    args = (g, above, Interval(0.0, span), 1e-6, alloc, max_evals)
     window = ev.tight_interval(g, above, Interval(0.0, span), alloc)
     assert encloses(window, plain_tight_interval(*args), 1.0)
     # the graze touches y = 0 at local time 1e-3 and never crosses it
     g, alloc, span = graze_gpoly()
-    args = (g, below, Interval(0.0, span), 1e-6, alloc, 600)
+    args = (g, below, Interval(0.0, span), 1e-6, alloc, max_evals)
     window = ev.resolve_hull_only(g, below, Interval(0.0, span), alloc)
     assert encloses(window, plain_resolve_hull_only(*args), 1e-3)
     g, alloc, span, _ = ball_gpoly(t_lo=0.0, span=0.2)
-    args = (g, below, Interval(0.0, span), 1e-6, alloc, 600)
+    args = (g, below, Interval(0.0, span), 1e-6, alloc, max_evals)
     assert plain_resolve_hull_only(*args) is None
     assert ev.resolve_hull_only(g, below, Interval(0.0, span), alloc) is None
 
