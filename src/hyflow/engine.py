@@ -309,7 +309,7 @@ class _Engine:
         rearm = set()
         for idx in sorted(disarmed):
             edge = self.ha.edges[idx]
-            if not edge_cannot_fire(edge, ctx.flow, out.hull, self.alloc):
+            if not edge_cannot_fire(edge, ctx, out.hull, self.alloc):
                 raise InvariantViolation(
                     f"cannot certify disarmed {edge.label} "
                     f"{_where(task, t, out)} (guard straddles its boundary "
@@ -369,7 +369,7 @@ class _Engine:
         h_jump = min(out.h_used, self.cfg.dt)
         window = None
         if end is Trivalent.TRUE or not edge_cannot_fire(
-                edge, ctx.flow, hull, self.alloc):
+                edge, ctx, hull, self.alloc):
             gpoly = build_gpoly(ctx, task.env, out.f0, env_end, span, hull,
                                 self.alloc)
             narrow = (tight_interval if end is Trivalent.TRUE

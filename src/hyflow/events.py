@@ -8,23 +8,26 @@ engine needs to decide a crossing: TRUE means every trajectory has crossed
 by the end, UNKNOWN that some may not have yet, FALSE that any crossing
 turned back within the step.
 
-Crossing times are narrowed from the ends of the span inward by certified
-bounds on the guard's rate, over the guaranteed interpolant. At a point
-time the interpolant holds every trajectory's state, so each guard
-comparison and its Lie derivative along the flow, evaluated there, bound
-every trajectory's value and rate; over the bracket between the ends it
-holds every state too, so the second Lie derivative over it bounds how fast
-any rate changes. Where the guard has a verdict at an end by a margin, it
-keeps that verdict until the margin can close, and the end moves that far;
-each round re-evaluates the moved ends and re-bounds over the shrunken
-bracket, until neither end moves. `tight_interval` brackets a crossing
-whose guard is surely true at the span end: its left end advances through
-surely false times, its right end retreats through surely true ones.
-`resolve_hull_only` brackets a possible crossing that need not have
-happened by the span end: both ends move through surely false times, and
-when they meet the guard is refuted. One routine (`_narrow`) serves both
-and every guard kind; it interpolates only the variables the guard and its
-derivatives read.
+Crossing times are narrowed from the ends of the span inward, over the
+guaranteed interpolant, which holds every trajectory's state at each time:
+each guard comparison and its Lie derivative along the flow, at an end,
+bound every trajectory's value and rate there, and the second Lie
+derivative over the bracket bounds how fast any rate changes. Where the
+guard has a verdict at an end by a margin, it keeps it until the margin
+can close, and the end moves that far; each round re-evaluates the moved
+ends and re-bounds over the shrunken bracket, until neither end moves.
+`tight_interval` advances its left end through surely false times and
+retreats its right end through surely true ones; `resolve_hull_only`
+moves both through surely false times, and refutes the guard where they
+meet. One routine (`_narrow`) serves both and every guard kind, and it
+interpolates only the variables the guard and its derivatives read.
+
+A guard kit (`guard_kit`) holds all that `_narrow` and the monotonicity
+certificate (`edge_cannot_fire`) read of a guard: its comparisons, whether
+they are smooth, their first and second Lie derivatives along the flow,
+and the variables each order reads. A location's `FlowContext` holds one
+per guard, built on first use, so its DAGs and programs last the run.
+
 After a jump, `chain_immediate` follows the transitions whose guards are
 already true and splits on an ambiguous one, so every special case becomes
 a disjunctive branch, never a silent continuation.
@@ -33,6 +36,7 @@ a disjunctive branch, never a silent continuation.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from . import _round as rd
 from . import affine as af
@@ -43,7 +47,6 @@ from .interpolator import GPoly, eval_gpoly
 from .interval import Interval
 from .trivalent import Trivalent
 
-
 MAX_CHAIN = 16   # immediate transitions before a ZenoError
 MAX_ROUNDS = 5   # narrowing rounds per crossing window
 
@@ -51,75 +54,88 @@ MAX_ROUNDS = 5   # narrowing rounds per crossing window
 def classify(ha, location, env_start, env_end, env_hull, alloc, skip=()):
     """Edge index -> the guard's verdict at the step end, for each outgoing
     edge not in `skip` (the disarmed ones) that the step hull does not
-    refute. TRUE: every trajectory has crossed by the end. UNKNOWN: the
-    crossing may not be over yet. FALSE: any crossing within the step
-    turned back before its end (the hull alone activates the edge).
-
-    Raises InvariantViolation when an armed guard is not surely false at the
-    step start (the guard/reset pair then needs reformulation).
+    refute (TRUE, UNKNOWN or FALSE, as in the module docstring). Raises
+    InvariantViolation when an armed guard is not surely false at the step
+    start (the guard/reset pair then needs reformulation).
     """
     ends = {}
     for idx, edge in ha.outgoing(location):
         if idx in skip:
             continue
-        g0 = ex.eval_guard(edge.guard, env_start, alloc)
-        if g0 is not Trivalent.FALSE:
+        if ex.eval_guard(edge.guard, env_start, alloc) is not Trivalent.FALSE:
             raise InvariantViolation(
                 f"guard of {edge.label} not surely false at step start in "
-                f"location '{location}'"
-            )
+                f"location '{location}'")
         if ex.eval_guard(edge.guard, env_hull, alloc) is not Trivalent.FALSE:
             ends[idx] = ex.eval_guard(edge.guard, env_end, alloc)
     return ends
 
 
-def edge_cannot_fire(edge, flow, hull_env, alloc) -> bool:
-    """Monotonicity certificate: the guard value moves away from (or along)
-    the boundary throughout a step whose states stay in `hull_env`.
-
-    For a guard `g < 0` whose step starts with g >= 0 (surely false, or on
-    the boundary right after a jump), a nonnegative derivative of g along
-    the flow over the whole hull proves g stays >= 0, so the edge cannot
-    fire during the step. That Lie derivative is one forward pass of
-    `ex.derivative` seeded with the flow, with no per-node derivative memo;
-    it raises ModelError on a variable without a flow, and then no
-    certificate holds.
-    """
-    g = edge.guard
-    if not isinstance(g, ex.Comparison):
-        return False
-    try:
-        gdot = ex.derivative(g.expr, flow)
-        d = ex.eval_affine(gdot, hull_env, alloc)
-    except ex.ModelError:
-        return False
-    if g.rel in (Rel.LT, Rel.LE):
-        return af.compare(d, Rel.GE) is Trivalent.TRUE
-    return af.compare(d, Rel.LE) is Trivalent.TRUE
+class GuardKit(NamedTuple):
+    comps: tuple            # the guard's comparisons, in order
+    smooth: bool            # no comparison has a kink or a jump (`ex.smooth`)
+    roots: tuple            # their expressions, then their Lie derivatives
+    curves: tuple           # their second Lie derivatives
+    names: frozenset        # the variables `roots` read
+    curve_names: frozenset  # the variables `curves` read
 
 
 def _comparisons(guard) -> list:
-    if isinstance(guard, ex.Comparison):
-        return [guard]
-    return [c for item in guard.items for c in _comparisons(item)]
+    return ([guard] if isinstance(guard, ex.Comparison)
+            else [c for item in guard.items for c in _comparisons(item)])
+
+
+def guard_kit(ctx, guard) -> GuardKit:
+    """The kit of `guard` along the flow of the location context `ctx`,
+    kept in `ctx.kits`; one that is not smooth gets no derivatives."""
+    kit = ctx.kits.get(guard)
+    if kit is None:
+        comps = tuple(_comparisons(guard))
+        exprs = [c.expr for c in comps]
+        smooth = ex.smooth(*exprs)
+        rates = [ex.derivative(e, ctx.flow) for e in exprs] if smooth else []
+        curves = tuple(ex.derivative(d, ctx.flow) for d in rates)
+        roots = (*exprs, *rates)
+        kit = ctx.kits[guard] = GuardKit(
+            comps, smooth, roots, curves,
+            frozenset().union(*map(ex.free_vars, roots)),
+            frozenset().union(*map(ex.free_vars, curves)))
+    return kit
+
+
+def edge_cannot_fire(edge, ctx, hull_env, alloc) -> bool:
+    """Monotonicity certificate: the guard value moves away from (or along)
+    the boundary throughout a step, along the flow of `ctx`, whose states
+    stay in `hull_env`. For a guard `g < 0` whose step starts with g >= 0
+    (surely false, or on the boundary right after a jump), a nonnegative
+    Lie derivative of g (the guard kit's) over the whole hull proves g
+    stays >= 0. A guard that is not smooth is never certified: its
+    derivative does not see a jump or a kink."""
+    g = edge.guard
+    kit = guard_kit(ctx, g)
+    if not isinstance(g, ex.Comparison) or not kit.smooth:
+        return False
+    _, rate = kit.roots
+    away = Rel.GE if g.rel in (Rel.LT, Rel.LE) else Rel.LE
+    return af.compare(ex.eval_affine(rate, hull_env, alloc),
+                      away) is Trivalent.TRUE
 
 
 def _reach(guard, verdict, ahead: bool, at: dict, curve: dict) -> float:
     """How far from a bracket end, forward when `ahead` else backward, the
-    guard surely keeps `verdict` (TRUE or FALSE). `at` maps each comparison
-    to the ranges of its expression and of its first Lie derivative at the
-    end; `curve` to the range of its second Lie derivative over the
-    bracket the move stays in. 0: the guard does not surely have the
-    verdict at the end; inf: its margins cannot close.
+    guard surely keeps `verdict` (TRUE or FALSE): 0 where it does not
+    surely have it at the end, inf where its margins cannot close. `at`
+    maps each comparison to the ranges of its expression and of its first
+    Lie derivative at the end; `curve` to the range of its second Lie
+    derivative over the bracket the move stays in.
 
     A comparison's margin m (its expression, negated where the verdict
-    needs it negative) is at least `margin` > 0 at the end; per unit of
-    time moved it falls at most `fall` there, and its fall speeds up by at
-    most `accel` per unit of time over the bracket. So m stays positive up
-    to the first root of margin - fall s - accel s^2 / 2, rounded down.
-    One item decides an `and` that is false and an `or` that is true, so
-    those take their items' largest reach; the others need every item and
-    take the smallest.
+    needs it negative) is at least `margin` > 0 at the end, falls at most
+    `fall` per unit of time moved there, and its fall speeds up by at most
+    `accel` per unit of time over the bracket: m stays positive up to the
+    first root of margin - fall s - accel s^2 / 2, rounded down. A false
+    `and` and a true `or` need one item, and take their items' largest
+    reach; the others need every item, and take the smallest.
     """
     if isinstance(guard, ex.BoolOp):
         reach = [_reach(g, verdict, ahead, at, curve) for g in guard.items]
@@ -146,30 +162,24 @@ def _narrow(gpoly: GPoly, guard, span: Interval, alloc: NoiseAllocator,
     where it has the verdict `right`. None when the two moves meet, so that
     no time in `span` escapes them.
 
-    Each round evaluates the guard and its first Lie derivative at the ends
-    that moved, bounds its second Lie derivative over the bracket, and
-    moves each end by its `_reach`, rounded inward and kept within the
-    bracket the bound holds over. The loop stops when neither end moves,
-    after MAX_ROUNDS rounds, or at a DomainError (a guard or derivative
-    that cannot be evaluated leaves the bracket as it is). A guard with a
-    kink or a jump (`ex.smooth`) is not narrowed at all; the flow, as for
-    the interpolant's remainder, is taken to be smooth.
+    Each round evaluates the guard kit's comparisons and first Lie
+    derivatives at the ends that moved, bounds its second Lie derivatives
+    over the bracket, and moves each end by its `_reach`, rounded inward
+    and kept within that bracket. It stops when neither end moves, after
+    MAX_ROUNDS rounds, or at a DomainError (the bracket is then left as it
+    is). A guard with a kink or a jump is not narrowed at all; the flow, as
+    for the interpolant's remainder, is taken to be smooth.
     """
-    comps = _comparisons(guard)
-    exprs = [c.expr for c in comps]
-    if not ex.smooth(*exprs):
+    kit = guard_kit(gpoly.ctx, guard)
+    if not kit.smooth:
         return span  # the margins' Taylor bound needs two derivatives
-    rates = [ex.derivative(e, gpoly.flow) for e in exprs]
-    curves = [ex.derivative(d, gpoly.flow) for d in rates]
-    names = ex.guard_free_vars(guard).union(*map(ex.free_vars, rates))
-    curve_names = frozenset().union(*map(ex.free_vars, curves))
-    flat = dict.fromkeys(comps, Interval(0.0, 0.0))
+    flat = dict.fromkeys(kit.comps, Interval(0.0, 0.0))
 
     def point(t: float) -> dict:
-        env = eval_gpoly(gpoly, Interval(t, t), alloc, names=names)
+        env = eval_gpoly(gpoly, Interval(t, t), alloc, names=kit.names)
         forms = [af.to_interval(f) for f in
-                 ex.eval_affine_many([*exprs, *rates], env, alloc)]
-        return dict(zip(comps, zip(forms, forms[len(comps):])))
+                 ex.eval_affine_many(kit.roots, env, alloc)]
+        return dict(zip(kit.comps, zip(forms, forms[len(kit.comps):])))
 
     a, b = span.lo, span.hi
     at_a = at_b = None
@@ -184,9 +194,10 @@ def _narrow(gpoly: GPoly, guard, span: Interval, alloc: NoiseAllocator,
             if not (_reach(guard, Trivalent.FALSE, True, at_a, flat)
                     or _reach(guard, right, False, at_b, flat)):
                 break
-            env = eval_gpoly(gpoly, Interval(a, b), alloc, names=curve_names)
-            curve = dict(zip(comps, map(af.to_interval, ex.eval_affine_many(
-                curves, env, alloc))))
+            env = eval_gpoly(gpoly, Interval(a, b), alloc,
+                             names=kit.curve_names)
+            forms = ex.eval_affine_many(kit.curves, env, alloc)
+            curve = dict(zip(kit.comps, map(af.to_interval, forms)))
         except DomainError:
             break
         a2 = min(b, rd.add_down(
@@ -208,19 +219,13 @@ def tight_interval(gpoly: GPoly, guard, span: Interval,
     """Enclosure of the first crossing time within `span`.
 
     Preconditions (established by the caller): the guard is surely false at
-    the span start and surely true at the span end. The interpolant holds
-    every trajectory's state at each time of a bracket, so the guard's Lie
-    derivatives over it bound every trajectory's rate there, and Taylor's
-    theorem bounds how far every trajectory keeps the verdict it has at an
-    end. So every trajectory is false up to the left end, which only
-    advances through surely false times, and true just after the right
-    end, which only retreats through surely true times: its first crossing
-    lies between. The round cap bounds only the cost; stopping early only
-    widens the result.
+    the span start and surely true at its end. Every trajectory is false up
+    to the left end, which only advances through surely false times, and
+    true just after the right end, which only retreats through surely true
+    times: its first crossing lies between. The round cap only widens the
+    result; the moves meet only against the preconditions (span returned).
     """
     window = _narrow(gpoly, guard, span, alloc, Trivalent.TRUE)
-    # the moves meet only if no trajectory is both false at the start and
-    # true at the end, against the preconditions
     return span if window is None else window
 
 
@@ -232,17 +237,12 @@ def cross(edge, gpoly: GPoly, t_zc: Interval, alloc: NoiseAllocator) -> dict:
 
 def resolve_hull_only(gpoly: GPoly, guard, span: Interval,
                       alloc: NoiseAllocator) -> Interval | None:
-    """Distinguish a spurious hull activation from a possible double
-    crossing within the step.
-
-    Returns None when the guard is refuted everywhere in `span`, else the
+    """Tell a spurious hull activation from a possible double crossing in
+    the step: None when the guard is refuted everywhere in `span`, else the
     hull of the times that could not be refuted. Both ends move through
-    surely false times only. As in `tight_interval`, the interpolant holds
-    every trajectory's state at each time of a bracket, so the guard's Lie
-    derivatives over it bound every trajectory's rate, and each end moves
-    no further than any trajectory's margin to the guard could close; the
-    right end's move runs backward in time, so a margin closes there where
-    it grows forward.
+    surely false times only, each no further than any trajectory's margin
+    to the guard could close; the right end's move runs backward in time,
+    so a margin closes there where it grows forward.
     """
     return _narrow(gpoly, guard, span, alloc, Trivalent.FALSE)
 
@@ -252,18 +252,18 @@ def chain_immediate(ha, location: str, env: dict, entered_by: int | None,
                     prints: tuple = (), hops: int = 0) -> list:
     """Follow discrete transitions whose guards are already true, until a
     quiescent location; returns the (location, env, prints, disarmed)
-    alternatives, one when the chain is unambiguous, each with `prints`
-    and the prints of every hop it took.
+    alternatives, one when the chain is unambiguous, each with `prints` and
+    the prints of every hop it took.
 
     A guard that is neither surely true nor surely false splits the chain:
     the trajectories that take the edge go on from its target, the others
     from here with the edge tolerated. Boundary-straddling edges are left
-    disarmed rather than taken: either the just-taken edge when its reset
-    provably lands on the guard boundary, or edges in `tolerate` (the
-    not-taken side of an ambiguous hop, whose trajectories by assumption
-    have not crossed). Disarmed edges are re-checked every step by the
-    engine's monotonicity certificate. Raises ZenoError when a chain takes
-    more than MAX_CHAIN hops, `hops` of them before this call.
+    disarmed rather than taken: the just-taken edge when its reset provably
+    lands on the guard boundary, and edges in `tolerate` (the not-taken
+    side of an ambiguous hop, whose trajectories by assumption have not
+    crossed); the engine's monotonicity certificate re-checks them every
+    step. Raises ZenoError when a chain takes more than MAX_CHAIN hops,
+    `hops` of them before this call.
     """
     disarmed = set()
     take = branch = None

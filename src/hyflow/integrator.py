@@ -41,7 +41,8 @@ a priori enclosure over the whole step:
 A Butcher table declares only its coefficients. Its order p, and the order
 of its embedded estimate, are derived when it is built, by checking the
 rooted-tree order conditions up to order 5 in exact rationals: ode23, the
-table every step uses, is (3, 2).
+table every step uses, is (3, 2). So are the float enclosures of its
+coefficients that the stages read.
 
 State environments are plain dicts variable -> AffineForm.
 """
@@ -79,6 +80,11 @@ def _coef(fr: Fraction):
     lo = rd.div_down(num, den)
     hi = rd.div_up(num, den)
     return mid, rd.next_up(max(mid - lo, hi - mid))
+
+
+def _row_enc(row) -> tuple:
+    """(column, mid, r) for each nonzero coefficient of `row` (`_coef`)."""
+    return tuple((j, *_coef(q)) for j, q in enumerate(row) if q)
 
 
 def _graft(t):
@@ -119,11 +125,20 @@ class ButcherTable:
 
     Only coefficients are declared. `bhat` holds embedded weights for the
     error estimate; one extra weight means a first-same-as-last stage, the
-    row b, evaluated at the step result. The orders are derived when the
-    table is built: `order` (truncation bound) is the largest p <= 5 for
-    which b meets every rooted-tree order condition exactly in `Fraction`,
-    and `est_order` (step control) the same for bhat, or `order` without
-    it. A table below order 1 is a ModelError.
+    row b, evaluated at the step result. Everything else is derived when
+    the table is built:
+
+    * `order` (truncation bound) is the largest p <= 5 for which b meets
+      every rooted-tree order condition exactly in `Fraction`, and
+      `est_order` (step control) the same for bhat, or `order` without it.
+      A table below order 1 is a ModelError.
+    * `a_enc` and `b_enc` enclose the nonzero coefficients of each row of
+      a, and of b, as (column, mid, r) triples: the float `mid` nearest
+      the coefficient and a radius `r` with the coefficient in
+      [mid - r, mid + r], 0 exactly where it is a float (`_coef`). The
+      stages read these, so no `Fraction` is touched inside a step.
+    * `a_float`, `b_float` and `bhat_float` are the coefficients rounded
+      to floats, for the scalar estimate and the symbolic stage side.
     """
 
     name: str
@@ -139,6 +154,8 @@ class ButcherTable:
             raise ModelError(f"table {self.name}: bhat needs {s} or {s + 1} weights")
         derived = {"order": _order(self.a, self.b),
                    "est_order": _order((*self.a, self.b), self.bhat or self.b),
+                   "a_enc": tuple(map(_row_enc, self.a)),
+                   "b_enc": _row_enc(self.b),
                    "a_float": tuple(tuple(map(float, r)) for r in self.a),
                    "b_float": tuple(map(float, self.b)),
                    "bhat_float": tuple(map(float, self.bhat or ()))}
@@ -178,7 +195,12 @@ class StepOutcome:
 
 
 class FlowContext:
-    """Per-(location, table) cache of symbolic machinery."""
+    """Per-(location, table) cache of symbolic machinery, built on first
+    use and held for as long as the run that owns it: the Lie derivatives
+    of the flow, the stage side of the truncation bound and whether it is
+    the constant 0 (`stage_zero`), the compiled scalar flow, and, in
+    `kits`, one guard kit per outgoing edge's guard (`events.guard_kit`).
+    """
 
     def __init__(self, variables, flow: dict, table: ButcherTable):
         self.variables = tuple(variables)
@@ -188,7 +210,9 @@ class FlowContext:
         self._lie = [self._flow_list]
         self._lie_memo: dict = {}
         self._phi_deriv = None
+        self.stage_zero = None
         self._scalar_flow = None
+        self.kits: dict = {}
 
     def eval_flow(self, env: Env, alloc) -> Env:
         vals = ex.eval_affine_many(self._flow_list, env, alloc)
@@ -211,11 +235,15 @@ class FlowContext:
         return self._lie[k]
 
     def phi_deriv(self) -> list:
+        """The stage side: the (p+1)-th step-time derivative of the scheme
+        polynomial, by variable. Building it sets `stage_zero`, whether
+        every root is the constant 0."""
         if self._phi_deriv is None:
             t = self.table
             self._phi_deriv = ex.stage_poly_derivative(
                 t.a_float, t.b_float, self.flow, self.variables, t.order + 1
             )
+            self.stage_zero = all(e is ex.ZERO for e in self._phi_deriv)
         return self._phi_deriv
 
 
@@ -272,8 +300,9 @@ def env_condense(env: Env, budget: int, alloc) -> Env:
     return out
 
 
-def _scaled_coef(h: float, fr: Fraction):
-    mid, r = _coef(fr)
+def _scaled_coef(h: float, mid: float, r: float):
+    """Float interval around h * c for a coefficient c in [mid - r, mid + r]
+    (`_coef`)."""
     if r == 0.0:
         s = h * mid
         if mid in (1.0, -1.0, 0.5, -0.5):  # exact scalings
@@ -308,6 +337,15 @@ def picard_enclosure(ctx: FlowContext, env: Env, f0: Env, h: float,
     Returns env + D for a verified D (re-checked, not assumed), refined by
     a few extra sweeps; None if no candidate verified within the iteration
     budget (caller should halve h).
+
+    A refine sweep pads the last image into the next candidate and maps
+    it. One whose image equals the last, bound for bound, is an exact
+    fixpoint: every later sweep would pad the same image into the same
+    candidate and map it to the same image again, so it returns there.
+    Image and candidate depend only on the bounds, not on the ids of the
+    fresh symbols each sweep draws; the sweeps it skips would only draw
+    ids the result never reads, and every later id keeps its order, so
+    nothing downstream changes.
     """
     if h <= 0.0:
         raise IntegrationError("picard_enclosure needs h > 0")
@@ -362,7 +400,10 @@ def picard_enclosure(ctx: FlowContext, env: Env, f0: Env, h: float,
             break
         if not inside(img2, c):
             break
+        fixed = img2 == img
         cand, img = c, img2
+        if fixed:
+            break
     return {v: env[v] + af.from_interval(cand[v], alloc) for v in names}
 
 
@@ -376,21 +417,22 @@ def rk_stages(ctx: FlowContext, env: Env, f0: Env, h: float, alloc) -> Env:
     Each later stage argument env[v] + sum_j h a_ij k_j[v], and the result
     env[v] + sum_i h b_i k_i[v], is one `af.lin` call over the start form
     and the stages, with each h*coefficient enclosed in the float interval
-    `_scaled_coef` gives. The kernel charges the coefficient widths and
-    every rounding to slack, so the result is sound without an
-    intermediate form per term.
+    `_scaled_coef` gives from the table's derived enclosure of the
+    coefficient. The kernel charges the coefficient widths and every
+    rounding to slack, so the result is sound without an intermediate form
+    per term.
     """
     ks = [f0]
 
     def combine(row):
-        coefs = [(*_scaled_coef(h, fr), j) for j, fr in enumerate(row) if fr]
+        coefs = [(*_scaled_coef(h, mid, r), j) for j, mid, r in row]
         return {v: af.lin(0.0, [(1.0, 1.0, env[v]),
                                  *[(lo, hi, ks[j][v]) for lo, hi, j in coefs]])
                 for v in ctx.variables}
 
-    for row in ctx.table.a[1:]:
+    for row in ctx.table.a_enc[1:]:
         ks.append(ctx.eval_flow(combine(row), alloc))
-    return combine(ctx.table.b)
+    return combine(ctx.table.b_enc)
 
 
 def embedded_error(ctx: FlowContext, env: Env, h: float) -> float | None:
@@ -460,15 +502,27 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     the Butcher coefficients inside the symbolic polynomial. The weight's
     mass is an interval, and it scales each component without a fresh
     symbol, as one interval term of `af.lin`.
+
+    A stage side that is the constant 0 (`FlowContext.stage_zero`) is not
+    evaluated: the bound is the scaled Lie side alone, with no remap, no
+    tau symbol and no inflation. That 0 is exact, not a rounded one. It
+    arises where the flow is linear: each stage k_i is then a polynomial of
+    degree i - 1 in tau whatever the coefficients, so the scheme polynomial
+    x + tau * sum(b_i k_i) has degree <= s, the stage count. For ode23,
+    s = p = 3, so its 4th derivative is 0 for the exact coefficients as
+    well as for their floats.
     """
     p = ctx.table.order
     lie, stage = ctx.f_deriv(p), ctx.phi_deriv()
     a_vals = ex.eval_affine_many(lie, _read_by(lie, z_env), alloc)
+    fact = float(math.factorial(p + 1))
+    scale_iv = iv.div(iv.pow_int(Interval(h, h), p + 1), Interval(fact, fact))
+    if ctx.stage_zero:
+        return {vname: af.lin(0.0, ((scale_iv.lo, scale_iv.hi, av),))
+                for vname, av in zip(ctx.variables, a_vals)}
     denv = env_remap(_read_by(stage, env), alloc)
     denv[ex.TAU] = af.from_interval(Interval(0.0, h), alloc)
     b_vals = ex.eval_affine_many(stage, denv, alloc)
-    fact = float(math.factorial(p + 1))
-    scale_iv = iv.div(iv.pow_int(Interval(h, h), p + 1), Interval(fact, fact))
     return {vname: af.lin(0.0, ((scale_iv.lo, scale_iv.hi,
                                  av - inflate_form(bv, 1e-12, 1e-306)),))
             for vname, av, bv in zip(ctx.variables, a_vals, b_vals)}

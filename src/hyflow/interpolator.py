@@ -49,7 +49,7 @@ class GPoly:
     dx: dict             # x1 - x0, the data of the partition-of-unity form
     f1: dict             # enclosure of f(x) at tau = H
     rem_scale: dict      # var -> Interval: f'''(z) / 4!
-    flow: dict           # var -> Expr: the flow the trajectories follow
+    ctx: FlowContext     # the location whose flow the trajectories follow
 
 
 def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
@@ -68,7 +68,7 @@ def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
     rem_scale = {v: iv.div(af.to_interval(f), Interval(24.0, 24.0))  # 4!
                  for v, f in zip(ctx.variables, f3_forms)}
     dx = {v: x1[v] - x0[v] for v in ctx.variables}
-    return GPoly(ctx.variables, span, x0, f0, dx, f1, rem_scale, ctx.flow)
+    return GPoly(ctx.variables, span, x0, f0, dx, f1, rem_scale, ctx)
 
 
 def eval_gpoly(g: GPoly, t: Interval, alloc: NoiseAllocator,

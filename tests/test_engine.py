@@ -36,6 +36,23 @@ def bouncing_ball(y0=10.0, y1=None, c=0.8, g=9.81):
     )
 
 
+@pytest.mark.parametrize("name", ["thermostat", "sinusoidal_ball"])
+def test_a_run_compiles_each_affine_program_once(name, monkeypatch):
+    # each location's guard kits hold their Lie-derivative DAGs, and so the
+    # programs on them, for the whole run: no DAG is built and compiled
+    # again (interned nodes get fresh ids, so roots are compared as text)
+    compiled, program = [], ex._affine_program
+
+    def counted(roots):
+        compiled.append(tuple(map(ex.to_text, roots)))
+        return program(roots)
+
+    monkeypatch.setattr(ex, "_affine_program", counted)
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY[name])
+    assert simulate(ha, cfg).complete
+    assert compiled and len(compiled) == len(set(compiled))
+
+
 def segments(pipe):
     assert len(pipe.branches) == 1
     return pipe.branches[0].segments

@@ -253,11 +253,24 @@ def test_edge_cannot_fire_certificate():
     ha = ball_automaton()
     edge = ex.prepare_automaton(ha)[0].edges[0]
     alloc = NoiseAllocator()
-    flow = ha.flows["fall"]
+    ctx = FlowContext(ha.variables, ha.flows["fall"], ODE23)
     hull_up = boxes(alloc, y=(0.0, 1.0), v=(2.0, 12.0))
-    assert ev.edge_cannot_fire(edge, flow, hull_up, alloc)
+    assert ev.edge_cannot_fire(edge, ctx, hull_up, alloc)
     hull_down = boxes(alloc, y=(0.0, 1.0), v=(-12.0, -2.0))
-    assert not ev.edge_cannot_fire(edge, flow, hull_down, alloc)
+    assert not ev.edge_cannot_fire(edge, ctx, hull_down, alloc)
+
+
+def test_edge_cannot_fire_refuses_a_guard_that_jumps():
+    # sgn(x) > 0.5 has the Lie derivative 0 along x' = 1, yet x runs from
+    # -1 to 1 over the hull and the guard turns true at x = 0
+    x = ex.var("x")
+    guard = ex.comparison(ex.sgn(x), Rel.GT, ex.const(0.5))
+    edge = Edge("l", "l", guard, Reset())
+    alloc = NoiseAllocator()
+    hull = boxes(alloc, x=(-1.0, 1.0))
+    assert ex.eval_guard(guard, hull, alloc) is Trivalent.UNKNOWN
+    ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
+    assert not ev.edge_cannot_fire(edge, ctx, hull, alloc)
 
 
 def plain_boundary(gpoly, guard, a, b, precision, alloc, max_evals, discard,

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from hyflow import affine as af
+from hyflow import benchmarks, engine
 from hyflow import expr as ex
 from hyflow import integrator as gi
 from hyflow import interval as iv
@@ -27,6 +28,20 @@ RK4 = gi.ButcherTable("rk4", ((), (F(1, 2),), (F(0), F(1, 2)),
                               (F(0), F(0), F(1))),
                       (F(1, 6), F(1, 3), F(1, 3), F(1, 6)))
 EULER = gi.ButcherTable("euler", ((),), (F(1),))
+# Dormand-Prince 5(4), with a first-same-as-last estimate
+DOPRI5 = gi.ButcherTable(
+    "dopri5",
+    ((), (F(1, 5),), (F(3, 40), F(9, 40)),
+     (F(44, 45), F(-56, 15), F(32, 9)),
+     (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+     (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176),
+      F(-5103, 18656)),
+     (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
+      F(11, 84))),
+    (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
+     F(11, 84), F(0)),
+    bhat=(F(5179, 57600), F(0), F(7571, 16695), F(393, 640),
+          F(-92097, 339200), F(187, 2100), F(1, 40)))
 
 
 def ctx_decay(table=ODE23):
@@ -85,24 +100,23 @@ def test_orders_are_derived_from_the_rooted_trees():
     assert (midpoint.order, midpoint.est_order) == (2, 2)
     # Dormand-Prince 5(4): every fifth-order tree condition holds, and
     # its first-same-as-last estimate is of order 4
-    dopri = gi.ButcherTable(
-        "dopri5",
-        ((), (F(1, 5),), (F(3, 40), F(9, 40)),
-         (F(44, 45), F(-56, 15), F(32, 9)),
-         (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
-         (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176),
-          F(-5103, 18656)),
-         (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
-          F(11, 84))),
-        (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
-         F(11, 84), F(0)),
-        bhat=(F(5179, 57600), F(0), F(7571, 16695), F(393, 640),
-              F(-92097, 339200), F(187, 2100), F(1, 40)))
-    assert (dopri.order, dopri.est_order) == (5, 4)
+    assert (DOPRI5.order, DOPRI5.est_order) == (5, 4)
     # ode23 with two weights moved by 1/100 (their sum kept) is first order
     off = gi.ButcherTable("off", ODE23.a, (F(2, 9), F(1, 3) + F(1, 100),
                                            F(4, 9) - F(1, 100)))
     assert off.order == 1
+
+
+@pytest.mark.parametrize("table", [ODE23, RK4, DOPRI5], ids=lambda t: t.name)
+def test_derived_enclosures_hold_their_coefficients(table):
+    # each nonzero coefficient, and only those, has an enclosure; it holds
+    # the exact rational, and is a point exactly where that is a float
+    for row, enc in [*zip(table.a, table.a_enc), (table.b, table.b_enc)]:
+        assert [j for j, _, _ in enc] == [j for j, q in enumerate(row) if q]
+        for j, mid, r in enc:
+            q = row[j]
+            assert F(mid) - F(r) <= q <= F(mid) + F(r)
+            assert (r == 0.0) == (F(float(q)) == q)
 
 
 # ----------------------------------------------------------------- picard
@@ -148,6 +162,40 @@ def test_picard_decay_contains_analytic_and_recheck():
     fresh = set(z["x"].dev) - set(env["x"].dev)
     assert set(env["x"].dev) <= set(z["x"].dev) and len(fresh) == 1
     assert all(z["x"].dev[i] == c for i, c in env["x"].dev.items())
+
+
+def form_bits(env):
+    """Each form's center, slack and coefficients in symbol order: equal
+    for two sets that differ only in the ids of their fresh symbols."""
+    return {v: (f.center, f.slack, [f.dev[i] for i in sorted(f.dev)])
+            for v, f in env.items()}
+
+
+def test_picard_exact_fixpoint_stop_changes_no_bit(monkeypatch):
+    # every enclosure of these runs equals the one all REFINE_SWEEPS give,
+    # with the stop switched off by making no two images compare equal;
+    # vanderpol's and car's sweeps never reach an exact fixpoint
+    picard_enclosure, stops = gi.picard_enclosure, []
+
+    def both(ctx, env, f0, h, alloc):
+        first = alloc.fresh()  # both runs draw ids from here on
+        ref_alloc = NoiseAllocator(first)
+        with monkeypatch.context() as m:
+            m.setattr(Interval, "__eq__", lambda a, b: False)
+            ref = picard_enclosure(ctx, env, f0, h, ref_alloc)
+        got = picard_enclosure(ctx, env, f0, h, alloc)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert form_bits(got) == form_bits(ref)
+            # a stop skips sweeps, and the ids they would draw
+            stops.append(alloc.fresh() - 1 < ref_alloc.fresh())
+        return got
+
+    monkeypatch.setattr(gi, "picard_enclosure", both)
+    for name in ("vanderpol", "car", "bouncing_ball"):
+        ha, cfg = benchmarks.load(benchmarks.REGISTRY[name], duration=1.0)
+        assert engine.simulate(ha, cfg).complete
+    assert any(stops), "no sweep reached an exact fixpoint"
 
 
 def test_picard_failure_on_blowup():
@@ -242,6 +290,39 @@ def test_truncation_zero_for_exact_scheme():
     z = picard(ctx, env, 0.2, alloc)
     trunc = gi.truncation_bound(ctx, env, z, 0.2, alloc)
     assert af.to_interval(trunc["x"]).width < 1e-12
+
+
+def test_zero_stage_side_is_skipped_on_a_linear_flow(monkeypatch):
+    # x' = -x, y' = x: ode23's scheme polynomial has degree 3 in tau, so
+    # its 4th derivative is 0, and the bound is the Lie side's one program
+    x = ex.var("x")
+    ctx = FlowContext(("x", "y"), {"x": ex.neg(x), "y": x}, ODE23)
+    assert ctx.phi_deriv() == [ex.ZERO, ex.ZERO] and ctx.stage_zero
+    square = FlowContext(("x",), {"x": ex.mul(x, x)}, ODE23)
+    assert square.phi_deriv()[0] is not ex.ZERO and not square.stage_zero
+    alloc = NoiseAllocator()
+    env = env_boxes(alloc, x=(0.9, 1.1), y=(-0.1, 0.1))
+    z = picard(ctx, env, 0.1, alloc)
+    start = alloc.fresh()
+    runs, run = [], ex.eval_affine_many
+
+    def counted(exprs, env, alloc):
+        runs.append(tuple(exprs))
+        return run(exprs, env, alloc)
+
+    monkeypatch.setattr(ex, "eval_affine_many", counted)
+    skipped = gi.truncation_bound(ctx, env, z, 0.1, NoiseAllocator(start))
+    assert runs == [tuple(ctx.f_deriv(ODE23.order))]
+    ctx.stage_zero = False  # the zero stage side, evaluated and subtracted
+    full = gi.truncation_bound(ctx, env, z, 0.1, NoiseAllocator(start))
+    assert len(runs) == 3
+    for v in ctx.variables:
+        got, want = skipped[v], full[v]
+        assert (got.center, got.dev) == (want.center, want.dev)
+        # only the zero side's 1e-306 pad and the rounding of its
+        # subtraction differ, by an ulp or so of the bound
+        assert got.slack <= want.slack
+        assert want.slack - got.slack <= 1e-15 * af.to_interval(want).mag
 
 
 def test_truncation_euler_scale():

@@ -135,12 +135,15 @@ SLOW = {
                   "near 0 at x1 = 5; x1 = 5.00102 at t = 4.0106 escapes it "
                   "and 6 of 16 samples escape at seed 1 (perfbench/NOTES.md)",
                   "6 of 16 samples escape the hull box"),
-    "windy_ball": ("D3: the crossing time is not correlated with the "
-                   "state, so width grows across bounces until the branch "
-                   "cap", "BranchCap"),
-    "brusselator": ("D4: the set's width grows from 0.13 at t=5.59 to "
-                    "~740 at t=6.209, where Picard fails at the minimal "
-                    "step size", "Picard enclosure failed"),
+    "windy_ball": ("D8: the crossing time is not correlated with the "
+                   "state, so windows outgrow the true spread (80x at the "
+                   "8th bounce) and width grows across bounces until the "
+                   "branch cap", "BranchCap"),
+    "brusselator": ("A10: rounding slack is never turned into a noise "
+                    "symbol, so it grows with the sum of the absolute "
+                    "partials instead of the net Jacobian, until Picard "
+                    "fails at the minimal step size at t >= 6.209",
+                    "Picard enclosure failed"),
 }
 
 
