@@ -53,12 +53,13 @@ from dataclasses import dataclass, field, replace
 from . import _round as rd
 from . import affine as af
 from . import expr as ex
+from . import interval as iv
 from .affine import NoiseAllocator
 from .errors import (ConfigError, DomainError, HyflowError, IntegrationError,
                      InvariantViolation, ModelError, ZenoError)
 from .config import SimConfig
 from .events import (chain_immediate, classify, cross, edge_cannot_fire,
-                     resolve_hull_only, tight_interval)
+                     guard_kit, resolve_hull_only, tight_interval)
 from .expr import HybridAutomaton, prepare_automaton
 from .integrator import ODE23, FlowContext, env_condense, guaranteed_step
 from .interpolator import build_gpoly
@@ -132,13 +133,9 @@ class _Next:
     crossing: tuple | None = None
 
 
-def _shift(t: Interval, lo: float, hi: float) -> Interval:
-    return Interval(rd.add_down(t.lo, lo), rd.add_up(t.hi, hi))
-
-
 def _where(task, t: Interval, out) -> str:
     """The time span and location of the step `out` from time `t`."""
-    t = _shift(t, 0.0, out.h_used)
+    t = iv.add(t, Interval(0.0, out.h_used))
     return (f"over t in [{t.lo:.6g}, {t.hi:.6g}] in location "
             f"'{task.location}'")
 
@@ -181,6 +178,7 @@ class _Engine:
         self.cfg = cfg
         self.ctxs = {loc: FlowContext(ha.variables, flow, ODE23)
                      for loc, flow in ha.flows.items()}
+        self.kits = [guard_kit(e.guard, ha.flows[e.source]) for e in ha.edges]
         self.stats = {"steps": 0, "rejections": 0, "crossings": 0,
                       "branches": 0}
         self.alloc = NoiseAllocator()  # one noise-symbol id space per run
@@ -290,7 +288,7 @@ class _Engine:
         succs = [s for idx in sorted(ends)
                  for s in self._crossing(task, out, idx, ends[idx], rearm)]
         if not actives:
-            t_end = _shift(task.t, out.h_used, out.h_used)
+            t_end = iv.add(task.t, Interval(out.h_used, out.h_used))
             succs.append(_Next(task.location, out.x_next, t_end, out.h_next,
                                task.disarmed - rearm,
                                self._segment(task, out.f0, out.hull, t_end)))
@@ -305,11 +303,10 @@ class _Engine:
         once the step is committed (guard surely false at the step end);
         until then the step, its retries and its successors keep the
         disarmed set it started with."""
-        ctx = self.ctxs[task.location]
         rearm = set()
         for idx in sorted(disarmed):
             edge = self.ha.edges[idx]
-            if not edge_cannot_fire(edge, ctx, out.hull, self.alloc):
+            if not edge_cannot_fire(self.kits[idx], out.hull, self.alloc):
                 raise InvariantViolation(
                     f"cannot certify disarmed {edge.label} "
                     f"{_where(task, t, out)} (guard straddles its boundary "
@@ -341,7 +338,7 @@ class _Engine:
         with the edge re-armed after a surely false end and disarmed after
         the limit; when the step's own end is surely false, `_successors`
         hands them on with the step."""
-        edge, ctx = self.ha.edges[idx], self.ctxs[task.location]
+        edge, kit = self.ha.edges[idx], self.kits[idx]
         maybe = end is Trivalent.UNKNOWN
         hull, env_end = out.hull, out.x_next
         span, h_ext = out.h_used, out.h_next
@@ -351,10 +348,11 @@ class _Engine:
                 break
             env_end = env_condense(env_end, CONDENSE_BUDGET, self.alloc)
             out2, rearm2, others = self._step(
-                task, env_end, _shift(task.t, span, span), h_ext, disarmed,
+                task, env_end, iv.add(task.t, Interval(span, span)), h_ext,
+                disarmed,
                 f"(extending across guard of {edge.label})", {idx})
             if others:
-                t = _shift(task.t, span, span + out2.h_used)
+                t = iv.add(task.t, Interval(span, span + out2.h_used))
                 woken = ", ".join(self.ha.edges[j].label for j in others)
                 return [f"EventConflict: {woken} may fire while the crossing "
                         f"of {edge.label} extends, at t in "
@@ -368,18 +366,17 @@ class _Engine:
             end = ex.eval_guard(edge.guard, env_end, self.alloc)
         h_jump = min(out.h_used, self.cfg.dt)
         window = None
-        if end is Trivalent.TRUE or not edge_cannot_fire(
-                edge, ctx, hull, self.alloc):
-            gpoly = build_gpoly(ctx, task.env, out.f0, env_end, span, hull,
-                                self.alloc)
+        if end is Trivalent.TRUE or not edge_cannot_fire(kit, hull,
+                                                         self.alloc):
+            gpoly = build_gpoly(self.ctxs[task.location], task.env, out.f0,
+                                env_end, span, hull, self.alloc)
             narrow = (tight_interval if end is Trivalent.TRUE
                       else resolve_hull_only)
-            window = narrow(gpoly, edge.guard, Interval(0.0, span),
-                            self.alloc)
+            window = narrow(gpoly, kit, Interval(0.0, span), self.alloc)
         stays = maybe and end is not Trivalent.TRUE
         if window is None and not stays:
             return []
-        t_end = _shift(task.t, span, span)
+        t_end = iv.add(task.t, Interval(span, span))
         seg = self._segment(task, out.f0, hull, t_end)
         succs = []
         if window is not None:
@@ -400,7 +397,7 @@ class _Engine:
         edge = self.ha.edges[idx]
         post = cross(edge, gpoly, t_zc, self.alloc)
         self.stats["crossings"] += 1
-        abs_zc = _shift(task.t, t_zc.lo, t_zc.hi)
+        abs_zc = iv.add(task.t, t_zc)
         try:
             options = chain_immediate(self.ha, edge.target, post, idx,
                                       self.alloc, prints=edge.reset.prints)

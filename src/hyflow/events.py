@@ -23,10 +23,12 @@ meet. One routine (`_narrow`) serves both and every guard kind, and it
 interpolates only the variables the guard and its derivatives read.
 
 A guard kit (`guard_kit`) holds all that `_narrow` and the monotonicity
-certificate (`edge_cannot_fire`) read of a guard: its comparisons, whether
-they are smooth, their first and second Lie derivatives along the flow,
-and the variables each order reads. A location's `FlowContext` holds one
-per guard, built on first use, so its DAGs and programs last the run.
+certificate (`edge_cannot_fire`) read of an edge's guard: the guard, its
+comparisons, whether they are smooth, their first and second Lie
+derivatives along the flow of the edge's source, and the variables each
+order reads. The engine builds one kit per edge when a run starts and
+passes it to each of these routines, so its DAGs and programs last the
+run.
 
 After a jump, `chain_immediate` follows the transitions whose guards are
 already true and splits on an ambiguous one, so every special case becomes
@@ -72,7 +74,8 @@ def classify(ha, location, env_start, env_end, env_hull, alloc, skip=()):
 
 
 class GuardKit(NamedTuple):
-    comps: tuple            # the guard's comparisons, in order
+    guard: object           # the guard, a Comparison or a BoolOp
+    comps: tuple            # its comparisons, in order
     smooth: bool            # no comparison has a kink or a jump (`ex.smooth`)
     roots: tuple            # their expressions, then their Lie derivatives
     curves: tuple           # their second Lie derivatives
@@ -85,34 +88,29 @@ def _comparisons(guard) -> list:
             else [c for item in guard.items for c in _comparisons(item)])
 
 
-def guard_kit(ctx, guard) -> GuardKit:
-    """The kit of `guard` along the flow of the location context `ctx`,
-    kept in `ctx.kits`; one that is not smooth gets no derivatives."""
-    kit = ctx.kits.get(guard)
-    if kit is None:
-        comps = tuple(_comparisons(guard))
-        exprs = [c.expr for c in comps]
-        smooth = ex.smooth(*exprs)
-        rates = [ex.derivative(e, ctx.flow) for e in exprs] if smooth else []
-        curves = tuple(ex.derivative(d, ctx.flow) for d in rates)
-        roots = (*exprs, *rates)
-        kit = ctx.kits[guard] = GuardKit(
-            comps, smooth, roots, curves,
-            frozenset().union(*map(ex.free_vars, roots)),
-            frozenset().union(*map(ex.free_vars, curves)))
-    return kit
+def guard_kit(guard, flow: dict) -> GuardKit:
+    """The kit of `guard` along `flow` (var -> Expr); one that is not
+    smooth gets no derivatives."""
+    comps = tuple(_comparisons(guard))
+    exprs = [c.expr for c in comps]
+    smooth = ex.smooth(*exprs)
+    rates = [ex.derivative(e, flow) for e in exprs] if smooth else []
+    curves = tuple(ex.derivative(d, flow) for d in rates)
+    roots = (*exprs, *rates)
+    return GuardKit(guard, comps, smooth, roots, curves,
+                    frozenset().union(*map(ex.free_vars, roots)),
+                    frozenset().union(*map(ex.free_vars, curves)))
 
 
-def edge_cannot_fire(edge, ctx, hull_env, alloc) -> bool:
+def edge_cannot_fire(kit: GuardKit, hull_env, alloc) -> bool:
     """Monotonicity certificate: the guard value moves away from (or along)
-    the boundary throughout a step, along the flow of `ctx`, whose states
+    the boundary throughout a step, along the flow of the kit, whose states
     stay in `hull_env`. For a guard `g < 0` whose step starts with g >= 0
     (surely false, or on the boundary right after a jump), a nonnegative
-    Lie derivative of g (the guard kit's) over the whole hull proves g
-    stays >= 0. A guard that is not smooth is never certified: its
-    derivative does not see a jump or a kink."""
-    g = edge.guard
-    kit = guard_kit(ctx, g)
+    Lie derivative of g (the kit's) over the whole hull proves g stays
+    >= 0. A guard that is not smooth is never certified: its derivative
+    does not see a jump or a kink."""
+    g = kit.guard
     if not isinstance(g, ex.Comparison) or not kit.smooth:
         return False
     _, rate = kit.roots
@@ -155,8 +153,8 @@ def _reach(guard, verdict, ahead: bool, at: dict, curve: dict) -> float:
     return rd.div_down(2.0 * margin, den) if den > 0.0 else math.inf
 
 
-def _narrow(gpoly: GPoly, guard, span: Interval, alloc: NoiseAllocator,
-            right: Trivalent) -> Interval | None:
+def _narrow(gpoly: GPoly, kit: GuardKit, span: Interval,
+            alloc: NoiseAllocator, right: Trivalent) -> Interval | None:
     """`span` narrowed from both ends: the left end advances through times
     where the guard is surely false, the right end retreats through times
     where it has the verdict `right`. None when the two moves meet, so that
@@ -170,9 +168,9 @@ def _narrow(gpoly: GPoly, guard, span: Interval, alloc: NoiseAllocator,
     is). A guard with a kink or a jump is not narrowed at all; the flow, as
     for the interpolant's remainder, is taken to be smooth.
     """
-    kit = guard_kit(gpoly.ctx, guard)
     if not kit.smooth:
         return span  # the margins' Taylor bound needs two derivatives
+    guard = kit.guard
     flat = dict.fromkeys(kit.comps, Interval(0.0, 0.0))
 
     def point(t: float) -> dict:
@@ -214,7 +212,7 @@ def _narrow(gpoly: GPoly, guard, span: Interval, alloc: NoiseAllocator,
     return Interval(a, b)
 
 
-def tight_interval(gpoly: GPoly, guard, span: Interval,
+def tight_interval(gpoly: GPoly, kit: GuardKit, span: Interval,
                    alloc: NoiseAllocator) -> Interval:
     """Enclosure of the first crossing time within `span`.
 
@@ -225,7 +223,7 @@ def tight_interval(gpoly: GPoly, guard, span: Interval,
     times: its first crossing lies between. The round cap only widens the
     result; the moves meet only against the preconditions (span returned).
     """
-    window = _narrow(gpoly, guard, span, alloc, Trivalent.TRUE)
+    window = _narrow(gpoly, kit, span, alloc, Trivalent.TRUE)
     return span if window is None else window
 
 
@@ -235,7 +233,7 @@ def cross(edge, gpoly: GPoly, t_zc: Interval, alloc: NoiseAllocator) -> dict:
     return edge.reset.apply_affine(eval_gpoly(gpoly, t_zc, alloc), alloc)
 
 
-def resolve_hull_only(gpoly: GPoly, guard, span: Interval,
+def resolve_hull_only(gpoly: GPoly, kit: GuardKit, span: Interval,
                       alloc: NoiseAllocator) -> Interval | None:
     """Tell a spurious hull activation from a possible double crossing in
     the step: None when the guard is refuted everywhere in `span`, else the
@@ -244,7 +242,7 @@ def resolve_hull_only(gpoly: GPoly, guard, span: Interval,
     to the guard could close; the right end's move runs backward in time,
     so a margin closes there where it grows forward.
     """
-    return _narrow(gpoly, guard, span, alloc, Trivalent.FALSE)
+    return _narrow(gpoly, kit, span, alloc, Trivalent.FALSE)
 
 
 def chain_immediate(ha, location: str, env: dict, entered_by: int | None,

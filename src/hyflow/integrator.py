@@ -198,9 +198,8 @@ class FlowContext:
     """Per-(location, table) cache of symbolic machinery, built on first
     use and held for as long as the run that owns it: the Lie derivatives
     of the flow, the stage side of the truncation bound and whether it is
-    the constant 0 (`stage_zero`), the compiled scalar flow, and, in
-    `kits`, one guard kit per outgoing edge's guard (`events.guard_kit`).
-    """
+    the constant 0 (`stage_zero`), and the compiled scalar flow. It holds
+    no guard state: the engine keeps the guard kits of the edges."""
 
     def __init__(self, variables, flow: dict, table: ButcherTable):
         self.variables = tuple(variables)
@@ -212,7 +211,6 @@ class FlowContext:
         self._phi_deriv = None
         self.stage_zero = None
         self._scalar_flow = None
-        self.kits: dict = {}
 
     def eval_flow(self, env: Env, alloc) -> Env:
         vals = ex.eval_affine_many(self._flow_list, env, alloc)

@@ -42,6 +42,8 @@ from .interval import Interval
 
 @dataclass
 class GPoly:
+    """One span's interpolant: node data and remainder scale, but no flow
+    or guard; a caller reading a guard along it brings the guard's kit."""
     variables: tuple
     span: float          # H
     x0: dict             # enclosure of x at tau = 0
@@ -49,7 +51,6 @@ class GPoly:
     dx: dict             # x1 - x0, the data of the partition-of-unity form
     f1: dict             # enclosure of f(x) at tau = H
     rem_scale: dict      # var -> Interval: f'''(z) / 4!
-    ctx: FlowContext     # the location whose flow the trajectories follow
 
 
 def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
@@ -68,7 +69,7 @@ def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
     rem_scale = {v: iv.div(af.to_interval(f), Interval(24.0, 24.0))  # 4!
                  for v, f in zip(ctx.variables, f3_forms)}
     dx = {v: x1[v] - x0[v] for v in ctx.variables}
-    return GPoly(ctx.variables, span, x0, f0, dx, f1, rem_scale, ctx)
+    return GPoly(ctx.variables, span, x0, f0, dx, f1, rem_scale)
 
 
 def eval_gpoly(g: GPoly, t: Interval, alloc: NoiseAllocator,

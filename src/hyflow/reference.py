@@ -2,19 +2,18 @@
 event detection by sign change and bisection on a cubic dense output.
 
 This is the independent oracle used by Monte-Carlo validation and tests.
-It shares nothing with the guaranteed path except the parsed model: flows,
-guards and resets are compiled to plain scalar functions and integrated in
-ordinary floating point.
+It shares nothing with the guaranteed path except the parsed model and the
+chain limit `events.MAX_CHAIN`: flows, guards and resets are compiled to
+plain scalar functions and integrated in ordinary floating point.
 """
 
 from __future__ import annotations
 
 import bisect
 
+from . import events
 from . import expr as ex
 from .errors import ModelError
-
-MAX_CHAIN = 16  # immediate transitions before the chain is refused
 
 
 def _hermite(x0, d0, x1, d1, h, tau):
@@ -106,7 +105,7 @@ class ReferenceSimulator:
         land on its own guard boundary (`boundary_reset`), as the engine's
         chain leaves it disarmed; the step loop fires it again only once
         its guard has turned false."""
-        for _ in range(MAX_CHAIN):
+        for _ in range(events.MAX_CHAIN):
             hit = None
             for idx, edge in self.ha.outgoing(loc):
                 if idx == entered_by and edge.boundary_reset:

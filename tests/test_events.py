@@ -69,7 +69,8 @@ def test_classify_invariant_violation():
 
 
 def ball_gpoly(y0=10.0, t_lo=1.3, span=0.3):
-    """Guaranteed interpolant on the ballistic segment around the bounce."""
+    """Guaranteed interpolant on the ballistic segment around the bounce,
+    and the flow it follows."""
     y, v = ex.var("y"), ex.var("v")
     ctx = FlowContext(("y", "v"), {"y": v, "v": ex.const(-9.81)}, ODE23)
     alloc = NoiseAllocator()
@@ -82,13 +83,14 @@ def ball_gpoly(y0=10.0, t_lo=1.3, span=0.3):
     out = gi.guaranteed_step(ctx, env0, span, LOOSE, alloc)
     g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
                        alloc)
-    return g, alloc, out.h_used, t_lo
+    return g, ctx.flow, alloc, out.h_used, t_lo
 
 
 def test_tight_interval_ball_bounce():
-    g, alloc, span, t_lo = ball_gpoly()
+    g, flow, alloc, span, t_lo = ball_gpoly()
     guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), alloc)
+    t_zc = ev.tight_interval(g, ev.guard_kit(guard, flow), Interval(0.0, span),
+                             alloc)
     t_star = math.sqrt(20.0 / 9.81) - t_lo  # local coordinates
     assert t_zc.lo <= t_star <= t_zc.hi
     assert t_zc.width <= 2.5e-6
@@ -96,7 +98,7 @@ def test_tight_interval_ball_bounce():
 
 def step_gpoly(flow, start, span):
     """The interpolant of one guaranteed step of `span` along `flow` from
-    the point `start` (var -> float)."""
+    the point `start` (var -> float), and that flow."""
     ctx = FlowContext(tuple(flow), flow, ODE23)
     alloc = NoiseAllocator()
     env0 = {v: AffineForm(x) for v, x in start.items()}
@@ -104,7 +106,7 @@ def step_gpoly(flow, start, span):
     out = gi.guaranteed_step(ctx, env0, span, cfg, alloc)
     g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
                        alloc)
-    return g, alloc, out.h_used
+    return g, ctx.flow, alloc, out.h_used
 
 
 def linear_root_gpoly():
@@ -113,19 +115,20 @@ def linear_root_gpoly():
 
 
 def test_tight_interval_linear_root():
-    g, alloc, span = linear_root_gpoly()
+    g, flow, alloc, span = linear_root_gpoly()
     guard = ex.comparison(ex.var("x"), Rel.GT, ex.ZERO)
-    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), alloc)
+    t_zc = ev.tight_interval(g, ev.guard_kit(guard, flow), Interval(0.0, span),
+                             alloc)
     assert t_zc.lo <= 1.0 <= t_zc.hi
     assert t_zc.width <= 1e-6
 
 
 def test_cross_applies_reset():
-    g, alloc, span, t_lo = ball_gpoly()
+    g, flow, alloc, span, t_lo = ball_gpoly()
     ha = ball_automaton()
     edge = ex.prepare_automaton(ha)[0].edges[0]
-    guard = edge.guard
-    t_zc = ev.tight_interval(g, guard, Interval(0.0, span), alloc)
+    kit = ev.guard_kit(edge.guard, flow)
+    t_zc = ev.tight_interval(g, kit, Interval(0.0, span), alloc)
     post = ev.cross(edge, g, t_zc, alloc)
     vy = af.to_interval(post["y"])
     vv = af.to_interval(post["v"])
@@ -138,13 +141,14 @@ def test_cross_applies_reset():
 
 def test_resolve_hull_only_refutes_spurious():
     # trajectory stays well above the floor; a fat hull alone must not branch
-    g, alloc, span, _ = ball_gpoly(t_lo=0.0, span=0.2)
-    guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    assert ev.resolve_hull_only(g, guard, Interval(0.0, span), alloc) is None
+    g, flow, alloc, span, _ = ball_gpoly(t_lo=0.0, span=0.2)
+    kit = ev.guard_kit(ex.comparison(ex.var("y"), Rel.LT, ex.ZERO), flow)
+    assert ev.resolve_hull_only(g, kit, Interval(0.0, span), alloc) is None
 
 
 def graze_gpoly():
-    # parabola dipping to exactly zero inside the span: y'' = 2, y(0)=eps
+    # parabola dipping to exactly zero inside the span: y'' = 2, y(0)=eps;
+    # returned with the flow it follows
     ctx = FlowContext(("y", "v"), {"y": ex.var("v"), "v": ex.const(2.0)},
                       ODE23)
     alloc = NoiseAllocator()
@@ -152,13 +156,13 @@ def graze_gpoly():
     out = gi.guaranteed_step(ctx, env0, 2e-3, LOOSE, alloc)
     g = gp.build_gpoly(ctx, env0, out.f0, out.x_next, out.h_used, out.hull,
                        alloc)
-    return g, alloc, out.h_used
+    return g, ctx.flow, alloc, out.h_used
 
 
 def test_resolve_hull_only_detects_graze():
-    g, alloc, span = graze_gpoly()
-    guard = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    window = ev.resolve_hull_only(g, guard, Interval(0.0, span), alloc)
+    g, flow, alloc, span = graze_gpoly()
+    kit = ev.guard_kit(ex.comparison(ex.var("y"), Rel.LT, ex.ZERO), flow)
+    window = ev.resolve_hull_only(g, kit, Interval(0.0, span), alloc)
     assert window is not None
     assert window.lo >= 0.0 and window.hi <= span
 
@@ -253,11 +257,11 @@ def test_edge_cannot_fire_certificate():
     ha = ball_automaton()
     edge = ex.prepare_automaton(ha)[0].edges[0]
     alloc = NoiseAllocator()
-    ctx = FlowContext(ha.variables, ha.flows["fall"], ODE23)
+    kit = ev.guard_kit(edge.guard, ha.flows["fall"])
     hull_up = boxes(alloc, y=(0.0, 1.0), v=(2.0, 12.0))
-    assert ev.edge_cannot_fire(edge, ctx, hull_up, alloc)
+    assert ev.edge_cannot_fire(kit, hull_up, alloc)
     hull_down = boxes(alloc, y=(0.0, 1.0), v=(-12.0, -2.0))
-    assert not ev.edge_cannot_fire(edge, ctx, hull_down, alloc)
+    assert not ev.edge_cannot_fire(kit, hull_down, alloc)
 
 
 def test_edge_cannot_fire_refuses_a_guard_that_jumps():
@@ -265,12 +269,11 @@ def test_edge_cannot_fire_refuses_a_guard_that_jumps():
     # -1 to 1 over the hull and the guard turns true at x = 0
     x = ex.var("x")
     guard = ex.comparison(ex.sgn(x), Rel.GT, ex.const(0.5))
-    edge = Edge("l", "l", guard, Reset())
     alloc = NoiseAllocator()
     hull = boxes(alloc, x=(-1.0, 1.0))
     assert ex.eval_guard(guard, hull, alloc) is Trivalent.UNKNOWN
-    ctx = FlowContext(("x",), {"x": ex.ONE}, ODE23)
-    assert not ev.edge_cannot_fire(edge, ctx, hull, alloc)
+    kit = ev.guard_kit(guard, {"x": ex.ONE})
+    assert not ev.edge_cannot_fire(kit, hull, alloc)
 
 
 def plain_boundary(gpoly, guard, a, b, precision, alloc, max_evals, discard,
@@ -337,25 +340,29 @@ def test_shared_bisection_matches_plain_two_pass(max_evals):
     plain two-pass bisection window, whatever the bisection's evaluation
     budget, and the window holds the exact crossing (or graze) time."""
     below = ex.comparison(ex.var("y"), Rel.LT, ex.ZERO)
-    g, alloc, span, t_lo = ball_gpoly()
+    g, flow, alloc, span, t_lo = ball_gpoly()
     args = (g, below, Interval(0.0, span), 1e-6, alloc, max_evals)
-    window = ev.tight_interval(g, below, Interval(0.0, span), alloc)
+    window = ev.tight_interval(g, ev.guard_kit(below, flow),
+                               Interval(0.0, span), alloc)
     assert encloses(window, plain_tight_interval(*args),
                     math.sqrt(20.0 / 9.81) - t_lo)
-    g, alloc, span = linear_root_gpoly()
+    g, flow, alloc, span = linear_root_gpoly()
     above = ex.comparison(ex.var("x"), Rel.GT, ex.ZERO)
     args = (g, above, Interval(0.0, span), 1e-6, alloc, max_evals)
-    window = ev.tight_interval(g, above, Interval(0.0, span), alloc)
+    window = ev.tight_interval(g, ev.guard_kit(above, flow),
+                               Interval(0.0, span), alloc)
     assert encloses(window, plain_tight_interval(*args), 1.0)
     # the graze touches y = 0 at local time 1e-3 and never crosses it
-    g, alloc, span = graze_gpoly()
+    g, flow, alloc, span = graze_gpoly()
     args = (g, below, Interval(0.0, span), 1e-6, alloc, max_evals)
-    window = ev.resolve_hull_only(g, below, Interval(0.0, span), alloc)
+    window = ev.resolve_hull_only(g, ev.guard_kit(below, flow),
+                                  Interval(0.0, span), alloc)
     assert encloses(window, plain_resolve_hull_only(*args), 1e-3)
-    g, alloc, span, _ = ball_gpoly(t_lo=0.0, span=0.2)
+    g, flow, alloc, span, _ = ball_gpoly(t_lo=0.0, span=0.2)
     args = (g, below, Interval(0.0, span), 1e-6, alloc, max_evals)
     assert plain_resolve_hull_only(*args) is None
-    assert ev.resolve_hull_only(g, below, Interval(0.0, span), alloc) is None
+    assert ev.resolve_hull_only(g, ev.guard_kit(below, flow),
+                                Interval(0.0, span), alloc) is None
 
 
 def clock_guard(kind, *items):
@@ -365,9 +372,10 @@ def clock_guard(kind, *items):
 
 @pytest.mark.parametrize("kind, t_star", [("and", 1.0), ("or", 0.25)])
 def test_tight_interval_narrows_compound_guards(kind, t_star):
-    g, alloc, span = clock_gpoly()
+    g, flow, alloc, span = clock_gpoly()
     guard = clock_guard(kind, ("x", Rel.GT, 0.0), ("z", Rel.GT, 0.0))
-    window = ev.tight_interval(g, guard, Interval(0.0, span), alloc)
+    window = ev.tight_interval(g, ev.guard_kit(guard, flow),
+                               Interval(0.0, span), alloc)
     plain = plain_tight_interval(g, guard, Interval(0.0, span), 1e-6, alloc,
                                  600)
     assert encloses(window, plain, t_star)
@@ -375,16 +383,18 @@ def test_tight_interval_narrows_compound_guards(kind, t_star):
 
 
 def test_resolve_hull_only_narrows_compound_guards():
-    g, alloc, span = clock_gpoly()
+    g, flow, alloc, span = clock_gpoly()
     # x > 0 only after z < 1 has ended: each item refutes a part of the
     # span, and together they refute all of it
     never = clock_guard("and", ("x", Rel.GT, 0.0), ("z", Rel.LT, 1.0))
     assert plain_resolve_hull_only(g, never, Interval(0.0, span), 1e-6,
                                    alloc, 600) is None
-    assert ev.resolve_hull_only(g, never, Interval(0.0, span), alloc) is None
+    assert ev.resolve_hull_only(g, ev.guard_kit(never, flow),
+                                Interval(0.0, span), alloc) is None
     # true from x > 0 on, which comes before z > 3
     either = clock_guard("or", ("x", Rel.GT, 0.0), ("z", Rel.GT, 3.0))
-    window = ev.resolve_hull_only(g, either, Interval(0.0, span), alloc)
+    window = ev.resolve_hull_only(g, ev.guard_kit(either, flow),
+                                  Interval(0.0, span), alloc)
     plain = plain_resolve_hull_only(g, either, Interval(0.0, span), 1e-6,
                                     alloc, 600)
     assert encloses(window, plain, 1.0)
@@ -395,21 +405,23 @@ def test_a_guard_with_a_kink_is_not_narrowed():
     # |x| > 1 along x = tau - 1/2: the margin 1 - |x| rises until the kink
     # at tau = 1/2 and falls after it, so its second derivative (zero on
     # either side) must not be used to refute the crossing at tau = 3/2
-    g, alloc, h = step_gpoly({"x": ex.ONE}, {"x": -0.5}, 2.0)
-    guard = ex.comparison(ex.abs_(ex.var("x")), Rel.GT, ex.ONE)
+    g, flow, alloc, h = step_gpoly({"x": ex.ONE}, {"x": -0.5}, 2.0)
+    kit = ev.guard_kit(ex.comparison(ex.abs_(ex.var("x")), Rel.GT, ex.ONE),
+                       flow)
     span = Interval(0.0, h)
-    window = ev.resolve_hull_only(g, guard, span, alloc)
+    window = ev.resolve_hull_only(g, kit, span, alloc)
     assert window is not None and window.contains(1.5)
-    assert ev.tight_interval(g, guard, span, alloc).contains(1.5)
+    assert ev.tight_interval(g, kit, span, alloc).contains(1.5)
 
 
 def test_a_rate_that_cannot_be_evaluated_leaves_the_window_sound():
     # sqrt(x) > 1/2 along x = tau: the guard's rate 1 / (2 sqrt(x)) has no
     # bound at the span start, so the narrowing stops instead of aborting
-    g, alloc, h = step_gpoly({"x": ex.ONE}, {"x": 0.0}, 1.0)
-    guard = ex.comparison(ex.sqrt(ex.var("x")), Rel.GT, ex.const(0.5))
+    g, flow, alloc, h = step_gpoly({"x": ex.ONE}, {"x": 0.0}, 1.0)
+    kit = ev.guard_kit(
+        ex.comparison(ex.sqrt(ex.var("x")), Rel.GT, ex.const(0.5)), flow)
     span = Interval(0.0, h)
-    assert ev.tight_interval(g, guard, span, alloc).contains(0.25)
+    assert ev.tight_interval(g, kit, span, alloc).contains(0.25)
 
 
 def test_thermostat_narrows_in_few_interpolant_evaluations(monkeypatch):

@@ -150,7 +150,6 @@ def test_partition_of_unity_form_equals_tau_form_cubic():
             dx={"x": AffineForm(x1) - AffineForm(x0)},
             f1={"x": AffineForm(d1)},
             rem_scale={"x": Interval(0.0, 0.0)},
-            ctx=None,
         )
         for tau in (0.0, 0.25, 0.5, 1.0):
             t = tau * h
