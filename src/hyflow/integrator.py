@@ -260,13 +260,17 @@ def env_condense(env: Env, budget: int, alloc) -> Env:
     A symbol's cost of boxing is ||g||_1 - ||g||_inf of its coefficients g
     across the forms (Girard's criterion); the `budget` costliest symbols
     that two or more forms read are kept. In each form every other symbol
-    is replaced by one fresh symbol whose coefficient C bounds the sum of
-    their absolute values. That is sound: the fresh symbol, read by this
-    form alone, takes the value sum(c_j eps_j)/C, which lies in [-1, 1].
-    A private symbol costs 0 and is always merged, and merging it loses
-    nothing, since the affine operations see a form's private symbols only
-    through their sum. A form with nothing to merge but one private symbol
-    is left as it is.
+    is replaced by one fresh symbol, together with the form's rounding
+    slack s, which is then 0; the symbol's coefficient C bounds s plus the
+    sum of their absolute values. That is sound: the fresh symbol, read
+    by this form alone, takes the value (sum(c_j eps_j) + s e)/C, where e
+    in [-1, 1] is the slack's share, so it lies in [-1, 1]. A private
+    symbol costs 0 and is always merged, and merging it loses nothing,
+    since the affine operations see a form's private symbols only through
+    their sum. Folding the slack loses nothing either, up to rounding:
+    the operations add slacks in absolute value, so a slack never cancels,
+    while a symbol's coefficients can. A form without slack that has
+    nothing to merge but one private symbol is left as it is.
     """
     # one pass over the forms, in env order: per symbol, its readers and
     # the running sum and max of its coefficients' magnitudes
@@ -289,12 +293,14 @@ def env_condense(env: Env, budget: int, alloc) -> Env:
     out = {}
     for v, f in env.items():
         dropped = [i for i in f.dev if i not in keep]
-        if len(dropped) < 2 and all(readers[i] == 1 for i in dropped):
+        if (f.slack == 0.0 and len(dropped) < 2
+                and all(readers[i] == 1 for i in dropped)):
             out[v] = f
             continue
         dev = {i: c for i, c in f.dev.items() if i in keep}
-        dev[alloc.fresh()] = rd.sum_abs_up(f.dev[i] for i in dropped)
-        out[v] = AffineForm(f.center, dev, f.slack)
+        dev[alloc.fresh()] = rd.add_up(
+            rd.sum_abs_up(f.dev[i] for i in dropped), f.slack)
+        out[v] = AffineForm(f.center, dev)
     return out
 
 

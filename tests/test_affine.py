@@ -298,22 +298,29 @@ def sum_product_sin_dags(draw, names):
 
 def test_env_condense_examples():
     # symbol 0 costs |1| + |2| - 2 = 1 to box, symbol 1 costs 0.5; 2 and 3
-    # are x's own
+    # are x's own, and x's slack merges with them
     env = {"x": AffineForm(1.0, {0: 1.0, 1: 3.0, 2: 0.25, 3: 0.25}, 1e-3),
            "y": AffineForm(0.0, {0: 2.0, 1: -0.5}),
            "z": AffineForm(5.0)}
     out = env_condense(env, 1, NoiseAllocator(10))
     assert out["x"].dev.keys() == {0, 10} and out["x"].dev[0] == 1.0
-    assert out["x"].dev[10] >= 3.5 and out["x"].slack == 1e-3
+    assert out["x"].dev[10] >= 3.501 and out["x"].slack == 0.0
     assert out["y"].dev.keys() == {0, 11} and out["y"].dev[11] >= 0.5
     assert out["z"] is env["z"]
-    # within the budget only x's private symbols merge
+    # within the budget only x's private symbols and slack merge
     out = env_condense(env, 2, NoiseAllocator(10))
-    assert out["x"].dev.keys() == {0, 1, 10} and out["x"].dev[10] >= 0.5
+    assert out["x"].dev.keys() == {0, 1, 10} and out["x"].dev[10] >= 0.501
+    assert out["x"].slack == 0.0
     assert out["y"] is env["y"]
-    # a lone private symbol is left as it is
+    # a lone private symbol is left as it is, unless the form has slack
     one = {"x": AffineForm(0.0, {0: 1.0, 1: 1.0}), "y": AffineForm(0.0, {0: 1.0})}
     assert env_condense(one, 1, NoiseAllocator(10)) == one
+    out = env_condense({**one, "y": AffineForm(0.0, {0: 1.0}, 1e-3),
+                        "z": AffineForm(2.0, None, 1e-3)}, 1, NoiseAllocator(10))
+    assert out["x"] is one["x"]
+    assert out["y"].dev.keys() == {0, 10} and out["y"].dev[10] >= 1e-3
+    assert out["z"].dev.keys() == {11} and out["z"].dev[11] >= 1e-3
+    assert out["y"].slack == out["z"].slack == 0.0
 
 
 def readers_of(forms):
@@ -339,7 +346,7 @@ def test_env_condense_keeps_the_costliest_shared_symbols(forms, budget):
         assert len(fresh) <= 1
         assert {i: c for i, c in g.dev.items() if i not in fresh} == {
             i: c for i, c in f.dev.items() if i in g.dev}
-        assert (g.center, g.slack) == (f.center, f.slack)
+        assert (g.center, g.slack) == (f.center, 0.0)  # slack is merged
     cost = {i: sum(abs(f.dev.get(i, 0.0)) for f in forms.values())
             - max(abs(f.dev.get(i, 0.0)) for f in forms.values())
             for i in shared}
@@ -356,38 +363,45 @@ def test_env_condense_is_exact_at_the_merged_value(data, seed):
     budget = data.draw(st.integers(0, 4))
     alloc = NoiseAllocator(1000)
     out = env_condense(forms, budget, alloc)
-    merged = {}  # fresh symbol -> (its coefficient, the ones it replaced)
+    merged = {}  # fresh symbol -> (its coefficient, the ones it replaced,
+    #                               and the form whose slack it took)
     for k, f in forms.items():
         for s in set(out[k].dev) - set(f.dev):
             assert s not in merged  # read by one form alone
             merged[s] = (out[k].dev[s], {i: c for i, c in f.dev.items()
-                                         if i not in out[k].dev})
-    # at one valuation of the original symbols, every reduced form takes
-    # its original value with each merged symbol at sum(c_j eps_j)/C
+                                         if i not in out[k].dev}, k)
+    # at one valuation of the original symbols and one position of each
+    # slack, every reduced form takes its original value with each merged
+    # symbol at (sum(c_j eps_j) + slack * position)/C
     readers = readers_of(forms)
     rng = random.Random(seed)
     for _ in range(20):
         v = rand_valuation(rng, readers)
+        pos = {k: rng.uniform(-1, 1) for k in forms}
         joint = dict(v)
-        for s, (c, replaced) in merged.items():
-            joint[s] = sum(cj * v[j] for j, cj in replaced.items()) / c
+        for s, (c, replaced, k) in merged.items():
+            joint[s] = (sum(cj * v[j] for j, cj in replaced.items())
+                        + forms[k].slack * pos[k]) / c
             assert abs(joint[s]) <= 1.0
         for k, f in forms.items():
-            pos = rng.uniform(-1, 1)
-            assert math.isclose(af.sample(out[k], joint, pos),
-                                af.sample(f, v, pos),
+            assert math.isclose(af.sample(out[k], joint, pos[k]),
+                                af.sample(f, v, pos[k]),
                                 rel_tol=1e-12, abs_tol=1e-12)
     if budget < 3:
         return
-    # the forms share at most 3 symbols, so only private ones merged, and
-    # that loses nothing: an evaluation over the reduced set is as wide
+    # the forms share at most 3 symbols, so only private ones and the
+    # slacks merged, and that loses nothing: an evaluation over the reduced
+    # set is no wider, and as wide when no form had slack
     roots = data.draw(sum_product_sin_dags(list(forms)))
     got = ex.eval_affine_many(roots, out, alloc)
     ref = ex.eval_affine_many(roots, forms, NoiseAllocator(1000))
+    slack = any(f.slack for f in forms.values())
     for r, r_ref in zip(got, ref):
         b, b_ref = af.to_interval(r), af.to_interval(r_ref)
         tol = 1e-12 * b_ref.mag + 1e-300  # subnormal rounding terms
-        assert abs(b.lo - b_ref.lo) <= tol and abs(b.hi - b_ref.hi) <= tol
+        assert b.lo >= b_ref.lo - tol and b.hi <= b_ref.hi + tol
+        if not slack:
+            assert b.lo <= b_ref.lo + tol and b.hi >= b_ref.hi - tol
 
 
 @settings(max_examples=300, deadline=None)

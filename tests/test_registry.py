@@ -126,6 +126,7 @@ FAST = {
                  "guard straddles the boundary where the flow direction is "
                  "not provable", "cannot certify disarmed event0"),
     "lorenz": None,
+    "brusselator": None,
 }
 SLOW = {
     "car": None,
@@ -139,11 +140,6 @@ SLOW = {
                    "state, so windows outgrow the true spread (80x at the "
                    "8th bounce) and width grows across bounces until the "
                    "branch cap", "BranchCap"),
-    "brusselator": ("A10: rounding slack is never turned into a noise "
-                    "symbol, so it grows with the sum of the absolute "
-                    "partials instead of the net Jacobian, until Picard "
-                    "fails at the minimal step size at t >= 6.209",
-                    "Picard enclosure failed"),
 }
 
 
@@ -151,7 +147,8 @@ SLOW = {
 # completes, and its widest crossing window (lorenz has no crossings),
 # pinned when crossing windows were first narrowed by certified rate bounds
 # (lorenz's when its Lie derivatives were first built in one forward pass
-# along the flow); a width may shrink, but not grow by more than
+# along the flow, brusselator's when the rounding slack was first merged
+# into a noise symbol); a width may shrink, but not grow by more than
 # WIDTH_SLACK of its pin
 WIDTH_CEILINGS = {
     "bouncing_ball": (9.89229e-10, 9.89229e-10, 3.71668e-11),
@@ -161,12 +158,14 @@ WIDTH_CEILINGS = {
     "thermostat": (0.168994, 0.235535, 0.168072),
     "sinusoidal_ball": (4.20994e-06, 6.27373e-06, 2.19692e-7),
     "lorenz": (2.74327, 3.93027, 0.0),
+    "brusselator": (0.0155741, 0.114096, 0.0),
 }
 WIDTH_SLACK = 1e-3
 
 # accepted steps and rejected step sizes of each FAST entry whose flowpipe
 # completes, pinned before the guaranteed step ran over the folded start
-# set; a lossless change to the step keeps them exactly
+# set (brusselator's when the rounding slack was first merged into a noise
+# symbol); a lossless change to the step keeps them exactly
 STEP_COUNTS = {
     "bouncing_ball": (112, 0),
     "wolfgram": (256, 0),
@@ -175,6 +174,7 @@ STEP_COUNTS = {
     "thermostat": (159, 0),
     "sinusoidal_ball": (235, 2),
     "lorenz": (51, 0),
+    "brusselator": (247, 2),
 }
 
 
