@@ -36,14 +36,10 @@ queued in order, and each aborted one is finished as a branch.
 `_enter`, which every successor passes through, reduces the task's set
 jointly (`env_condense`): it keeps the CONDENSE_BUDGET shared noise
 symbols whose boxing would cost the most width, and in each variable
-merges every other symbol and the rounding slack s into one fresh symbol
-whose coefficient C bounds s plus the sum of their absolute values. That
-is sound, since the fresh symbol is read by that variable alone and takes
-the value (sum(c_j eps_j) + s e)/C, with e in [-1, 1], which lies in
-[-1, 1]. Merging a variable's private
-symbols loses nothing, since the affine operations see them only through
-their sum. So steps, crossings and segment boxes all run over at most
-CONDENSE_BUDGET shared symbols and one private symbol per variable.
+merges every other symbol and the rounding slack into one fresh symbol
+(its docstring states why that is sound). So steps, crossings and
+segment boxes all run over at most CONDENSE_BUDGET shared symbols and
+one private symbol per variable.
 """
 
 from __future__ import annotations

@@ -90,7 +90,8 @@ def _comparisons(guard) -> list:
 
 def guard_kit(guard, flow: dict) -> GuardKit:
     """The kit of `guard` along `flow` (var -> Expr); one that is not
-    smooth gets no derivatives."""
+    smooth gets no derivatives. The engine builds one per edge, along the
+    flow of its source, when a run starts."""
     comps = tuple(_comparisons(guard))
     exprs = [c.expr for c in comps]
     smooth = ex.smooth(*exprs)
