@@ -1,4 +1,4 @@
-"""Frontend: golden parse of the pendulum listing, malformed-input spans,
+"""Frontend: golden parse of the pendulum listing, token and error spans,
 lowering, and the JSON schema."""
 
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from hyflow import dsl as D
 from hyflow import expr as ex
 from hyflow.affine import Rel
+from hyflow.benchmarks import REGISTRY
 from hyflow.errors import ModelError, ParseError, SchemaError
 from hyflow.expr import HybridAutomaton
 from hyflow.interval import Interval
@@ -64,6 +65,43 @@ def test_pendulum_lowering():
 def test_brusselator_init_interval():
     m = D.parse_dsl("set duration=1;\ninit x = [0.9,1];\nx' = -x;\n")
     assert m.inits["x"] == Interval(0.9, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, e in REGISTRY.items() if e.kind == "dsl"))
+def test_registry_tokens_sit_at_their_spans(name):
+    """Each token's text is at its (line, col) in the source, a string's
+    span is its opening quote, and `eof` is just past the last character."""
+    text = REGISTRY[name].text
+    lines = text.split("\n")
+    tokens = D.tokenize(text)
+    for t in tokens[:-1]:
+        at = lines[t.span.line - 1][t.span.col - 1:]
+        assert at.startswith('"' if t.kind == "string" else t.text), t
+    eof = tokens[-1]
+    assert eof.kind == "eof"
+    assert (eof.span.line, eof.span.col) == (len(lines), len(lines[-1]) + 1)
+
+
+def test_token_stream_of_a_snippet():
+    src = ('x = .5 + 1.e3; # comment ("\r\n'
+           "y' = 2e-3;\r\n"
+           r'print("a\nb\tc\\d\"e\q") print("(")')
+    assert [(t.kind, t.text, t.span.line, t.span.col)
+            for t in D.tokenize(src)] == [
+        ("ident", "x", 1, 1), ("symbol", "=", 1, 3), ("number", ".5", 1, 5),
+        ("symbol", "+", 1, 8), ("number", "1.e3", 1, 10),
+        ("symbol", ";", 1, 14),
+        ("ident", "y", 2, 1), ("symbol", "'", 2, 2), ("symbol", "=", 2, 4),
+        ("number", "2e-3", 2, 6), ("symbol", ";", 2, 10),
+        ("ident", "print", 3, 1), ("symbol", "(", 3, 6),
+        ("string", 'a\nb\tc\\d"e\\q', 3, 7), ("symbol", ")", 3, 24),
+        ("ident", "print", 3, 26), ("symbol", "(", 3, 31),
+        ("string", "(", 3, 32), ("symbol", ")", 3, 35),
+        ("eof", "", 3, 36)]
+    # a string that reads "(" is not a parenthesis
+    with pytest.raises(ParseError):
+        D.parse_expr_string('"(" 1)')
 
 
 MALFORMED = [
