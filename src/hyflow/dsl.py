@@ -23,6 +23,7 @@ format instead (see jsonmodel).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -35,8 +36,20 @@ from .interval import Interval
 KEYWORDS = {"set", "init", "on", "do", "and", "or", "not", "print"}
 RELATIONS = [r.value for r in Rel]
 
-_SYMBOLS = ("<=", ">=", "==", "<", ">", "=", ";", "'", "{", "}", "(", ")",
-            "[", "]", ",", "+", "-", "*", "/", "^")
+# one alternative per token class, tried in order at each position; a
+# position none of them matches holds an unterminated string or a stray
+# character. A number takes a dangling exponent ('1e', '1e+') so that
+# float() rejects the whole literal as malformed.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<symbol><=|>=|==|[<>=;'{}()\[\],+\-*/^])
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
 
 @dataclass(frozen=True)
@@ -57,96 +70,41 @@ class Token:
 
 
 def tokenize(text: str):
+    """Source text -> list of Tokens, closed by an `eof` token just past
+    the last character.
+
+    A span is the (line, column) of the token's first character, a
+    string's being its opening quote; a string's text is its content with
+    the escapes \\n, \\t, \\\\ and \\" replaced (any other backslash is
+    kept). A malformed or overflowing number, an unterminated string and a
+    stray character raise ParseError at their span.
+    """
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                c = text[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            raw = text[i:j]
-            span = SourceSpan(line, start_col)
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        span = SourceSpan(line, pos - line_start + 1)
+        if m is None:
+            raise ParseError("unterminated string literal" if text[pos] == '"'
+                             else f"unexpected character {text[pos]!r}", span)
+        kind, raw, pos = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "number":
             try:
-                val = float(raw)
+                value = float(raw)
             except ValueError:
                 raise ParseError(f"malformed number '{raw}'", span) from None
-            if not math.isfinite(val):
+            if not math.isfinite(value):
                 raise ParseError(f"number '{raw}' overflows a float", span)
-            tokens.append(Token("number", raw, span, val))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            raw = text[i:j]
-            span = SourceSpan(line, start_col)
-            tokens.append(Token("ident", raw, span))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    out.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
-                               .get(esc, "\\" + esc))
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal",
-                                 SourceSpan(line, start_col))
-            span = SourceSpan(line, start_col)
-            tok = Token("string", "".join(out), span)
-            tokens.append(tok)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                span = SourceSpan(line, start_col)
-                tokens.append(Token("symbol", sym, span))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}",
-                             SourceSpan(line, start_col))
-    tokens.append(Token("eof", "", SourceSpan(line, col)))
+            tokens.append(Token(kind, raw, span, value))
+        elif kind == "string":
+            body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[0]), raw[1:-1])
+            tokens.append(Token(kind, body, span))
+        elif kind != "skip":
+            tokens.append(Token(kind, raw, span))
+    tokens.append(Token("eof", "",
+                        SourceSpan(line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -179,13 +137,20 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect_symbol(self, sym) -> Token:
+    def accept(self, *texts) -> Token | None:
+        """The next token, consumed, when it reads one of `texts` and is not
+        a string literal; None otherwise."""
         t = self.peek()
-        if t.kind != "symbol" or t.text != sym:
+        return self.next() if t.kind != "string" and t.text in texts else None
+
+    def expect(self, text) -> Token:
+        t = self.accept(text)
+        if t is None:
+            t = self.peek()
             raise ParseError(f"found {t.text!r}" if t.kind != "eof"
                              else "unexpected end of input",
-                             t.span, expected=[repr(sym)])
-        return self.next()
+                             t.span, expected=[repr(text)])
+        return t
 
     def expect_ident(self, what="identifier") -> Token:
         t = self.peek()
@@ -197,58 +162,45 @@ class _Parser:
 
     def parse_expr(self):
         node = self.parse_term()
-        while self.peek().kind == "symbol" and self.peek().text in "+-":
-            op = self.next().text
+        while op := self.accept("+", "-"):
             rhs = self.parse_term()
-            node = ex.add(node, rhs) if op == "+" else ex.sub(node, rhs)
+            node = ex.add(node, rhs) if op.text == "+" else ex.sub(node, rhs)
         return node
 
     def parse_term(self):
         node = self.parse_unary()
-        while self.peek().kind == "symbol" and self.peek().text in "*/":
-            op = self.next().text
+        while op := self.accept("*", "/"):
             rhs = self.parse_unary()
-            node = ex.mul(node, rhs) if op == "*" else ex.div(node, rhs)
+            node = ex.mul(node, rhs) if op.text == "*" else ex.div(node, rhs)
         return node
 
     def parse_unary(self):
-        t = self.peek()
-        if t.kind == "symbol" and t.text == "-":
-            self.next()
+        if self.accept("-"):
             return ex.neg(self.parse_unary())
-        if t.kind == "symbol" and t.text == "+":
-            self.next()
+        if self.accept("+"):
             return self.parse_unary()
         return self.parse_power()
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.peek().kind == "symbol" and self.peek().text == "^":
-            self.next()
-            sign = 1
-            if self.peek().kind == "symbol" and self.peek().text == "-":
-                self.next()
-                sign = -1
-            if self.peek().kind == "symbol" and self.peek().text == "(":
-                self.next()
-                n = self.parse_power_exponent()
-                self.expect_symbol(")")
-            else:
-                n = self.parse_power_exponent(signed=False)
-            return ex.pow_int(base, sign * n)
+        if self.accept("^"):
+            return ex.pow_int(base, self.parse_power_exponent())
         return base
 
-    def parse_power_exponent(self, signed=True):
-        """An integer literal, after a minus sign when `signed`."""
-        sign = 1
-        if signed and self.peek().kind == "symbol" and self.peek().text == "-":
-            self.next()
-            sign = -1
+    def parse_power_exponent(self):
+        """An integer literal n as `n`, `-n`, `(n)`, `(-n)`, `-(n)` or
+        `-(-n)`."""
+        sign = -1 if self.accept("-") else 1
+        paren = self.accept("(")
+        if paren and self.accept("-"):
+            sign = -sign
         t = self.peek()
         if t.kind != "number" or t.value != int(t.value):
             raise ParseError("exponent must be an integer literal", t.span,
                              expected=["integer"])
         self.next()
+        if paren:
+            self.expect(")")
         return sign * int(t.value)
 
     def parse_atom(self):
@@ -259,19 +211,18 @@ class _Parser:
         if t.kind == "ident":
             if t.text in ex.FUNCTION_OPS:
                 self.next()
-                self.expect_symbol("(")
+                self.expect("(")
                 arg = self.parse_expr()
-                self.expect_symbol(")")
+                self.expect(")")
                 return ex.OPS[t.text].make(arg)
             if t.text in KEYWORDS:
                 raise ParseError(f"keyword '{t.text}' cannot start an "
                                  f"expression", t.span, expected=["expression"])
             self.next()
             return ex.var(t.text)
-        if t.kind == "symbol" and t.text == "(":
-            self.next()
+        if self.accept("("):
             node = self.parse_expr()
-            self.expect_symbol(")")
+            self.expect(")")
             return node
         raise ParseError(f"found {t.text!r}" if t.kind != "eof"
                          else "unexpected end of input",
@@ -280,33 +231,27 @@ class _Parser:
     # ------------------------------------------------------------ guards
 
     def parse_guard(self):
-        node = self.parse_guard_conj()
-        items = [node]
-        while self.peek().kind == "ident" and self.peek().text == "or":
-            self.next()
+        items = [self.parse_guard_conj()]
+        while self.accept("or"):
             items.append(self.parse_guard_conj())
         return items[0] if len(items) == 1 else ex.BoolOp("or", tuple(items))
 
     def parse_guard_conj(self):
         items = [self.parse_guard_atom()]
-        while self.peek().kind == "ident" and self.peek().text == "and":
-            self.next()
+        while self.accept("and"):
             items.append(self.parse_guard_atom())
         return items[0] if len(items) == 1 else ex.BoolOp("and", tuple(items))
 
     def parse_guard_atom(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text == "not":
-            self.next()
+        if self.accept("not"):
             return self.parse_guard_atom().negate()
         # '(' may open a nested guard or a parenthesized expression; try the
         # guard reading first and fall back on the comparison path
-        if t.kind == "symbol" and t.text == "(":
-            save = self.pos
-            self.next()
+        save = self.pos
+        if self.accept("("):
             try:
                 inner = self.parse_guard()
-                self.expect_symbol(")")
+                self.expect(")")
                 if not (self.peek().kind == "symbol"
                         and self.peek().text in RELATIONS):
                     return inner
@@ -315,46 +260,33 @@ class _Parser:
             self.pos = save
         lhs = self.parse_expr()
         t = self.peek()
-        if t.kind == "symbol" and t.text == "==":
+        if self.accept("=="):
             raise ParseError("equality guards have no sound crossing "
                              "semantics; use inequalities", t.span)
-        if t.kind != "symbol" or t.text not in RELATIONS:
+        if not self.accept(*RELATIONS):
             raise ParseError(f"found {t.text!r}", t.span, expected=RELATIONS)
-        self.next()
-        rhs = self.parse_expr()
-        return ex.comparison(lhs, Rel(t.text), rhs)
+        return ex.comparison(lhs, Rel(t.text), self.parse_expr())
 
     # -------------------------------------------------------- statements
 
     def parse_signed_number(self) -> float:
-        sign = 1.0
+        sign = self.accept("+", "-")
         t = self.peek()
-        if t.kind == "symbol" and t.text in "+-":
-            self.next()
-            sign = -1.0 if t.text == "-" else 1.0
-            t = self.peek()
         if t.kind != "number":
             raise ParseError(f"found {t.text!r}", t.span, expected=["number"])
         self.next()
-        return sign * t.value
+        return -t.value if sign and sign.text == "-" else t.value
 
     def parse_model(self) -> DslModel:
         m = DslModel()
 
-        def check_fresh(name_tok, kind):
-            name = name_tok.text
-            if (name in m.inits and kind == "init") or \
-               (name in m.constants and kind == "const") or \
-               (name in m.flows and kind == "flow") or \
-               (kind == "const" and name in m.flows) or \
-               (kind == "flow" and name in m.constants):
-                raise ParseError(f"duplicate definition of '{name}'",
+        def check_fresh(name_tok, *tables):
+            if any(name_tok.text in table for table in tables):
+                raise ParseError(f"duplicate definition of '{name_tok.text}'",
                                  name_tok.span)
 
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind == "ident" and t.text == "set":
-                self.next()
+        while (t := self.peek()).kind != "eof":
+            if self.accept("set"):
                 name_tok = self.expect_ident("setting name")
                 name = name_tok.text
                 if name not in FIELD_TYPES:
@@ -363,26 +295,23 @@ class _Parser:
                 if name in m.settings:
                     raise ParseError(f"duplicate setting '{name}'",
                                      name_tok.span)
-                self.expect_symbol("=")
+                self.expect("=")
                 value = self.parse_signed_number()
-                self.expect_symbol(";")
+                self.expect(";")
                 try:
                     m.settings[name] = check_setting(name, value)
                 except ConfigError as e:
                     raise ParseError(str(e), t.span) from None
-                continue
-            if t.kind == "ident" and t.text == "init":
-                self.next()
+            elif self.accept("init"):
                 name_tok = self.expect_ident("variable name")
-                check_fresh(name_tok, "init")
-                self.expect_symbol("=")
+                check_fresh(name_tok, m.inits)
+                self.expect("=")
                 v = self.peek()
-                if v.kind == "symbol" and v.text == "[":
-                    self.next()
+                if self.accept("["):
                     lo = self.parse_signed_number()
-                    self.expect_symbol(",")
+                    self.expect(",")
                     hi = self.parse_signed_number()
-                    self.expect_symbol("]")
+                    self.expect("]")
                     if hi < lo:
                         raise ParseError(f"inverted interval [{lo}, {hi}]",
                                          v.span)
@@ -393,96 +322,84 @@ class _Parser:
                 else:
                     x = self.parse_signed_number()
                     m.inits[name_tok.text] = Interval(x, x)
-                self.expect_symbol(";")
-                continue
-            if t.kind == "ident" and t.text == "on":
-                self.next()
+                self.expect(";")
+            elif self.accept("on"):
                 guard = self.parse_guard()
                 do_tok = self.expect_ident("'do'")
                 if do_tok.text != "do":
                     raise ParseError(f"found {do_tok.text!r}", do_tok.span,
                                      expected=["do"])
-                self.expect_symbol("{")
+                self.expect("{")
                 assigns = []
                 prints = []
-                while True:
-                    st = self.peek()
-                    if st.kind == "symbol" and st.text == "}":
-                        break
-                    if st.kind == "ident" and st.text == "print":
-                        self.next()
-                        self.expect_symbol("(")
+                while not self.accept("}"):
+                    if self.accept("print"):
+                        self.expect("(")
                         lit = self.peek()
                         if lit.kind != "string":
                             raise ParseError(f"found {lit.text!r}", lit.span,
                                              expected=["string literal"])
                         self.next()
-                        self.expect_symbol(")")
+                        self.expect(")")
                         prints.append(lit.text)
                     else:
                         name_tok = self.expect_ident("variable name")
-                        self.expect_symbol("=")
+                        self.expect("=")
                         assigns.append((name_tok.text, self.parse_expr()))
-                    nxt = self.peek()
-                    if nxt.kind == "symbol" and nxt.text == ";":
-                        self.next()
-                        continue
-                    break
-                self.expect_symbol("}")
-                self.expect_symbol(";")
+                    if not self.accept(";"):
+                        self.expect("}")
+                        break
+                self.expect(";")
                 m.events.append(DslEvent(guard, tuple(assigns),
                                          tuple(prints)))
-                continue
-            if t.kind == "ident":
-                name_tok = self.next()
-                if name_tok.text in KEYWORDS:
-                    raise ParseError(f"unexpected keyword '{name_tok.text}'",
-                                     name_tok.span)
-                nxt = self.peek()
-                if nxt.kind == "symbol" and nxt.text == "'":
-                    self.next()
-                    check_fresh(name_tok, "flow")
-                    self.expect_symbol("=")
-                    m.flows[name_tok.text] = self.parse_expr()
-                    self.expect_symbol(";")
-                    continue
-                if nxt.kind == "symbol" and nxt.text == "=":
-                    self.next()
-                    check_fresh(name_tok, "const")
-                    m.constants[name_tok.text] = self.parse_expr()
-                    self.expect_symbol(";")
-                    continue
-                raise ParseError(f"found {nxt.text!r}", nxt.span,
-                                 expected=["'", "="])
-            raise ParseError(f"found {t.text!r}" if t.kind != "eof"
-                             else "unexpected end of input", t.span,
-                             expected=["set", "init", "on", "declaration"])
+            elif t.kind == "ident":
+                self.next()
+                if t.text in KEYWORDS:
+                    raise ParseError(f"unexpected keyword '{t.text}'", t.span)
+                if self.accept("'"):
+                    check_fresh(t, m.flows, m.constants)
+                    self.expect("=")
+                    m.flows[t.text] = self.parse_expr()
+                elif self.accept("="):
+                    check_fresh(t, m.flows, m.constants)
+                    m.constants[t.text] = self.parse_expr()
+                else:
+                    nxt = self.peek()
+                    raise ParseError(f"found {nxt.text!r}", nxt.span,
+                                     expected=["'", "="])
+                self.expect(";")
+            else:
+                raise ParseError(f"found {t.text!r}", t.span,
+                                 expected=["set", "init", "on", "declaration"])
         for name in REQUIRED:
             if name not in m.settings:
                 raise ParseError(f"missing `set {name}`", self.peek().span)
         return m
 
 
-def parse_dsl(text: str) -> DslModel:
-    return _Parser(tokenize(text)).parse_model()
-
-
-def parse_expr_string(text: str):
+def _parse_all(text: str, rule):
+    """`rule` of a fresh parser over `text`, which must consume it all."""
     p = _Parser(tokenize(text))
-    node = p.parse_expr()
+    node = rule(p)
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input {t.text!r}", t.span)
     return node
 
 
+def parse_dsl(text: str) -> DslModel:
+    """An equation file -> its DslModel, not yet lowered."""
+    return _Parser(tokenize(text)).parse_model()
+
+
+def parse_expr_string(text: str):
+    """The text of one expression -> its Expr node."""
+    return _parse_all(text, _Parser.parse_expr)
+
+
 def parse_guard_string(text: str):
-    p = _Parser(tokenize(text))
-    g = p.parse_guard()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.span)
-    return g
+    """The text of one guard -> its Comparison or BoolOp."""
+    return _parse_all(text, _Parser.parse_guard)
 
 
 # ---------------------------------------------------------------- lowering

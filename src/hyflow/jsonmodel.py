@@ -49,24 +49,16 @@ def _optional(obj, key, kind, default, path):
     return _need(obj, key, kind, path) if key in obj else default
 
 
-def _expr(text, path):
+def _parsed(parse, what, text, path):
+    """`parse(text)` for the `what` ("expression" or "guard") string at
+    `path`, its ParseError restated as a SchemaError there."""
     if not isinstance(text, str):
-        raise SchemaError(f"expected expression string, got "
+        raise SchemaError(f"expected {what} string, got "
                           f"{type(text).__name__}", path)
     try:
-        return parse_expr_string(text)
+        return parse(text)
     except ParseError as e:
-        raise SchemaError(f"bad expression: {e}", path) from None
-
-
-def _guard(text, path):
-    if not isinstance(text, str):
-        raise SchemaError(f"expected guard string, got {type(text).__name__}",
-                          path)
-    try:
-        return parse_guard_string(text)
-    except ParseError as e:
-        raise SchemaError(f"bad guard: {e}", path) from None
+        raise SchemaError(f"bad {what}: {e}", path) from None
 
 
 def parse_json_automaton(text: str):
@@ -91,7 +83,8 @@ def parse_json_automaton(text: str):
             if v not in flow_obj:
                 raise SchemaError(f"missing flow for variable '{v}'",
                                   f"{path}/flow")
-            flow[v] = _expr(flow_obj[v], f"{path}/flow/{v}")
+            flow[v] = _parsed(parse_expr_string, "expression", flow_obj[v],
+                              f"{path}/flow/{v}")
         extra = set(flow_obj) - set(variables)
         if extra:
             raise SchemaError(f"flow for undeclared variables {sorted(extra)}",
@@ -107,13 +100,15 @@ def parse_json_automaton(text: str):
                               f"{path}/from")
         if dst not in flows:
             raise SchemaError(f"unknown target location '{dst}'", f"{path}/to")
-        guard = _guard(_need(e, "guard", str, path), f"{path}/guard")
+        guard = _parsed(parse_guard_string, "guard",
+                        _need(e, "guard", str, path), f"{path}/guard")
         assigns = []
         for v, rhs in _optional(e, "reset", dict, {}, path).items():
             if v not in variables:
                 raise SchemaError(f"reset assigns undeclared variable '{v}'",
                                   f"{path}/reset")
-            assigns.append((v, _expr(rhs, f"{path}/reset/{v}")))
+            assigns.append((v, _parsed(parse_expr_string, "expression", rhs,
+                                       f"{path}/reset/{v}")))
         prints = tuple(_optional(e, "prints", list, [], path))
         if not all(isinstance(p, str) for p in prints):
             raise SchemaError("must be a list of strings", f"{path}/prints")
