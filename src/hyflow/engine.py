@@ -137,10 +137,6 @@ def _where(task, t: Interval, out) -> str:
             f"'{task.location}'")
 
 
-def _box(env):
-    return {v: af.to_interval(f) for v, f in env.items()}
-
-
 def _padded_box(env, fvals, slab_width):
     """State box widened by the drift over a time slab.
 
@@ -158,8 +154,6 @@ def _padded_box(env, fvals, slab_width):
     after thermostat's jumps L = 0.1 and width = 0.168 give 0.017, and the
     published boxes miss trajectories (ROADMAP A7).
     """
-    if slab_width <= 0.0:
-        return _box(env)
     out = {}
     for v, form in env.items():
         b = af.to_interval(form)
@@ -208,11 +202,9 @@ class _Engine:
                     return
                 if not self._commit(task, self._successors(task)):
                     return
-            # the last set is its own hull: one box, padded once
+            # the last set is its own hull
             f = self.ctxs[task.location].eval_flow(task.env, self.alloc)
-            last = _padded_box(task.env, f, task.t.width)
-            task.segments.append(FlowpipeSegment(task.t, task.t, last,
-                                                 dict(last), task.location))
+            task.segments.append(self._segment(task, f, task.env, task.t))
             self._finish(task, True)
         except (IntegrationError, InvariantViolation, ZenoError, DomainError,
                 ConfigError, ModelError) as e:
