@@ -147,11 +147,11 @@ SLOW = {
 # completes, and its widest crossing window (lorenz has no crossings),
 # pinned when crossing windows were first narrowed by certified rate bounds
 # (lorenz's when its Lie derivatives were first built in one forward pass
-# along the flow, brusselator's when the rounding slack was first merged
-# into a noise symbol); a width may shrink, but not grow by more than
-# WIDTH_SLACK of its pin
+# along the flow, brusselator's and bouncing_ball's when the rounding slack
+# was first merged into a noise symbol); a width may shrink, but not grow by
+# more than WIDTH_SLACK of its pin
 WIDTH_CEILINGS = {
-    "bouncing_ball": (9.89229e-10, 9.89229e-10, 3.71668e-11),
+    "bouncing_ball": (5.36745e-10, 5.36745e-10, 2.02487e-11),
     "wolfgram": (0.493322, 0.493322, 0.0106564),
     "hybrid3d": (0.0106059, 0.0351941, 4.36257e-3),
     "diode_oscillator": (0.169384, 0.184161, 0.0707602),
