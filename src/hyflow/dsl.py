@@ -83,26 +83,30 @@ def tokenize(text: str):
     line, line_start, pos = 1, 0, 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        span = SourceSpan(line, pos - line_start + 1)
         if m is None:
             raise ParseError("unterminated string literal" if text[pos] == '"'
-                             else f"unexpected character {text[pos]!r}", span)
-        kind, raw, pos = m.lastgroup, m.group(), m.end()
+                             else f"unexpected character {text[pos]!r}",
+                             SourceSpan(line, pos - line_start + 1))
+        kind, raw = m.lastgroup, m.group()
         if kind == "newline":
-            line, line_start = line + 1, pos
-        elif kind == "number":
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(f"malformed number '{raw}'", span) from None
-            if not math.isfinite(value):
-                raise ParseError(f"number '{raw}' overflows a float", span)
-            tokens.append(Token(kind, raw, span, value))
-        elif kind == "string":
-            body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[0]), raw[1:-1])
-            tokens.append(Token(kind, body, span))
+            line, line_start = line + 1, m.end()
         elif kind != "skip":
-            tokens.append(Token(kind, raw, span))
+            span = SourceSpan(line, pos - line_start + 1)
+            value = 0.0
+            if kind == "number":
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise ParseError(f"malformed number '{raw}'",
+                                     span) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"number '{raw}' overflows a float",
+                                     span)
+            elif kind == "string":
+                raw = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[0]),
+                                  raw[1:-1])
+            tokens.append(Token(kind, raw, span, value))
+        pos = m.end()
     tokens.append(Token("eof", "",
                         SourceSpan(line, len(text) - line_start + 1)))
     return tokens
