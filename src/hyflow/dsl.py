@@ -147,19 +147,20 @@ class _Parser:
         t = self.peek()
         return self.next() if t.kind != "string" and t.text in texts else None
 
+    def fail(self, *expected):
+        """Raise the ParseError for the next token, which is none of
+        `expected`: "unexpected end of input" at the end, else what it
+        reads."""
+        t = self.peek()
+        raise ParseError("unexpected end of input" if t.kind == "eof"
+                         else f"found {t.text!r}", t.span, expected=expected)
+
     def expect(self, text) -> Token:
-        t = self.accept(text)
-        if t is None:
-            t = self.peek()
-            raise ParseError(f"found {t.text!r}" if t.kind != "eof"
-                             else "unexpected end of input",
-                             t.span, expected=[repr(text)])
-        return t
+        return self.accept(text) or self.fail(repr(text))
 
     def expect_ident(self, what="identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError(f"found {t.text!r}", t.span, expected=[what])
+        if self.peek().kind != "ident":
+            self.fail(what)
         return self.next()
 
     # ------------------------------------------------------- expressions
@@ -228,9 +229,7 @@ class _Parser:
             node = self.parse_expr()
             self.expect(")")
             return node
-        raise ParseError(f"found {t.text!r}" if t.kind != "eof"
-                         else "unexpected end of input",
-                         t.span, expected=["expression"])
+        self.fail("expression")
 
     # ------------------------------------------------------------ guards
 
@@ -268,17 +267,16 @@ class _Parser:
             raise ParseError("equality guards have no sound crossing "
                              "semantics; use inequalities", t.span)
         if not self.accept(*RELATIONS):
-            raise ParseError(f"found {t.text!r}", t.span, expected=RELATIONS)
+            self.fail(*RELATIONS)
         return ex.comparison(lhs, Rel(t.text), self.parse_expr())
 
     # -------------------------------------------------------- statements
 
     def parse_signed_number(self) -> float:
         sign = self.accept("+", "-")
-        t = self.peek()
-        if t.kind != "number":
-            raise ParseError(f"found {t.text!r}", t.span, expected=["number"])
-        self.next()
+        if self.peek().kind != "number":
+            self.fail("number")
+        t = self.next()
         return -t.value if sign and sign.text == "-" else t.value
 
     def parse_model(self) -> DslModel:
@@ -329,21 +327,16 @@ class _Parser:
                 self.expect(";")
             elif self.accept("on"):
                 guard = self.parse_guard()
-                do_tok = self.expect_ident("'do'")
-                if do_tok.text != "do":
-                    raise ParseError(f"found {do_tok.text!r}", do_tok.span,
-                                     expected=["do"])
+                self.expect("do")
                 self.expect("{")
                 assigns = []
                 prints = []
                 while not self.accept("}"):
                     if self.accept("print"):
                         self.expect("(")
-                        lit = self.peek()
-                        if lit.kind != "string":
-                            raise ParseError(f"found {lit.text!r}", lit.span,
-                                             expected=["string literal"])
-                        self.next()
+                        if self.peek().kind != "string":
+                            self.fail("string literal")
+                        lit = self.next()
                         self.expect(")")
                         prints.append(lit.text)
                     else:
@@ -368,13 +361,10 @@ class _Parser:
                     check_fresh(t, m.flows, m.constants)
                     m.constants[t.text] = self.parse_expr()
                 else:
-                    nxt = self.peek()
-                    raise ParseError(f"found {nxt.text!r}", nxt.span,
-                                     expected=["'", "="])
+                    self.fail("'", "=")
                 self.expect(";")
             else:
-                raise ParseError(f"found {t.text!r}", t.span,
-                                 expected=["set", "init", "on", "declaration"])
+                self.fail("set", "init", "on", "declaration")
         for name in REQUIRED:
             if name not in m.settings:
                 raise ParseError(f"missing `set {name}`", self.peek().span)

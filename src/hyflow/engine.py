@@ -98,7 +98,6 @@ class Flowpipe:
     variables: tuple
     branches: list
     complete: bool
-    t0: float
     t_f: float
     stats: dict
     warnings: tuple = ()  # edges whose boundary exit is not verified
@@ -418,8 +417,8 @@ def simulate(ha: HybridAutomaton, cfg: SimConfig) -> Flowpipe:
         eng.run(eng.tasks.pop())
     eng.stats["branches"] = len(eng.branches)
     complete = all(b.complete for b in eng.branches) and bool(eng.branches)
-    return Flowpipe(prepared.variables, eng.branches, complete, 0.0,
-                    cfg.duration, eng.stats, tuple(warnings))
+    return Flowpipe(prepared.variables, eng.branches, complete, cfg.duration,
+                    eng.stats, tuple(warnings))
 
 
 # ------------------------------------------------------------- validation
@@ -436,69 +435,69 @@ def reference_step(span: float) -> float:
 
 def validate_monte_carlo(ha: HybridAutomaton, pipe: Flowpipe, samples: int,
                          seed: int) -> dict:
-    """Independent containment check of the flowpipe.
+    """`validate_points` from `samples` initial points drawn uniformly from
+    the initial box with `random.Random(seed)`."""
+    rng = random.Random(seed)
+    box = ha.initial_box
+    return validate_points(ha, pipe, [
+        [rng.uniform(box[v].lo, box[v].hi) for v in ha.variables]
+        for _ in range(samples)])
 
-    Integrates random initial points with a fine fixed-step scalar RK4 plus
-    bisection event handling, and checks that every sampled state lies in
-    the covering segments of at least one complete branch (step hull for
+
+def validate_points(ha: HybridAutomaton, pipe: Flowpipe, points) -> dict:
+    """Independent containment check of the flowpipe from the initial
+    points `points`, each a list of values in variable order.
+
+    Integrates each point with a fine fixed-step scalar RK4 plus bisection
+    event handling, and checks that every sampled state lies in the
+    covering segments of at least one complete branch (step hull for
     intra-step times, tight enclosure at segment times). Times within a
     crossing window are skipped: the reference jump time inside the window
-    makes pre/post states ambiguous there.
+    makes pre/post states ambiguous there. A point whose reference run
+    fails is skipped.
     """
-    prepared, _ = prepare_automaton(ha)
-    complete_branches = [b for b in pipe.branches if b.complete]
-    if samples <= 0:
+    if not points:
         return {"samples": 0, "contained": 0, "skipped": 0, "rate": 1.0,
                 "violations": []}
+    complete_branches = [b for b in pipe.branches if b.complete]
     if not complete_branches:
         raise ModelError("flowpipe has no complete branch to validate")
-    h_ref = reference_step(pipe.t_f - pipe.t0)
-    sim = ReferenceSimulator(prepared, h_ref)
-    rng = random.Random(seed)
-    order = list(prepared.variables)
-    contained = 0
-    skipped = 0
+    h_ref = reference_step(pipe.t_f)
+    sim = ReferenceSimulator(prepare_automaton(ha)[0], h_ref)
+    contained = skipped = 0
     violations = []
-    for s in range(samples):
-        x0 = [rng.uniform(prepared.initial_box[v].lo, prepared.initial_box[v].hi)
-              for v in order]
+    for s, x0 in enumerate(points):
         try:
-            traj = sim.run(x0, pipe.t0, pipe.t_f)
-        except (ModelError, HyflowError, OverflowError, ValueError) as e:
+            traj = sim.run(x0, pipe.t_f)
+        except (HyflowError, OverflowError, ValueError) as e:
             skipped += 1
             violations.append({"sample": s, "skipped": str(e)})
             continue
-        ok, detail = False, None
         for b in complete_branches:
-            good, detail = _branch_contains(b, traj, order, pipe.t_f, h_ref,
-                                            REL_TOL)
+            good, detail = _branch_contains(pipe, b, traj, h_ref)
             if good:
-                ok = True
+                contained += 1
                 break
-        if ok:
-            contained += 1
-        elif len(violations) < 25:
-            violations.append({"sample": s, "x0": x0, "detail": detail})
-    return {
-        "samples": samples,
-        "contained": contained,
-        "skipped": skipped,
-        "rate": contained / max(1, samples - skipped),
-        "violations": violations,
-    }
+        else:
+            if len(violations) < 25:
+                violations.append({"sample": s, "x0": list(x0),
+                                   "detail": detail})
+    n = len(points)
+    return {"samples": n, "contained": contained, "skipped": skipped,
+            "rate": contained / max(1, n - skipped), "violations": violations}
 
 
 def _in_window(t, windows):
     return any(w.lo <= t <= w.hi for w in windows)
 
 
-def _branch_contains(branch, traj, order, t_f, h_ref, rel_tol):
+def _branch_contains(pipe, branch, traj, h_ref):
+    """(True, None) when `branch` of `pipe` holds the reference trajectory
+    `traj` up to REL_TOL, else (False, where it escapes)."""
     pad = 2.0 * h_ref
     windows = [Interval(c.lo - pad, c.hi + pad) for c, _ in branch.crossings]
     for seg in branch.segments:
-        checks = []
-        for t in (seg.t.lo, seg.t.mid, seg.t.hi):
-            checks.append((t, seg.tight))
+        checks = [(t, seg.tight) for t in (seg.t.lo, seg.t.mid, seg.t.hi)]
         lo, hi = seg.t.lo, seg.t_end.hi
         # a segment's hull covers each trajectory only until its own jump,
         # so stop hull sampling at the first padded crossing window that
@@ -513,15 +512,14 @@ def _branch_contains(branch, traj, order, t_f, h_ref, rel_tol):
             for k in range(5):
                 checks.append((lo + (hi - lo) * k / 4.0, seg.hull))
         for t, boxes in checks:
-            if t > t_f or _in_window(t, windows):
+            if t > pipe.t_f or _in_window(t, windows):
                 continue
-            state = traj.state_at(t)
-            for i, v in enumerate(order):
+            for v, x in zip(pipe.variables, traj.state_at(t)):
                 box = boxes[v]
-                eps = rel_tol * (1.0 + abs(state[i]))
-                if not (box.lo - eps <= state[i] <= box.hi + eps):
+                eps = REL_TOL * (1.0 + abs(x))
+                if not (box.lo - eps <= x <= box.hi + eps):
                     return False, {
-                        "t": t, "var": v, "value": state[i],
+                        "t": t, "var": v, "value": x,
                         "box": [box.lo, box.hi],
                         "kind": "tight" if boxes is seg.tight else "hull",
                     }

@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import TYPE_CHECKING
 
 from . import _round as rd
@@ -179,7 +180,6 @@ H_MIN = 1e-6                # smallest step size
 PICARD_MAX_ITERS = 20       # candidate boxes tried per Picard enclosure
 INFLATION = 0.1             # relative pad of the first Picard candidate
 REFINE_SWEEPS = 3           # tightening sweeps after a verified enclosure
-TRUNC_REJECT_FACTOR = 10.0  # reject a step whose truncation width > this*tol
 
 
 @dataclass
@@ -558,49 +558,34 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
     first attempt; every attempt's Picard enclosure and first stage read
     it, and the outcome returns it. Sound over any start set, and cheaper
     over one with few symbols, such as the reduced sets (`env_condense`)
-    the engine hands it. Reads `cfg.tol` and `cfg.max_dt`. Raises
-    IntegrationError when the minimal step size cannot produce a verified
-    enclosure or an acceptable error estimate.
+    the engine hands it. Reads `cfg.tol` and `cfg.max_dt`. An attempt
+    fails when its Picard enclosure fails or its error estimate exceeds
+    `cfg.tol`; each failure halves h, and one at H_MIN raises
+    IntegrationError naming the check that failed.
     """
     h = min(max(h, H_MIN), cfg.max_dt)
-    rejections = 0
     f0 = ctx.eval_flow(env, alloc)
-    for _ in range(200):
-        at_floor = h <= H_MIN * (1.0 + 1e-9)
+    for rejections in count():
         z = picard_enclosure(ctx, env, f0, h, alloc)
-        if z is None:
-            if at_floor:
-                raise IntegrationError(
-                    f"Picard enclosure failed at minimal step size h={h:g} {diag}"
-                )
-            h = max(h / 2.0, H_MIN)
-            rejections += 1
-            continue
-        x_prime = rk_stages(ctx, env, f0, h, alloc)
-        trunc = truncation_bound(ctx, env, z, h, alloc)
-        x_next = {v: x_prime[v] + trunc[v] for v in ctx.variables}
-        est = embedded_error(ctx, env, h)
-        if est is None:
-            est = max(af.to_interval(trunc[v]).width for v in ctx.variables) / 2.0
-        accept, h_next = step_control(est, h, cfg, ctx.table.est_order)
-        if accept:
-            worst = max(af.to_interval(trunc[v]).width for v in ctx.variables)
-            if worst > TRUNC_REJECT_FACTOR * cfg.tol and not at_floor:
-                accept = False
-                h_next = max(h / 2.0, H_MIN)
-        if accept:
-            hull = {}
-            for v in ctx.variables:
-                if af.to_interval(x_next[v]).subset_of(af.to_interval(z[v])):
-                    hull[v] = z[v]
-                else:
-                    hull[v] = af.hull(z[v], x_next[v], alloc)
-            return StepOutcome(x_next, hull, h, h_next, f0, rejections)
-        if at_floor:
-            raise IntegrationError(
-                f"error estimate {est:g} above tolerance {cfg.tol:g} at minimal "
-                f"step size {diag}"
-            )
-        h = h_next
-        rejections += 1
-    raise IntegrationError(f"step control failed to converge {diag}")
+        failed = "Picard enclosure failed"
+        if z is not None:
+            x_prime = rk_stages(ctx, env, f0, h, alloc)
+            trunc = truncation_bound(ctx, env, z, h, alloc)
+            est = embedded_error(ctx, env, h)
+            if est is None:
+                est = max(af.to_interval(trunc[v]).width
+                          for v in ctx.variables) / 2.0
+            accept, h_next = step_control(est, h, cfg, ctx.table.est_order)
+            if accept:
+                x_next = {v: x_prime[v] + trunc[v] for v in ctx.variables}
+                hull = {}
+                for v in ctx.variables:
+                    if af.to_interval(x_next[v]).subset_of(af.to_interval(z[v])):
+                        hull[v] = z[v]
+                    else:
+                        hull[v] = af.hull(z[v], x_next[v], alloc)
+                return StepOutcome(x_next, hull, h, h_next, f0, rejections)
+            failed = f"error estimate {est:g} above tolerance {cfg.tol:g}"
+        if h <= H_MIN * (1.0 + 1e-9):
+            raise IntegrationError(f"{failed} at minimal step size h={h:g} {diag}")
+        h = max(h / 2.0, H_MIN)

@@ -58,14 +58,11 @@ def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
     """The interpolant on [0, span] through the enclosures `x0` at its
     start and `x1` at its end; `f0` is the flow over `x0`, as the step
     from it returned it (`StepOutcome.f0`), and `z_env` is the a priori
-    enclosure of the span, hulled with a node it does not cover."""
+    enclosure of the span. The remainder reads f'''(x(xi)) only at times
+    xi inside the span, where every trajectory lies in `z_env`, so f''' is
+    taken over `z_env` as given: the node enclosures add nothing to it."""
     f1 = ctx.eval_flow(x1, alloc)
-    z_use = dict(z_env)
-    for env in (x0, x1):
-        for v in ctx.variables:
-            if not af.to_interval(env[v]).subset_of(af.to_interval(z_use[v])):
-                z_use[v] = af.hull(z_use[v], env[v], alloc)
-    f3_forms = ex.eval_affine_many(ctx.f_deriv(3), z_use, alloc)
+    f3_forms = ex.eval_affine_many(ctx.f_deriv(3), z_env, alloc)
     rem_scale = {v: iv.div(af.to_interval(f), Interval(24.0, 24.0))  # 4!
                  for v, f in zip(ctx.variables, f3_forms)}
     dx = {v: x1[v] - x0[v] for v in ctx.variables}

@@ -27,7 +27,7 @@ import math
 from .config import FIELD_TYPES, REQUIRED, check_setting, finite_float
 from .dsl import parse_expr_string, parse_guard_string
 from .errors import ConfigError, ParseError, SchemaError
-from .expr import Edge, HybridAutomaton, Reset
+from .expr import Edge, HybridAutomaton, Reset, free_vars, guard_free_vars
 from .interval import Interval
 
 
@@ -49,16 +49,27 @@ def _optional(obj, key, kind, default, path):
     return _need(obj, key, kind, path) if key in obj else default
 
 
-def _parsed(parse, what, text, path):
-    """`parse(text)` for the `what` ("expression" or "guard") string at
-    `path`, its ParseError restated as a SchemaError there."""
+# what a string is read as -> (its parser, the names a result reads)
+_KINDS = {"expression": (parse_expr_string, free_vars),
+          "guard": (parse_guard_string, guard_free_vars)}
+
+
+def _parsed(what, text, path, variables):
+    """The `what` ("expression" or "guard") string at `path`, parsed. Its
+    ParseError, or a name it reads that is not in `variables`, is a
+    SchemaError there."""
     if not isinstance(text, str):
         raise SchemaError(f"expected {what} string, got "
                           f"{type(text).__name__}", path)
+    parse, names = _KINDS[what]
     try:
-        return parse(text)
+        out = parse(text)
     except ParseError as e:
         raise SchemaError(f"bad {what}: {e}", path) from None
+    unknown = names(out) - set(variables)
+    if unknown:
+        raise SchemaError(f"{what} reads undeclared {sorted(unknown)}", path)
+    return out
 
 
 def parse_json_automaton(text: str):
@@ -70,6 +81,9 @@ def parse_json_automaton(text: str):
     variables = _need(doc, "variables", list, "")
     if not variables or not all(isinstance(v, str) for v in variables):
         raise SchemaError("must be a non-empty list of names", "/variables")
+    twice = sorted({v for v in variables if variables.count(v) > 1})
+    if twice:
+        raise SchemaError(f"duplicate variables {twice}", "/variables")
     loc_list = _need(doc, "locations", list, "")
     flows = {}
     for i, loc in enumerate(loc_list):
@@ -83,8 +97,8 @@ def parse_json_automaton(text: str):
             if v not in flow_obj:
                 raise SchemaError(f"missing flow for variable '{v}'",
                                   f"{path}/flow")
-            flow[v] = _parsed(parse_expr_string, "expression", flow_obj[v],
-                              f"{path}/flow/{v}")
+            flow[v] = _parsed("expression", flow_obj[v], f"{path}/flow/{v}",
+                              variables)
         extra = set(flow_obj) - set(variables)
         if extra:
             raise SchemaError(f"flow for undeclared variables {sorted(extra)}",
@@ -100,15 +114,15 @@ def parse_json_automaton(text: str):
                               f"{path}/from")
         if dst not in flows:
             raise SchemaError(f"unknown target location '{dst}'", f"{path}/to")
-        guard = _parsed(parse_guard_string, "guard",
-                        _need(e, "guard", str, path), f"{path}/guard")
+        guard = _parsed("guard", _need(e, "guard", str, path),
+                        f"{path}/guard", variables)
         assigns = []
         for v, rhs in _optional(e, "reset", dict, {}, path).items():
             if v not in variables:
                 raise SchemaError(f"reset assigns undeclared variable '{v}'",
                                   f"{path}/reset")
-            assigns.append((v, _parsed(parse_expr_string, "expression", rhs,
-                                       f"{path}/reset/{v}")))
+            assigns.append((v, _parsed("expression", rhs,
+                                       f"{path}/reset/{v}", variables)))
         prints = tuple(_optional(e, "prints", list, [], path))
         if not all(isinstance(p, str) for p in prints):
             raise SchemaError("must be a list of strings", f"{path}/prints")

@@ -31,8 +31,7 @@ class ReferenceTrajectory:
     """Dense scalar trajectory: grid of (t, state, derivative) per
     continuous piece, cubic Hermite interpolation inside grid cells."""
 
-    def __init__(self, variables):
-        self.variables = tuple(variables)
+    def __init__(self):
         self.times: list = []
         self.states: list = []
         self.derivs: list = []
@@ -120,17 +119,16 @@ class ReferenceSimulator:
             loc = edge.target
         raise ModelError("reference simulation: immediate-transition chain too long")
 
-    def run(self, x0, t0: float, t_f: float) -> ReferenceTrajectory:
-        traj = ReferenceTrajectory(self.ha.variables)
-        loc = self.ha.initial_location
-        x = list(x0)
-        t = t0
-        loc, x = self._chain(loc, x)
+    def run(self, x0, t_f: float) -> ReferenceTrajectory:
+        """The trajectory from the initial state `x0` at time 0 to `t_f`."""
+        traj = ReferenceTrajectory()
+        t = 0.0
+        loc, x = self._chain(self.ha.initial_location, list(x0))
         f = self._flows[loc]
         traj._append(t, x, f(x))
         guard_idx = [idx for idx, _ in self.ha.outgoing(loc)]
         steps = 0
-        max_steps = int((t_f - t0) / self.h * 4) + 64
+        max_steps = int(t_f / self.h * 4) + 64
         while t < t_f:
             steps += 1
             if steps > max_steps:

@@ -140,6 +140,20 @@ def test_malformed_inputs_have_spans(src):
     assert 1 <= info.value.span.line <= len(lines) + 1
 
 
+@pytest.mark.parametrize("src, message", [
+    ("set duration =", "unexpected end of input at line 1, column 15 "
+                       "(expected number)"),
+    ("on x < 1 dd {", "found 'dd' at line 1, column 10 (expected 'do')"),
+    ('on x < 1 "do" {', "found 'do' at line 1, column 10 (expected 'do')"),
+], ids=["end-of-input", "identifier-for-do", "string-for-do"])
+def test_a_missing_token_is_stated_one_way(src, message):
+    """An end of input reads the same wherever a token is missing, and a
+    missing keyword is quoted whatever stands in its place."""
+    with pytest.raises(ParseError) as info:
+        D.parse_dsl(src)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name", sorted(ex.FUNCTION_OPS))
 def test_function_names_are_reserved_in_expressions(name):
     src = f"set duration = 1;\ninit x = 0;\n{name} = 2;\nx' = {name};\n"
@@ -240,6 +254,21 @@ def test_json_schema_errors_carry_paths(mutation, path_piece):
     with pytest.raises(SchemaError) as info:
         parse_json_automaton(doc)
     assert expected_path in str(info.value)
+
+
+@pytest.mark.parametrize("mutation, path", [
+    (('"T": "0.1*(26 - T)"', '"T": "0.1*(26 - T) + z"'),
+     "/locations/0/flow/T"),
+    (('"guard": "T >= 21"', '"guard": "y > 1"'), "/edges/0/guard"),
+    (('"guard": "T >= 21"', '"guard": "T >= 21", "reset": {"T": "q"}'),
+     "/edges/0/reset/T"),
+    (('"variables": ["T"]', '"variables": ["T", "T"]'), "/variables"),
+], ids=["flow", "guard", "reset", "duplicate-variable"])
+def test_json_undeclared_name_or_duplicate_variable_is_located(mutation,
+                                                               path):
+    with pytest.raises(SchemaError) as info:
+        parse_json_automaton(THERMO.replace(*mutation))
+    assert info.value.path == path
 
 
 @pytest.mark.parametrize("src, col", [

@@ -472,8 +472,8 @@ def test_validator_stops_at_a_window_that_opens_before_the_segment():
                              [(Interval(0.01, 0.02), "jump")])
 
     def check(b):
-        return engine._branch_contains(b, _JumpAt15ms(), ["x"], 1.0,
-                                       h_ref=0.01, rel_tol=1e-7)
+        pipe = engine.Flowpipe(("x",), [b], True, 1.0, {})
+        return engine._branch_contains(pipe, b, _JumpAt15ms(), h_ref=0.01)
 
     assert check(branch(10.6)) == (True, None)
     ok, detail = check(branch(10.3))

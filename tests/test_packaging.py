@@ -134,6 +134,16 @@ def definitions(source: str) -> list:
             if isinstance(node, DEFINITION)]
 
 
+def constants(source: str) -> list:
+    """Names bound by the top-level assignments of `source`, but `__all__`."""
+    return [name.id for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name) and name.id != "__all__"]
+
+
 def names_read(source: str) -> set:
     """Names `source` reads, as a loaded name or an attribute; a read inside
     the body of the top-level definition of that name does not count."""
@@ -165,6 +175,18 @@ x = used()
     assert "pi" in names_read(source)
 
 
+def test_dead_constant_scan_sees_every_assigned_name():
+    source = """__all__ = ["f"]
+A, (B, C) = 1, (2, 3)
+D: int = A
+E = [B]
+def f():
+    return D + C
+"""
+    assert [name for name in constants(source)
+            if name not in names_read(source)] == ["E"]
+
+
 def test_every_definition_is_read_outside_the_tests():
     root = PYPROJECT.parent
     package = sorted((root / "src" / "hyflow").glob("*.py"))
@@ -173,5 +195,6 @@ def test_every_definition_is_read_outside_the_tests():
                          if not path.name.startswith("test_")]
     read = set().union(*(names_read(path.read_text()) for path in readers))
     unread = [f"{path.stem}.{name}" for path in package
-              for name in definitions(path.read_text()) if name not in read]
+              for name in [*definitions(path.read_text()),
+                           *constants(path.read_text())] if name not in read]
     assert unread == sorted(TEST_ONLY)

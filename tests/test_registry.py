@@ -15,9 +15,9 @@ import pytest
 from hyflow import benchmarks
 from hyflow import dsl as D
 from hyflow.config import FIELD_TYPES, SimConfig
-from hyflow.engine import (REL_TOL, _branch_contains, reference_step,
-                           simulate, validate_monte_carlo)
-from hyflow.errors import HyflowError, ParseError, SchemaError
+from hyflow.engine import (reference_step, simulate, validate_monte_carlo,
+                           validate_points)
+from hyflow.errors import ParseError, SchemaError
 from hyflow.expr import prepare_automaton
 from hyflow.jsonmodel import parse_json_automaton
 from hyflow.reference import ReferenceSimulator
@@ -193,16 +193,22 @@ def cases(table, *marks):
         yield pytest.param(name, signature, marks=[*marks, *xfail], id=name)
 
 
-def failure(ha, pipe) -> str | None:
-    """Why the flowpipe falls short: its abort reasons, or the samples that
-    escape it (with the kind of box the first one escapes)."""
+def failure(ha, pipe, points=None) -> str | None:
+    """Why the flowpipe falls short: its abort reasons, or the reference
+    runs that escape it (with the kind of box the first one escapes) or
+    fail. The runs start from `points` (`validate_points`), or else from 16
+    Monte-Carlo samples at seed 1."""
     if not pipe.complete:
         aborts = {b.abort_reason for b in pipe.branches if not b.complete}
         return f"incomplete: {sorted(aborts)}"
-    mc = validate_monte_carlo(ha, pipe, 16, seed=1)
+    if points is None:
+        mc, what = validate_monte_carlo(ha, pipe, 16, seed=1), "samples"
+    else:
+        mc, what = validate_points(ha, pipe, points), "grid points"
     escaped = [v["detail"] for v in mc["violations"] if "detail" in v]
     if mc["skipped"] or escaped:
-        return (f"{16 - mc['contained']} of 16 samples escape the "
+        return (f"{mc['samples'] - mc['contained']} of {mc['samples']} "
+                f"{what} escape the "
                 f"{escaped[0]['kind'] if escaped else '(none)'} box, "
                 f"{mc['skipped']} skipped: {mc['violations'][:1]}")
     return None
@@ -257,36 +263,11 @@ GRID_ESCAPES = {
 }
 
 
-def grid_failure(ha, pipe) -> str | None:
-    """Why the flowpipe misses a reference run from the lo/mid/hi grid of
-    the initial box, checked as `validate_monte_carlo` checks a sample: its
-    abort reasons, or the grid points that escape (with the kind of box the
-    first one escapes) or whose reference run fails."""
-    if not pipe.complete:
-        return failure(ha, pipe)
-    prepared, _ = prepare_automaton(ha)
-    order = list(prepared.variables)
-    h_ref = reference_step(pipe.t_f - pipe.t0)
-    sim = ReferenceSimulator(prepared, h_ref)
-    axes = [sorted({b.lo, b.mid, b.hi})
-            for b in map(prepared.initial_box.get, order)]
-    points = list(itertools.product(*axes))
-    escaped = []
-    for x0 in points:
-        try:
-            traj = sim.run(list(x0), pipe.t0, pipe.t_f)
-        except (HyflowError, OverflowError, ValueError) as e:
-            escaped.append((x0, {"skipped": str(e)}))
-            continue
-        checks = [_branch_contains(b, traj, order, pipe.t_f, h_ref, REL_TOL)
-                  for b in pipe.branches if b.complete]
-        if not any(good for good, _ in checks):
-            escaped.append((x0, checks[-1][1]))
-    if not escaped:
-        return None
-    x0, detail = escaped[0]
-    return (f"{len(escaped)} of {len(points)} grid points escape the "
-            f"{detail.get('kind', '(none)')} box: x0 = {x0}, {detail}")
+def grid(ha) -> list:
+    """The lo/mid/hi grid of the initial box, in variable order."""
+    box = ha.initial_box
+    return [list(x0) for x0 in itertools.product(
+        *(sorted({box[v].lo, box[v].mid, box[v].hi}) for v in ha.variables))]
 
 
 def grid_cases(table, *marks):
@@ -298,7 +279,8 @@ def grid_cases(table, *marks):
                          [*grid_cases(FAST),
                           *grid_cases(SLOW, pytest.mark.slow)])
 def test_entry_contains_its_initial_grid(name, signature):
-    why = grid_failure(*simulated(name))
+    ha, pipe = simulated(name)
+    why = failure(ha, pipe, grid(ha))
     if why is not None and signature is not None and signature not in why:
         pytest.fail(f"{name} fails for another cause: {why}")
     assert why is None, why
@@ -309,12 +291,9 @@ def test_pendulum_reference_runs_finish_from_its_grid():
     # side; the reference leaves the edge disarmed after the jump, as the
     # engine does, instead of taking it again until the chain is refused
     ha, cfg = benchmarks.load(benchmarks.REGISTRY["pendulum"])
-    prepared, _ = prepare_automaton(ha)
-    order = list(prepared.variables)
-    sim = ReferenceSimulator(prepared, reference_step(cfg.duration))
-    axes = [sorted({b.lo, b.mid, b.hi})
-            for b in map(prepared.initial_box.get, order)]
-    for x0 in itertools.product(*axes):
-        traj = sim.run(list(x0), 0.0, cfg.duration)
+    sim = ReferenceSimulator(prepare_automaton(ha)[0],
+                             reference_step(cfg.duration))
+    for x0 in grid(ha):
+        traj = sim.run(x0, cfg.duration)
         assert traj.times[-1] == pytest.approx(cfg.duration)
         assert len(traj._jumps) >= 2
