@@ -14,7 +14,8 @@ functions of `expr.FUNCTION_OPS` (sin, cos, exp, sqrt, log, abs and sgn),
 so every expression `expr.to_text` renders parses back to the same node.
 A function name in an expression must be followed by '(', so no variable
 or constant that an expression reads may take one of these names.
-Every parse error carries the source span; a setting value that
+Every parse error carries the source span, and so does a name that has
+neither a flow equation nor a constant definition; a setting value that
 `config.check_setting` rejects is reported at its `set` statement, and a
 model without `set duration` at its end. Multi-location models use the JSON
 format instead (see jsonmodel).
@@ -52,7 +53,7 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SourceSpan:
     line: int
     col: int
@@ -126,12 +127,15 @@ class DslModel:
     constants: dict = field(default_factory=dict)   # name -> Expr
     flows: dict = field(default_factory=dict)       # name -> Expr
     events: list = field(default_factory=list)
+    spans: dict = field(default_factory=dict)       # name -> SourceSpan
 
 
 class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
+        self.spans = {}  # name -> where an expression first reads it, or
+                         # a reset first assigns it
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -224,6 +228,7 @@ class _Parser:
                 raise ParseError(f"keyword '{t.text}' cannot start an "
                                  f"expression", t.span, expected=["expression"])
             self.next()
+            self.spans.setdefault(t.text, t.span)
             return ex.var(t.text)
         if self.accept("("):
             node = self.parse_expr()
@@ -280,7 +285,7 @@ class _Parser:
         return -t.value if sign and sign.text == "-" else t.value
 
     def parse_model(self) -> DslModel:
-        m = DslModel()
+        m = DslModel(spans=self.spans)
 
         def check_fresh(name_tok, *tables):
             if any(name_tok.text in table for table in tables):
@@ -341,6 +346,7 @@ class _Parser:
                         prints.append(lit.text)
                     else:
                         name_tok = self.expect_ident("variable name")
+                        self.spans.setdefault(name_tok.text, name_tok.span)
                         self.expect("=")
                         assigns.append((name_tok.text, self.parse_expr()))
                     if not self.accept(";"):
@@ -437,6 +443,8 @@ def lower_to_automaton(m: DslModel):
 
     Constants are inlined, an implicit clock is added when `t` is referenced
     without a declared flow, and event clauses become guarded self-loops.
+    A name read or reset that has neither a flow nor a constant is a
+    ParseError at the earliest place the parser saw one (`DslModel.spans`).
     """
     consts = _inline_constants(m)
     sub = dict(consts)
@@ -462,9 +470,10 @@ def lower_to_automaton(m: DslModel):
         inits.setdefault(ex.TIME_VAR, Interval(0.0, 0.0))
     undeclared = used - set(flows) - set(consts)
     if undeclared:
-        raise ModelError(
+        raise ParseError(
             f"variables with neither a flow equation nor a constant "
-            f"definition: {sorted(undeclared)}")
+            f"definition: {sorted(undeclared)}",
+            min(map(m.spans.get, undeclared & set(m.spans)), default=None))
     missing_init = set(flows) - set(inits)
     if missing_init:
         raise ModelError(f"missing initial values for {sorted(missing_init)}")

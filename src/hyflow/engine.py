@@ -8,6 +8,12 @@ every branch is explored depth-first up to a cap, and an aborted branch is
 reported rather than silently dropped, so the union of branches remains a
 sound over-approximation of all trajectories whenever `complete` is true.
 
+`_Engine.__init__` builds, once per run, one `FlowContext` per location
+(the flow's Lie derivatives, the truncation bound's stage side and the
+scalar flow, all built whole) and one guard kit per edge; every step and
+crossing reads them. A stage side over the size cap raises ConfigError
+there, before any branch starts.
+
 Every step ends in a list of successors, one per set of trajectories it
 hands on. A live successor (`_Next`) continues from a location, state,
 time and step size after its own segment, and carries its crossing if it
@@ -52,7 +58,7 @@ from . import affine as af
 from . import expr as ex
 from . import interval as iv
 from .affine import NoiseAllocator
-from .errors import (ConfigError, DomainError, HyflowError, IntegrationError,
+from .errors import (DomainError, HyflowError, IntegrationError,
                      InvariantViolation, ModelError, ZenoError)
 from .config import SimConfig
 from .events import (chain_immediate, classify, cross, edge_cannot_fire,
@@ -206,7 +212,7 @@ class _Engine:
             task.segments.append(self._segment(task, f, task.env, task.t))
             self._finish(task, True)
         except (IntegrationError, InvariantViolation, ZenoError, DomainError,
-                ConfigError, ModelError) as e:
+                ModelError) as e:
             self._finish(task, False, f"{type(e).__name__}: {e}")
 
     def _commit(self, task, succs) -> bool:

@@ -21,18 +21,17 @@ a priori enclosure over the whole step:
 * `truncation_bound` bounds the local distance between scheme and true
   solution through the integral form of the Taylor remainder: it lies in
   h^(p+1)/(p+1)! * (conv{f^(p)(x(xi))} - conv{Phi^(p+1)(tau, x0)}), the
-  hulls of the p-th flow derivative along the trajectory and of the
-  (p+1)-th step-time derivative of the scheme polynomial, for xi and tau
-  in [0, h]. f^(p) is p forward passes of `ex.derivative` seeded with the
-  flow, with no per-node derivative memo. One mean weight serves every
-  component, so there is no separate intermediate time per component. An
-  affine form over symbols the components share is a convex zonotope, and
-  a form that holds every value of a side holds its hull. That licenses
-  the shared symbols. The sharing carries real width: renaming each
-  component's non-state symbols apart widens lorenz's final box from 3.27
-  to 5.70.
-* `step_control` drives the step size from the classical embedded-pair
-  estimate; soundness never depends on it.
+  hulls of the p-th flow derivative along the trajectory and of the (p+1)-th
+  step-time derivative of the scheme polynomial, for xi and tau in [0, h].
+  Both sides come built in the location's `FlowContext`, which the engine
+  builds whole when a run starts. One mean weight serves every component, so
+  there is no separate intermediate time per component. An affine form over
+  symbols the components share is a convex zonotope, and a form that holds
+  every value of a side holds its hull. That licenses the shared symbols.
+  The sharing carries real width: renaming each component's non-state
+  symbols apart widens lorenz's final box from 3.27 to 5.70.
+* `step_control` sizes the next step from the classical embedded-pair
+  estimate of an accepted one; soundness never depends on it.
 * `env_condense` is the one order reduction of a set: it keeps the shared
   noise symbols whose boxing would cost the most width, jointly across
   the variables, and merges every other symbol of a form into one fresh
@@ -195,54 +194,42 @@ class StepOutcome:
 
 
 class FlowContext:
-    """Per-(location, table) cache of symbolic machinery, built on first
-    use and held for as long as the run that owns it: the Lie derivatives
-    of the flow, the stage side of the truncation bound and whether it is
-    the constant 0 (`stage_zero`), and the compiled scalar flow. It holds
-    no guard state: the engine keeps the guard kits of the edges."""
+    """Everything a step in one location reads of its flow under `table`,
+    built whole when the context is made; the engine makes one per location
+    when a run starts. No guard state: the engine keeps the edges' kits.
+
+    * `lie[k]`: the k-th Lie derivative of the flow by variable, for
+      k = 0 (the flow) ... max(p, 3): the truncation bound reads p, the
+      interpolant's remainder 3. Each order is one forward pass of
+      `ex.derivative` seeded with the flow, with one memo shared across
+      the orders, since each order's DAG contains much of the one below.
+    * `stage`: the (p+1)-th step-time derivative of the scheme polynomial
+      by variable, the truncation bound's stage side; `stage_zero`: every
+      root of it is the constant 0. Above `ex.NODE_CAP` nodes it raises
+      ConfigError.
+    * `stage_reads`: the variables `stage` reads.
+    * `scalar_flow`: the flow compiled to one scalar function.
+    """
 
     def __init__(self, variables, flow: dict, table: ButcherTable):
         self.variables = tuple(variables)
         self.flow = dict(flow)
         self.table = table
-        self._flow_list = [self.flow[v] for v in self.variables]
-        self._lie = [self._flow_list]
-        self._lie_memo: dict = {}
-        self._phi_deriv = None
-        self.stage_zero = None
-        self._scalar_flow = None
+        memo: dict = {}
+        self.lie = [[self.flow[v] for v in self.variables]]
+        for _ in range(max(table.order, 3)):
+            self.lie.append([ex.derivative(e, self.flow, memo)
+                             for e in self.lie[-1]])
+        self.stage = ex.stage_poly_derivative(
+            table.a_float, table.b_float, self.flow, self.variables,
+            table.order + 1)
+        self.stage_zero = all(e is ex.ZERO for e in self.stage)
+        self.stage_reads = frozenset().union(*map(ex.free_vars, self.stage))
+        self.scalar_flow = ex.compile_scalar(self.lie[0], self.variables)
 
     def eval_flow(self, env: Env, alloc) -> Env:
-        vals = ex.eval_affine_many(self._flow_list, env, alloc)
+        vals = ex.eval_affine_many(self.lie[0], env, alloc)
         return dict(zip(self.variables, vals))
-
-    def scalar_flow(self):
-        if self._scalar_flow is None:
-            self._scalar_flow = ex.compile_scalar(self._flow_list,
-                                                  self.variables)
-        return self._scalar_flow
-
-    def f_deriv(self, k: int) -> list:
-        """The k-th Lie derivative of the flow (f is k=0), by variable: each
-        order is one forward pass of `ex.derivative` seeded with the flow.
-        No node keeps a derivative memo; this context keeps one across the
-        orders, since each order's DAG contains much of the one below."""
-        while len(self._lie) <= k:
-            self._lie.append([ex.derivative(e, self.flow, self._lie_memo)
-                              for e in self._lie[-1]])
-        return self._lie[k]
-
-    def phi_deriv(self) -> list:
-        """The stage side: the (p+1)-th step-time derivative of the scheme
-        polynomial, by variable. Building it sets `stage_zero`, whether
-        every root is the constant 0."""
-        if self._phi_deriv is None:
-            t = self.table
-            self._phi_deriv = ex.stage_poly_derivative(
-                t.a_float, t.b_float, self.flow, self.variables, t.order + 1
-            )
-            self.stage_zero = all(e is ex.ZERO for e in self._phi_deriv)
-        return self._phi_deriv
 
 
 # ------------------------------------------------------------ env helpers
@@ -453,7 +440,7 @@ def embedded_error(ctx: FlowContext, env: Env, h: float) -> float | None:
     t = ctx.table
     if t.bhat is None:
         return None
-    f = ctx.scalar_flow()
+    f = ctx.scalar_flow
     x0 = [env[v].center for v in ctx.variables]
     n = len(x0)
     a_f, b_f, bhat = t.a_float, t.b_float, t.bhat_float
@@ -478,12 +465,6 @@ def embedded_error(ctx: FlowContext, env: Env, h: float) -> float | None:
 # ------------------------------------------------------------- truncation
 
 
-def _read_by(exprs, env: Env) -> Env:
-    """The forms of `env` that some expression of `exprs` reads."""
-    names = frozenset().union(*map(ex.free_vars, exprs))
-    return {v: f for v, f in env.items() if v in names}
-
-
 def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
                      alloc) -> Env:
     """Enclosure of the local truncation error over the step.
@@ -498,14 +479,14 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     the components share, which is a convex zonotope and so contains the
     hull of that side's values: the Lie side over the a priori enclosure
     z_env, keeping its correlation with the state, and the stage side over
-    a renamed copy of the start set and tau in [0, h]. Only the forms a
-    side's DAGs read go in. The engine hands the step a reduced start set
-    (`env_condense`), whose forms hold one private symbol each, so both
-    sides run over a few symbols per variable. The scheme-side derivative
-    gets a small relative inflation covering the float representation of
-    the Butcher coefficients inside the symbolic polynomial. The weight's
-    mass is an interval, and it scales each component without a fresh
-    symbol, as one interval term of `af.lin`.
+    a renamed copy of the start set and tau in [0, h]. Only the forms the
+    stage side reads are renamed. The engine hands the step a reduced
+    start set (`env_condense`), whose forms hold one private symbol each,
+    so both sides run over a few symbols per variable. The scheme-side
+    derivative gets a small relative inflation covering the float
+    representation of the Butcher coefficients inside the symbolic
+    polynomial. The weight's mass is an interval, and it scales each
+    component without a fresh symbol, as one interval term of `af.lin`.
 
     A stage side that is the constant 0 (`FlowContext.stage_zero`) is not
     evaluated: the bound is the scaled Lie side alone, with no remap, no
@@ -517,16 +498,16 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     well as for their floats.
     """
     p = ctx.table.order
-    lie, stage = ctx.f_deriv(p), ctx.phi_deriv()
-    a_vals = ex.eval_affine_many(lie, _read_by(lie, z_env), alloc)
+    a_vals = ex.eval_affine_many(ctx.lie[p], z_env, alloc)
     fact = float(math.factorial(p + 1))
     scale_iv = iv.div(iv.pow_int(Interval(h, h), p + 1), Interval(fact, fact))
     if ctx.stage_zero:
         return {vname: af.lin(0.0, ((scale_iv.lo, scale_iv.hi, av),))
                 for vname, av in zip(ctx.variables, a_vals)}
-    denv = env_remap(_read_by(stage, env), alloc)
+    denv = env_remap({v: f for v, f in env.items() if v in ctx.stage_reads},
+                     alloc)
     denv[ex.TAU] = af.from_interval(Interval(0.0, h), alloc)
-    b_vals = ex.eval_affine_many(stage, denv, alloc)
+    b_vals = ex.eval_affine_many(ctx.stage, denv, alloc)
     return {vname: af.lin(0.0, ((scale_iv.lo, scale_iv.hi,
                                  av - inflate_form(bv, 1e-12, 1e-306)),))
             for vname, av, bv in zip(ctx.variables, a_vals, b_vals)}
@@ -535,16 +516,15 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
 # ------------------------------------------------------------ step control
 
 
-def step_control(err: float, h: float, cfg: SimConfig, order: int) -> tuple:
-    """(accept, next step size) against `cfg.tol`; growth uses the classical
-    (tol/err)^(1/(p+1)) rule with a 0.9 safety factor, rejection halves."""
-    if err <= cfg.tol:
-        if err == 0.0:
-            h_next = cfg.max_dt
-        else:
-            h_next = 0.9 * h * (cfg.tol / err) ** (1.0 / (order + 1))
-        return True, min(max(h_next, H_MIN), cfg.max_dt)
-    return False, max(h / 2.0, H_MIN)
+def step_control(err: float, h: float, cfg: SimConfig, order: int) -> float:
+    """The next step size after a step of size h accepted with the error
+    estimate err <= `cfg.tol`: the classical (tol/err)^(1/(p+1)) rule with
+    a 0.9 safety factor, within [H_MIN, `cfg.max_dt`]."""
+    if err == 0.0:
+        h_next = cfg.max_dt
+    else:
+        h_next = 0.9 * h * (cfg.tol / err) ** (1.0 / (order + 1))
+    return min(max(h_next, H_MIN), cfg.max_dt)
 
 
 # ------------------------------------------------------------ whole step
@@ -575,8 +555,7 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
             if est is None:
                 est = max(af.to_interval(trunc[v]).width
                           for v in ctx.variables) / 2.0
-            accept, h_next = step_control(est, h, cfg, ctx.table.est_order)
-            if accept:
+            if est <= cfg.tol:
                 x_next = {v: x_prime[v] + trunc[v] for v in ctx.variables}
                 hull = {}
                 for v in ctx.variables:
@@ -584,6 +563,7 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
                         hull[v] = z[v]
                     else:
                         hull[v] = af.hull(z[v], x_next[v], alloc)
+                h_next = step_control(est, h, cfg, ctx.table.est_order)
                 return StepOutcome(x_next, hull, h, h_next, f0, rejections)
             failed = f"error estimate {est:g} above tolerance {cfg.tol:g}"
         if h <= H_MIN * (1.0 + 1e-9):

@@ -62,7 +62,7 @@ def build_gpoly(ctx: FlowContext, x0: dict, f0: dict, x1: dict, span: float,
     xi inside the span, where every trajectory lies in `z_env`, so f''' is
     taken over `z_env` as given: the node enclosures add nothing to it."""
     f1 = ctx.eval_flow(x1, alloc)
-    f3_forms = ex.eval_affine_many(ctx.f_deriv(3), z_env, alloc)
+    f3_forms = ex.eval_affine_many(ctx.lie[3], z_env, alloc)
     rem_scale = {v: iv.div(af.to_interval(f), Interval(24.0, 24.0))  # 4!
                  for v, f in zip(ctx.variables, f3_forms)}
     dx = {v: x1[v] - x0[v] for v in ctx.variables}

@@ -172,9 +172,25 @@ def test_implicit_clock_added():
     assert ha.initial_box["t"] == Interval(0, 0)
 
 
+@pytest.mark.parametrize("line, names, span", [
+    ("x' = q;", ["q"], (3, 6)),                    # read by a flow
+    ("x' = -x;\non y > 1 do { x = 0 };", ["y"], (4, 4)),    # by a guard
+    ("x' = -x;\non x > 1 do { x = q };", ["q"], (4, 19)),   # by a reset
+    ("x' = -x;\non x > 1 do { w = 0 };", ["w"], (4, 15)),   # reset target
+    ("x' = z + a;", ["a", "z"], (3, 6)),           # the earliest of two
+], ids=["flow", "guard", "reset", "reset-target", "earliest"])
+def test_an_undeclared_name_is_located(line, names, span):
+    # a name with neither a flow nor a constant fails at its first use
+    text = f"set duration=1;\ninit x=0;\n{line}\n"
+    with pytest.raises(ParseError) as info:
+        D.lower_to_automaton(D.parse_dsl(text))
+    assert (info.value.span.line, info.value.span.col) == span
+    assert str(info.value).startswith(
+        f"variables with neither a flow equation nor a constant "
+        f"definition: {names} at line {span[0]}, column {span[1]}")
+
+
 def test_lowering_errors():
-    with pytest.raises(ModelError):  # var with neither flow nor constant
-        D.lower_to_automaton(D.parse_dsl("set duration=1;\ninit x=0;\nx' = q;\n"))
     with pytest.raises(ModelError):  # missing init
         D.lower_to_automaton(D.parse_dsl("set duration=1;\nx' = -x;\n"))
     with pytest.raises(ModelError):  # constant cycle

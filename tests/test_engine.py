@@ -11,7 +11,7 @@ from hyflow import dsl as D
 from hyflow import expr as ex
 from hyflow.affine import Rel
 from hyflow.engine import SimConfig, simulate, validate_monte_carlo
-from hyflow.errors import ModelError
+from hyflow.errors import ConfigError, ModelError
 from hyflow.expr import HybridAutomaton, Reset
 from hyflow.interval import Interval
 
@@ -51,6 +51,16 @@ def test_a_run_compiles_each_affine_program_once(name, monkeypatch):
     ha, cfg = benchmarks.load(benchmarks.REGISTRY[name])
     assert simulate(ha, cfg).complete
     assert compiled and len(compiled) == len(set(compiled))
+
+
+def test_a_stage_side_over_the_node_cap_raises_before_any_step(monkeypatch):
+    # each location's FlowContext is built whole when the run starts, so
+    # an oversized stage side stops the run there; no branch is started
+    # only to abort after 0 steps
+    monkeypatch.setattr(ex, "NODE_CAP", 50)
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY["vanderpol"])
+    with pytest.raises(ConfigError, match="exceeds 50 nodes"):
+        simulate(ha, cfg)
 
 
 def segments(pipe):

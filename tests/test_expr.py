@@ -243,8 +243,8 @@ def model_dags(name, pad=0.0):
         ctx = FlowContext(ha.variables, flow, ODE23)
         p = ctx.table.order
         dags[loc, "flow"] = [flow[v] for v in ha.variables]
-        dags[loc, "lie"] = ctx.f_deriv(p)
-        dags[loc, "stage"] = ctx.phi_deriv()
+        dags[loc, "lie"] = ctx.lie[p]
+        dags[loc, "stage"] = ctx.stage
     return dags, env, alloc
 
 

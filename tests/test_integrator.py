@@ -296,10 +296,11 @@ def test_zero_stage_side_is_skipped_on_a_linear_flow(monkeypatch):
     # x' = -x, y' = x: ode23's scheme polynomial has degree 3 in tau, so
     # its 4th derivative is 0, and the bound is the Lie side's one program
     x = ex.var("x")
+    # both sides are built with the context, before any step
     ctx = FlowContext(("x", "y"), {"x": ex.neg(x), "y": x}, ODE23)
-    assert ctx.phi_deriv() == [ex.ZERO, ex.ZERO] and ctx.stage_zero
+    assert ctx.stage == [ex.ZERO, ex.ZERO] and ctx.stage_zero is True
     square = FlowContext(("x",), {"x": ex.mul(x, x)}, ODE23)
-    assert square.phi_deriv()[0] is not ex.ZERO and not square.stage_zero
+    assert square.stage[0] is not ex.ZERO and square.stage_zero is False
     alloc = NoiseAllocator()
     env = env_boxes(alloc, x=(0.9, 1.1), y=(-0.1, 0.1))
     z = picard(ctx, env, 0.1, alloc)
@@ -312,7 +313,7 @@ def test_zero_stage_side_is_skipped_on_a_linear_flow(monkeypatch):
 
     monkeypatch.setattr(ex, "eval_affine_many", counted)
     skipped = gi.truncation_bound(ctx, env, z, 0.1, NoiseAllocator(start))
-    assert runs == [tuple(ctx.f_deriv(ODE23.order))]
+    assert runs == [tuple(ctx.lie[ODE23.order])]
     ctx.stage_zero = False  # the zero stage side, evaluated and subtracted
     full = gi.truncation_bound(ctx, env, z, 0.1, NoiseAllocator(start))
     assert len(runs) == 3
@@ -396,19 +397,32 @@ def test_guaranteed_step_encloses_rotation_from_many_symbols():
 
 
 def test_step_control_examples():
+    # the next size after an accepted step
     cfg = SimConfig(duration=1.0, tol=1e-4, max_dt=10.0)
-    ok, hn = gi.step_control(1e-4, 0.1, cfg, order=2)
-    assert ok and hn == pytest.approx(0.09, rel=1e-12)
-    ok, hn = gi.step_control(1e-4 / 8, 0.1, cfg, order=2)
-    assert ok and hn == pytest.approx(0.18, rel=1e-12)
-    ok, hn = gi.step_control(2e-4, 0.1, cfg, order=2)
-    assert not ok and hn == 0.05
-    ok, hn = gi.step_control(0.0, 0.1, cfg, order=2)
-    assert ok and hn == 10.0
-    # rejection never grows the step
-    for err in (2e-4, 1e-3, 1e+2):
-        ok, hn = gi.step_control(err, 0.1, cfg, order=2)
-        assert not ok and hn <= 0.1
+    assert gi.step_control(1e-4, 0.1, cfg, order=2) == pytest.approx(
+        0.09, rel=1e-12)
+    assert gi.step_control(1e-4 / 8, 0.1, cfg, order=2) == pytest.approx(
+        0.18, rel=1e-12)
+    assert gi.step_control(0.0, 0.1, cfg, order=2) == 10.0
+    assert gi.step_control(1e-4, 1e-9, cfg, order=2) == gi.H_MIN
+
+
+def test_guaranteed_step_halves_a_rejected_attempt(monkeypatch):
+    # an estimate above tol rejects the attempt, and the step retries at
+    # half the size, whatever step_control would have said
+    ctx = ctx_decay()
+    cfg = SimConfig(duration=1.0, tol=1e-4, max_dt=1.0)
+    estimate, estimates = gi.embedded_error, []
+
+    def high_once(ctx, env, h):
+        estimates.append(h)
+        return 2.0 * cfg.tol if len(estimates) == 1 else estimate(ctx, env, h)
+
+    monkeypatch.setattr(gi, "embedded_error", high_once)
+    out = gi.guaranteed_step(ctx, env_point(x=1.0), 0.1, cfg,
+                             NoiseAllocator())
+    assert (out.h_used, out.rejections) == (0.05, 1)
+    assert estimates == [0.1, 0.05]
 
 
 # ------------------------------------------------------------- whole step

@@ -1,8 +1,9 @@
 """Project metadata: every console-script entry point and every name a
 module exports must resolve, every name the benchmark's layer trace
 patches must resolve and be called where it is patched, no module
-imports a name it never reads, and every top-level function and class of
-the package is read by the package or the benchmark."""
+imports a name it never reads, and every top-level function, class and
+constant of the package, and every method of its top-level classes, is
+read by the package or the benchmark."""
 
 import ast
 import importlib
@@ -120,18 +121,30 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == {}
 
 
-# top-level names of the package that only tests read, with the reason
+# names of the package that only tests read, with the reason
 TEST_ONLY = {
     "affine.sample": "the test oracle: a form's value at one valuation of "
                      "its noise symbols",
+    "interval.Interval.contains": "the test oracle: whether an interval "
+                                  "holds one exact value",
 }
 
-DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITION = (*FUNCTION, ast.ClassDef)
 
 
 def definitions(source: str) -> list:
     return [node.name for node in ast.parse(source).body
             if isinstance(node, DEFINITION)]
+
+
+def methods(source: str) -> list:
+    """`Class.name` of each function and property in the body of a
+    top-level class of `source`, but dunders."""
+    return [f"{stmt.name}.{node.name}" for stmt in ast.parse(source).body
+            if isinstance(stmt, ast.ClassDef)
+            for node in stmt.body if isinstance(node, FUNCTION)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
 def constants(source: str) -> list:
@@ -146,16 +159,29 @@ def constants(source: str) -> list:
 
 def names_read(source: str) -> set:
     """Names `source` reads, as a loaded name or an attribute; a read inside
-    the body of the top-level definition of that name does not count."""
+    the body of the top-level definition of that name, or of a method of
+    that name in a top-level class, does not count."""
     read = set()
-    for stmt in ast.parse(source).body:
-        own = stmt.name if isinstance(stmt, DEFINITION) else None
-        for node in ast.walk(stmt):
+
+    def scan(tree, *own):
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
                     node.ctx, ast.Load):
                 name = node.id if isinstance(node, ast.Name) else node.attr
-                if name != own:
+                if name not in own:
                     read.add(name)
+
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, DEFINITION):
+            scan(stmt)
+        elif not isinstance(stmt, ast.ClassDef):
+            scan(stmt, stmt.name)
+        else:
+            for part in (*stmt.decorator_list, *stmt.bases, *stmt.keywords):
+                scan(part, stmt.name)
+            for node in stmt.body:
+                scan(node, stmt.name,
+                     *([node.name] if isinstance(node, FUNCTION) else []))
     return read
 
 
@@ -187,6 +213,27 @@ def f():
             if name not in names_read(source)] == ["E"]
 
 
+def test_dead_method_scan_names_each_unread_method():
+    source = """class Node:
+    def __init__(self, kids):
+        self.kids = kids
+    def size(self):
+        return 1 + sum(k.size() for k in self.kids)
+    @property
+    def leaf(self):
+        return not self.kids
+    def root(self):
+        return self
+    x = 1
+def count(n):
+    return n.leaf
+"""
+    assert methods(source) == ["Node.size", "Node.leaf", "Node.root"]
+    assert [name for name in methods(source)
+            if name.rpartition(".")[2] not in names_read(source)] == [
+                "Node.size", "Node.root"]
+
+
 def test_every_definition_is_read_outside_the_tests():
     root = PYPROJECT.parent
     package = sorted((root / "src" / "hyflow").glob("*.py"))
@@ -196,5 +243,7 @@ def test_every_definition_is_read_outside_the_tests():
     read = set().union(*(names_read(path.read_text()) for path in readers))
     unread = [f"{path.stem}.{name}" for path in package
               for name in [*definitions(path.read_text()),
-                           *constants(path.read_text())] if name not in read]
-    assert unread == sorted(TEST_ONLY)
+                           *constants(path.read_text()),
+                           *methods(path.read_text())]
+              if name.rpartition(".")[2] not in read]
+    assert sorted(unread) == sorted(TEST_ONLY)
