@@ -12,7 +12,10 @@ sound over-approximation of all trajectories whenever `complete` is true.
 (the flow's Lie derivatives, the truncation bound's stage side and the
 scalar flow, all built whole) and one guard kit per edge; every step and
 crossing reads them. A stage side over the size cap raises ConfigError
-there, before any branch starts.
+there, before any branch starts. In an automaton without edges the
+contexts size each step by its verified truncation width
+(`FlowContext.by_truncation`); with edges, by ODE23's embedded pair, since
+where steps fall moves the crossing windows.
 
 Every step ends in a list of successors, one per set of trajectories it
 hands on. A live successor (`_Next`) continues from a location, state,
@@ -172,7 +175,8 @@ class _Engine:
     def __init__(self, ha: HybridAutomaton, cfg: SimConfig):
         self.ha = ha
         self.cfg = cfg
-        self.ctxs = {loc: FlowContext(ha.variables, flow, ODE23)
+        self.ctxs = {loc: FlowContext(ha.variables, flow, ODE23,
+                                      by_truncation=not ha.edges)
                      for loc, flow in ha.flows.items()}
         self.kits = [guard_kit(e.guard, ha.flows[e.source]) for e in ha.edges]
         self.stats = {"steps": 0, "rejections": 0, "crossings": 0,

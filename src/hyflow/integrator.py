@@ -30,8 +30,12 @@ a priori enclosure over the whole step:
   every value of a side holds its hull. That licenses the shared symbols.
   The sharing carries real width: renaming each component's non-state
   symbols apart widens lorenz's final box from 3.27 to 5.70.
-* `step_control` sizes the next step from the classical embedded-pair
-  estimate of an accepted one; soundness never depends on it.
+* `step_control` sizes the next step from an accepted one's error
+  estimate. In an automaton with edges that is the classical embedded-pair
+  estimate on the center point, which also rejects an attempt before any
+  set-valued work. In one without edges (`FlowContext.by_truncation`) it
+  is half the widest truncation width, the verified bound on the error of
+  the result the step keeps. Soundness never depends on either.
 * `env_condense` is the one order reduction of a set: it keeps the shared
   noise symbols whose boxing would cost the most width, jointly across
   the variables, and merges every other symbol of a form into one fresh
@@ -128,10 +132,12 @@ class ButcherTable:
     row b, evaluated at the step result. Everything else is derived when
     the table is built:
 
-    * `order` (truncation bound) is the largest p <= 5 for which b meets
-      every rooted-tree order condition exactly in `Fraction`, and
-      `est_order` (step control) the same for bhat, or `order` without it.
-      A table below order 1 is a ModelError.
+    * `order` is the largest p <= 5 for which b meets every rooted-tree
+      order condition exactly in `Fraction`: the truncation bound's
+      order, and the step-size growth of a step sized by its truncation
+      width. `est_order` is the same for bhat, or `order` without it: the
+      step-size growth of a step sized by the embedded pair. A table
+      below order 1 is a ModelError.
     * `a_enc` and `b_enc` enclose the nonzero coefficients of each row of
       a, and of b, as (column, mid, r) triples: the float `mid` nearest
       the coefficient and a radius `r` with the coefficient in
@@ -208,13 +214,20 @@ class FlowContext:
       root of it is the constant 0. Above `ex.NODE_CAP` nodes it raises
       ConfigError.
     * `stage_reads`: the variables `stage` reads.
+    * `trunc_zero`: `stage_zero`, and every root of `lie[p]` is the
+      constant 0 too, so the truncation bound is exactly 0.
     * `scalar_flow`: the flow compiled to one scalar function.
+    * `by_truncation`: `guaranteed_step` accepts and sizes an attempt by
+      its truncation width, not by the embedded pair. The engine sets it
+      in an automaton without edges; by default it is False.
     """
 
-    def __init__(self, variables, flow: dict, table: ButcherTable):
+    def __init__(self, variables, flow: dict, table: ButcherTable,
+                 by_truncation: bool = False):
         self.variables = tuple(variables)
         self.flow = dict(flow)
         self.table = table
+        self.by_truncation = by_truncation
         memo: dict = {}
         self.lie = [[self.flow[v] for v in self.variables]]
         for _ in range(max(table.order, 3)):
@@ -225,6 +238,8 @@ class FlowContext:
             table.order + 1)
         self.stage_zero = all(e is ex.ZERO for e in self.stage)
         self.stage_reads = frozenset().union(*map(ex.free_vars, self.stage))
+        self.trunc_zero = self.stage_zero and all(
+            e is ex.ZERO for e in self.lie[table.order])
         self.scalar_flow = ex.compile_scalar(self.lie[0], self.variables)
 
     def eval_flow(self, env: Env, alloc) -> Env:
@@ -495,8 +510,13 @@ def truncation_bound(ctx: FlowContext, env: Env, z_env: Env, h: float,
     degree i - 1 in tau whatever the coefficients, so the scheme polynomial
     x + tau * sum(b_i k_i) has degree <= s, the stage count. For ode23,
     s = p = 3, so its 4th derivative is 0 for the exact coefficients as
-    well as for their floats.
+    well as for their floats. When the Lie side is the constant 0 as well
+    (`FlowContext.trunc_zero`, as for a falling body y' = v, v' = -g),
+    the scheme is exact and the bound is exact zero forms, with nothing
+    evaluated.
     """
+    if ctx.trunc_zero:
+        return {v: AffineForm(0.0) for v in ctx.variables}
     p = ctx.table.order
     a_vals = ex.eval_affine_many(ctx.lie[p], z_env, alloc)
     fact = float(math.factorial(p + 1))
@@ -538,23 +558,41 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
     first attempt; every attempt's Picard enclosure and first stage read
     it, and the outcome returns it. Sound over any start set, and cheaper
     over one with few symbols, such as the reduced sets (`env_condense`)
-    the engine hands it. Reads `cfg.tol` and `cfg.max_dt`. An attempt
-    fails when its Picard enclosure fails or its error estimate exceeds
-    `cfg.tol`; each failure halves h, and one at H_MIN raises
+    the engine hands it. Reads `cfg.tol` and `cfg.max_dt`.
+
+    An attempt's error estimate is one of two, and it must be within
+    `cfg.tol`:
+
+    * By default, the embedded pair's point estimate (`embedded_error`),
+      taken first: one above `cfg.tol` rejects the attempt before Picard,
+      the stages or the truncation bound run. The next size grows with
+      the estimate's order, `table.est_order`.
+    * With `ctx.by_truncation` (the engine's choice in an automaton
+      without edges), or when the table has no embedded weights or the
+      center leaves the flow's domain: half the widest component of the
+      truncation bound, which encloses the true error of the kept order-p
+      result. The next size grows with `table.order`.
+
+    An attempt fails when its estimate exceeds `cfg.tol` or its Picard
+    enclosure fails; each failure halves h, and one at H_MIN raises
     IntegrationError naming the check that failed.
     """
     h = min(max(h, H_MIN), cfg.max_dt)
     f0 = ctx.eval_flow(env, alloc)
     for rejections in count():
-        z = picard_enclosure(ctx, env, f0, h, alloc)
-        failed = "Picard enclosure failed"
-        if z is not None:
+        est = None if ctx.by_truncation else embedded_error(ctx, env, h)
+        if est is not None and est > cfg.tol:
+            failed = f"error estimate {est:g} above tolerance {cfg.tol:g}"
+        elif (z := picard_enclosure(ctx, env, f0, h, alloc)) is None:
+            failed = "Picard enclosure failed"
+        else:
             x_prime = rk_stages(ctx, env, f0, h, alloc)
             trunc = truncation_bound(ctx, env, z, h, alloc)
-            est = embedded_error(ctx, env, h)
+            order = ctx.table.est_order
             if est is None:
                 est = max(af.to_interval(trunc[v]).width
                           for v in ctx.variables) / 2.0
+                order = ctx.table.order
             if est <= cfg.tol:
                 x_next = {v: x_prime[v] + trunc[v] for v in ctx.variables}
                 hull = {}
@@ -563,9 +601,10 @@ def guaranteed_step(ctx: FlowContext, env: Env, h: float, cfg: SimConfig,
                         hull[v] = z[v]
                     else:
                         hull[v] = af.hull(z[v], x_next[v], alloc)
-                h_next = step_control(est, h, cfg, ctx.table.est_order)
+                h_next = step_control(est, h, cfg, order)
                 return StepOutcome(x_next, hull, h, h_next, f0, rejections)
-            failed = f"error estimate {est:g} above tolerance {cfg.tol:g}"
+            failed = (f"truncation estimate {est:g} above tolerance "
+                      f"{cfg.tol:g}")
         if h <= H_MIN * (1.0 + 1e-9):
             raise IntegrationError(f"{failed} at minimal step size h={h:g} {diag}")
         h = max(h / 2.0, H_MIN)

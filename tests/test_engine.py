@@ -9,6 +9,7 @@ import pytest
 from hyflow import benchmarks, engine
 from hyflow import dsl as D
 from hyflow import expr as ex
+from hyflow import integrator as gi
 from hyflow.affine import Rel
 from hyflow.engine import SimConfig, simulate, validate_monte_carlo
 from hyflow.errors import ConfigError, ModelError
@@ -61,6 +62,36 @@ def test_a_stage_side_over_the_node_cap_raises_before_any_step(monkeypatch):
     ha, cfg = benchmarks.load(benchmarks.REGISTRY["vanderpol"])
     with pytest.raises(ConfigError, match="exceeds 50 nodes"):
         simulate(ha, cfg)
+
+
+def step_calls(monkeypatch, ha, cfg):
+    """The run's flowpipe, and its embedded-estimate and Picard calls in
+    call order, as the names of the two functions."""
+    calls = []
+    for name in ("embedded_error", "picard_enclosure"):
+        monkeypatch.setattr(gi, name, lambda *a, _n=name, _f=getattr(gi, name):
+                            calls.append(_n) or _f(*a))
+    return simulate(ha, cfg), calls
+
+
+def test_a_run_without_edges_steps_by_the_truncation_width(monkeypatch):
+    pipe, calls = step_calls(monkeypatch, decay_automaton(),
+                             SimConfig(duration=2.0))
+    assert pipe.complete and "picard_enclosure" in calls
+    assert "embedded_error" not in calls
+
+
+def test_a_run_with_edges_estimates_every_attempt_before_picard(monkeypatch):
+    # hybrid3d rejects one attempt on the embedded estimate alone
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY["hybrid3d"])
+    pipe, calls = step_calls(monkeypatch, ha, cfg)
+    attempts = pipe.stats["steps"] + pipe.stats["rejections"]
+    assert pipe.complete and pipe.stats["rejections"] >= 1
+    assert calls.count("embedded_error") == attempts
+    assert all(before == "embedded_error" for before, call
+               in zip(["picard_enclosure", *calls], calls)
+               if call == "picard_enclosure")
+    assert calls.count("picard_enclosure") < attempts
 
 
 def segments(pipe):

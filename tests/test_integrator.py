@@ -324,6 +324,26 @@ def test_zero_stage_side_is_skipped_on_a_linear_flow(monkeypatch):
         # subtraction differ, by an ulp or so of the bound
         assert got.slack <= want.slack
         assert want.slack - got.slack <= 1e-15 * af.to_interval(want).mag
+    assert not ctx.trunc_zero
+
+
+def test_an_exact_scheme_evaluates_no_truncation_side(monkeypatch):
+    # a falling body, y' = v, v' = -g: both sides are the constant 0, so
+    # the bound is exact zero forms and no affine program runs
+    ctx = FlowContext(("y", "v"), {"y": ex.var("v"), "v": ex.const(-9.81)},
+                      ODE23)
+    assert ctx.trunc_zero and ctx.lie[ODE23.order] == [ex.ZERO, ex.ZERO]
+    alloc = NoiseAllocator()
+    env = env_boxes(alloc, y=(9.9, 10.0), v=(-0.1, 0.0))
+    z = picard(ctx, env, 0.1, alloc)
+
+    def never(*args):
+        raise AssertionError("eval_affine_many called")
+
+    monkeypatch.setattr(ex, "eval_affine_many", never)
+    trunc = gi.truncation_bound(ctx, env, z, 0.1, alloc)
+    assert [(f.center, f.dev, f.slack) for f in trunc.values()] == [
+        (0.0, {}, 0.0)] * 2
 
 
 def test_truncation_euler_scale():
@@ -425,6 +445,57 @@ def test_guaranteed_step_halves_a_rejected_attempt(monkeypatch):
     assert estimates == [0.1, 0.05]
 
 
+def test_a_rejected_estimate_skips_the_set_valued_work(monkeypatch):
+    # the point estimate comes first: an attempt it rejects runs no Picard
+    # enclosure, no stages and no truncation bound
+    ctx = ctx_decay()
+    cfg = SimConfig(duration=1.0, tol=1e-4, max_dt=1.0)
+    calls, estimate = [], gi.embedded_error
+
+    def high_once(ctx, env, h):
+        calls.append(("embedded_error", h))
+        return 2.0 * cfg.tol if len(calls) == 1 else estimate(ctx, env, h)
+
+    monkeypatch.setattr(gi, "embedded_error", high_once)
+    for name in ("picard_enclosure", "rk_stages", "truncation_bound"):
+        # each takes (ctx, env, f0 or z_env, h, alloc)
+        monkeypatch.setattr(gi, name, lambda *a, _n=name, _f=getattr(gi, name):
+                            calls.append((_n, a[3])) or _f(*a))
+    out = gi.guaranteed_step(ctx, env_point(x=1.0), 0.1, cfg,
+                             NoiseAllocator())
+    assert out.rejections == 1
+    assert calls == [("embedded_error", 0.1), ("embedded_error", 0.05),
+                     ("picard_enclosure", 0.05), ("rk_stages", 0.05),
+                     ("truncation_bound", 0.05)]
+
+
+def test_a_context_by_truncation_accepts_on_the_truncation_width(monkeypatch):
+    # decay from [0.9, 1.1] at h = 0.2: the embedded estimate is 1.3e-4 and
+    # half the truncation width 1.4e-5, so a tolerance between the two
+    # rejects the attempt by the embedded pair and accepts it by the width,
+    # and the next size grows with the order of the kept result
+    h, tol = 0.2, 4e-5
+    cfg = SimConfig(duration=1.0, tol=tol, max_dt=1.0)
+    alloc = NoiseAllocator()
+    env = env_boxes(alloc, x=(0.9, 1.1))
+    ctx = FlowContext(("x",), {"x": ex.neg(ex.var("x"))}, ODE23,
+                      by_truncation=True)
+    z = picard(ctx, env, h, alloc)
+    half = box(gi.truncation_bound(ctx, env, z, h, alloc), "x").width / 2.0
+    assert half <= tol < gi.embedded_error(ctx, env, h)
+    assert gi.guaranteed_step(ctx_decay(), env, h, cfg,
+                              NoiseAllocator()).rejections >= 1
+
+    def never(*args):
+        raise AssertionError("embedded_error called")
+
+    monkeypatch.setattr(gi, "embedded_error", never)
+    out = gi.guaranteed_step(ctx, env, h, cfg, NoiseAllocator())
+    assert (out.h_used, out.rejections) == (h, 0)
+    assert out.h_next == gi.step_control(half, h, cfg, ODE23.order)
+    assert out.h_next != gi.step_control(half, h, cfg, ODE23.est_order)
+
+
 # ------------------------------------------------------------- whole step
 
 
@@ -517,6 +588,24 @@ def test_guaranteed_step_failure_at_hmin(monkeypatch):
     cfg = SimConfig(duration=1.0, max_dt=0.1)
     with pytest.raises(IntegrationError):
         gi.guaranteed_step(ctx, env_point(x=1e7), 0.1, cfg, alloc)
+
+
+@pytest.mark.parametrize("by_truncation, x0, check", [
+    (False, 1e7, "error estimate"),
+    (True, 1e7, "Picard enclosure failed"),
+    (True, 3.0, "truncation estimate"),
+])
+def test_the_failure_at_hmin_names_its_check(monkeypatch, by_truncation, x0,
+                                             check):
+    # the last attempt's failed check: the embedded estimate, taken first,
+    # by default; Picard, then the truncation width, by truncation
+    x = ex.var("x")
+    ctx = FlowContext(("x",), {"x": ex.pow_int(x, 2)}, ODE23,
+                      by_truncation=by_truncation)
+    monkeypatch.setattr(gi, "H_MIN", 0.05)
+    cfg = SimConfig(duration=1.0, max_dt=0.1)
+    with pytest.raises(IntegrationError, match=f"^{check} .*h=0.05"):
+        gi.guaranteed_step(ctx, env_point(x=x0), 0.1, cfg, NoiseAllocator())
 
 
 def test_hull_contains_x_next_componentwise():

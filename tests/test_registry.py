@@ -3,8 +3,9 @@ configuration, both model formats accept every setting, and each entry
 either completes with full containment, of its Monte-Carlo samples and of
 the lo/mid/hi grid of its initial box, or is a strict xfail that names its
 cause. The fast entries that complete keep their final and peak widths
-under pinned ceilings, and their step and rejection counts as pinned. The minutes-long entries are marked `slow` (run them with
-`pytest -m slow`)."""
+under pinned ceilings, and their step and rejection counts as pinned, as
+do car and vanderpol. The minutes-long entries are marked `slow` (run them
+with `pytest -m slow`)."""
 
 import functools
 import itertools
@@ -144,12 +145,14 @@ SLOW = {
 
 
 # final and peak tight-box widths of each FAST entry whose flowpipe
-# completes, and its widest crossing window (lorenz has no crossings),
-# pinned when crossing windows were first narrowed by certified rate bounds
-# (lorenz's when its Lie derivatives were first built in one forward pass
-# along the flow, brusselator's and bouncing_ball's when the rounding slack
-# was first merged into a noise symbol); a width may shrink, but not grow by
-# more than WIDTH_SLACK of its pin
+# completes, and of car and vanderpol, and its widest crossing window (the
+# automata without edges have no crossings), pinned when crossing windows
+# were first narrowed by certified rate bounds (lorenz's when its Lie
+# derivatives were first built in one forward pass along the flow,
+# bouncing_ball's when the rounding slack was first merged into a noise
+# symbol, brusselator's, car's and vanderpol's when steps in an automaton
+# without edges were first sized by the truncation width); a width may
+# shrink, but not grow by more than WIDTH_SLACK of its pin
 WIDTH_CEILINGS = {
     "bouncing_ball": (5.36745e-10, 5.36745e-10, 2.02487e-11),
     "wolfgram": (0.493322, 0.493322, 0.0106564),
@@ -158,14 +161,17 @@ WIDTH_CEILINGS = {
     "thermostat": (0.168994, 0.235535, 0.168072),
     "sinusoidal_ball": (4.20994e-06, 6.27373e-06, 2.19692e-7),
     "lorenz": (2.74327, 3.93027, 0.0),
-    "brusselator": (0.0155741, 0.114096, 0.0),
+    "brusselator": (0.0155012, 0.113731, 0.0),
+    "car": (1.09266, 1.09266, 0.0),
+    "vanderpol": (0.0600401, 0.11485, 0.0),
 }
 WIDTH_SLACK = 1e-3
 
 # accepted steps and rejected step sizes of each FAST entry whose flowpipe
-# completes, pinned before the guaranteed step ran over the folded start
-# set (brusselator's when the rounding slack was first merged into a noise
-# symbol); a lossless change to the step keeps them exactly
+# completes, and of car and vanderpol, pinned before the guaranteed step ran
+# over the folded start set (brusselator's, car's and vanderpol's when steps
+# in an automaton without edges were first sized by the truncation width);
+# a lossless change to the step keeps them exactly
 STEP_COUNTS = {
     "bouncing_ball": (112, 0),
     "wolfgram": (256, 0),
@@ -174,7 +180,9 @@ STEP_COUNTS = {
     "thermostat": (159, 0),
     "sinusoidal_ball": (235, 2),
     "lorenz": (51, 0),
-    "brusselator": (247, 2),
+    "brusselator": (188, 0),
+    "car": (301, 0),
+    "vanderpol": (184, 0),
 }
 
 
