@@ -4,7 +4,8 @@ Each field's name is the setting's name in the equation files (`set dt =
 0.01;`) and in a JSON model's `config` object, and every value, whichever
 way it arrives, passes the one per-field check `check_setting`. Knobs that
 no model sets are named constants next to the code that reads them
-(`integrator.H_MIN`, `events.MAX_CHAIN`, `engine.CONDENSE_BUDGET`, ...),
+(`integrator.H_MIN`, `events.MAX_CHAIN`, `engine.CONDENSE_BUDGET`,
+`engine.CONDENSE_FLOOR`, ...),
 and every step uses the one Runge-Kutta table `integrator.ODE23`. Every
 setting is a number. Time starts at 0.
 """

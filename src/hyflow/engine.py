@@ -44,11 +44,14 @@ queued in order, and each aborted one is finished as a branch.
 
 `_enter`, which every successor passes through, reduces the task's set
 jointly (`env_condense`): it keeps the CONDENSE_BUDGET shared noise
-symbols whose boxing would cost the most width, and in each variable
-merges every other symbol and the rounding slack into one fresh symbol
-(its docstring states why that is sound). So steps, crossings and
-segment boxes all run over at most CONDENSE_BUDGET shared symbols and
-one private symbol per variable.
+symbols whose boxing would cost the most width, or fewer, as long as the
+ones it lets go cost at most CONDENSE_FLOOR of all shared symbols' cost,
+and in each variable merges every other symbol and the rounding slack
+into one fresh symbol (its docstring states why that is sound). So steps,
+crossings and segment boxes all run over at most CONDENSE_BUDGET shared
+symbols and one private symbol per variable. The floor binds on
+watertank (8 shared symbols), car (1) and hybrid3d (about 5), the budget
+on vanderpol, brusselator and lorenz.
 """
 
 from __future__ import annotations
@@ -73,7 +76,10 @@ from .interval import Interval
 from .reference import ReferenceSimulator
 from .trivalent import Trivalent
 
-CONDENSE_BUDGET = 30   # shared noise symbols a set keeps at each step start
+CONDENSE_BUDGET = 30   # most shared noise symbols a set keeps at each step
+                       # start; it binds on vanderpol, brusselator, lorenz
+CONDENSE_FLOOR = 2.0 ** -20  # share of the shared symbols' cost the merged
+                       # ones may have; it binds on watertank, car, hybrid3d
 MIN_SEPARATION = 1e-5  # step below which simultaneous edges branch; above
                        # integrator.H_MIN, so a halved step is never clamped
 MAX_EXTENSIONS = 24    # steps a crossing may extend past its step
@@ -252,7 +258,8 @@ class _Engine:
         if s.crossing is not None:
             task.crossings.append(s.crossing)
         task.location, task.t, task.h = s.location, s.t, s.h
-        task.env = env_condense(s.env, CONDENSE_BUDGET, self.alloc)
+        task.env = env_condense(s.env, CONDENSE_BUDGET, CONDENSE_FLOOR,
+                                self.alloc)
         task.disarmed = set(s.disarmed)
 
     def _step(self, task, env, t, h, disarmed, diag, skip=frozenset()):
@@ -344,7 +351,8 @@ class _Engine:
         for _ in range(MAX_EXTENSIONS):
             if end is not Trivalent.UNKNOWN:
                 break
-            env_end = env_condense(env_end, CONDENSE_BUDGET, self.alloc)
+            env_end = env_condense(env_end, CONDENSE_BUDGET, CONDENSE_FLOOR,
+                                   self.alloc)
             out2, rearm2, others = self._step(
                 task, env_end, iv.add(task.t, Interval(span, span)), h_ext,
                 disarmed,

@@ -39,7 +39,12 @@ a priori enclosure over the whole step:
 * `env_condense` is the one order reduction of a set: it keeps the shared
   noise symbols whose boxing would cost the most width, jointly across
   the variables, and merges every other symbol of a form into one fresh
-  symbol. The engine applies it to every set a step starts from.
+  symbol. It keeps at most a budget of them, and no more than it takes
+  for the rest to cost at most a floor's share of all of them. The engine
+  applies it to every set a step starts from. There the floor binds on
+  watertank, car and hybrid3d, whose Picard offsets and truncation
+  remainders are worth almost nothing, and the budget on vanderpol,
+  brusselator and lorenz, whose costs fall off smoothly.
 
 A Butcher table declares only its coefficients. Its order p, and the order
 of its embedded estimate, are derived when it is built, by checking the
@@ -53,6 +58,7 @@ State environments are plain dicts variable -> AffineForm.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -256,23 +262,34 @@ def env_remap(env: Env, alloc) -> Env:
     return {v: af.remap(f, mapping, alloc) for v, f in env.items()}
 
 
-def env_condense(env: Env, budget: int, alloc) -> Env:
-    """The set `env` reduced jointly to at most `budget` shared symbols.
+def env_condense(env: Env, budget: int, floor: float, alloc) -> Env:
+    """The set `env` reduced jointly to at most `budget` shared symbols,
+    and to fewer where the rest are negligible.
 
     A symbol's cost of boxing is ||g||_1 - ||g||_inf of its coefficients g
-    across the forms (Girard's criterion); the `budget` costliest symbols
-    that two or more forms read are kept. In each form every other symbol
-    is replaced by one fresh symbol, together with the form's rounding
-    slack s, which is then 0; the symbol's coefficient C bounds s plus the
-    sum of their absolute values. That is sound: the fresh symbol, read
-    by this form alone, takes the value (sum(c_j eps_j) + s e)/C, where e
-    in [-1, 1] is the slack's share, so it lies in [-1, 1]. A private
-    symbol costs 0 and is always merged, and merging it loses nothing,
-    since the affine operations see a form's private symbols only through
-    their sum. Folding the slack loses nothing either, up to rounding:
-    the operations add slacks in absolute value, so a slack never cancels,
-    while a symbol's coefficients can. A form without slack that has
-    nothing to merge but one private symbol is left as it is.
+    across the forms (Girard's criterion). Of the symbols that two or more
+    forms read, sorted costliest first, the shortest prefix at most
+    `budget` long is kept whose left-out symbols cost at most `floor` of
+    the summed cost of them all (both sums taken from the cheapest up);
+    when no such prefix exists, the first `budget` are kept. In each form
+    every other symbol is replaced by one fresh symbol, together with the
+    form's rounding slack s, which is then 0; the symbol's coefficient C
+    bounds s plus the sum of their absolute values. That is sound, for
+    whichever symbols are kept: the fresh symbol, read by this form alone,
+    takes the value (sum(c_j eps_j) + s e)/C, where e in [-1, 1] is the
+    slack's share, so it lies in [-1, 1]. A merge leaves every form's
+    range as it was, up to rounding upward; what it loses is correlation
+    between the forms, which later steps would have used. Over the set
+    it returns, the radius of a combination sum(a_v x_v) with every
+    |a_v| <= 1 grows by at most twice the merged shared symbols' cost, so
+    by at most 2 * floor of the shared symbols' cost when the floor
+    decides. A private symbol costs 0 and is always merged, and merging it
+    loses nothing, since the affine operations see a form's private
+    symbols only through their sum. Folding the slack loses nothing
+    either, up to rounding: the operations add slacks in absolute value,
+    so a slack never cancels, while a symbol's coefficients can. A form
+    without slack that has nothing to merge but one private symbol is left
+    as it is.
     """
     # one pass over the forms, in env order: per symbol, its readers and
     # the running sum and max of its coefficients' magnitudes
@@ -289,9 +306,18 @@ def env_condense(env: Env, budget: int, alloc) -> Env:
                     linf[i] = m
             else:
                 readers[i], l1[i], linf[i] = 1, m, m
-    shared = sorted((i for i, n in readers.items() if n > 1),
-                    key=lambda i: (-(l1[i] - linf[i]), i))
-    keep = frozenset(shared[:budget])
+    # (-cost, symbol) for each symbol two or more forms read, costliest
+    # first. tails[j], the cost of the j cheapest summed cheapest first,
+    # never falls as j grows, so `merged` is the most of the cheapest that
+    # fit under the floor; the budget may merge more
+    ranked = sorted([(linf[i] - l1[i], i) for i, n in readers.items()
+                     if n > 1])
+    tails = [0.0]
+    for c, _ in reversed(ranked):
+        tails.append(tails[-1] - c)
+    merged = bisect_right(tails, floor * tails[-1]) - 1
+    kept = min(len(ranked) - merged, budget)
+    keep = frozenset([i for _, i in ranked[:kept]])
     out = {}
     for v, f in env.items():
         dropped = [i for i in f.dev if i not in keep]

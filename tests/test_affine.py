@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hyflow import affine as af
 from hyflow import expr as ex
 from hyflow.affine import AffineForm, NoiseAllocator, Rel
+from hyflow.engine import CONDENSE_BUDGET, CONDENSE_FLOOR
 from hyflow.errors import DomainError
 from hyflow.integrator import env_condense
 from hyflow.interval import Interval
@@ -302,25 +303,39 @@ def test_env_condense_examples():
     env = {"x": AffineForm(1.0, {0: 1.0, 1: 3.0, 2: 0.25, 3: 0.25}, 1e-3),
            "y": AffineForm(0.0, {0: 2.0, 1: -0.5}),
            "z": AffineForm(5.0)}
-    out = env_condense(env, 1, NoiseAllocator(10))
+    out = env_condense(env, 1, 0.0, NoiseAllocator(10))
     assert out["x"].dev.keys() == {0, 10} and out["x"].dev[0] == 1.0
     assert out["x"].dev[10] >= 3.501 and out["x"].slack == 0.0
     assert out["y"].dev.keys() == {0, 11} and out["y"].dev[11] >= 0.5
     assert out["z"] is env["z"]
     # within the budget only x's private symbols and slack merge
-    out = env_condense(env, 2, NoiseAllocator(10))
+    out = env_condense(env, 2, 0.0, NoiseAllocator(10))
     assert out["x"].dev.keys() == {0, 1, 10} and out["x"].dev[10] >= 0.501
     assert out["x"].slack == 0.0
     assert out["y"] is env["y"]
     # a lone private symbol is left as it is, unless the form has slack
     one = {"x": AffineForm(0.0, {0: 1.0, 1: 1.0}), "y": AffineForm(0.0, {0: 1.0})}
-    assert env_condense(one, 1, NoiseAllocator(10)) == one
+    assert env_condense(one, 1, 0.0, NoiseAllocator(10)) == one
     out = env_condense({**one, "y": AffineForm(0.0, {0: 1.0}, 1e-3),
-                        "z": AffineForm(2.0, None, 1e-3)}, 1, NoiseAllocator(10))
+                        "z": AffineForm(2.0, None, 1e-3)}, 1, 0.0,
+                       NoiseAllocator(10))
     assert out["x"] is one["x"]
     assert out["y"].dev.keys() == {0, 10} and out["y"].dev[10] >= 1e-3
     assert out["z"].dev.keys() == {11} and out["z"].dev[11] >= 1e-3
     assert out["y"].slack == out["z"].slack == 0.0
+    # within the budget, a shared symbol whose cost is at most the floor's
+    # share of all the shared symbols' cost merges, and one just above it
+    # stays: here symbol 0 costs 1 and symbol 1 costs c, of 1 + c in all
+    rho = CONDENSE_FLOOR
+    for c, stays in ((rho, False), (rho * (1.0 + 2.0 * rho), True)):
+        env = {"x": AffineForm(0.0, {0: 1.0, 1: c}),
+               "y": AffineForm(0.0, {0: -1.0, 1: c})}
+        out = env_condense(env, CONDENSE_BUDGET, rho, NoiseAllocator(10))
+        if stays:
+            assert out == env
+        else:
+            assert out["x"].dev.keys() == {0, 10} and out["x"].dev[10] >= c
+            assert out["y"].dev.keys() == {0, 11} and out["y"].dev[11] >= c
 
 
 def readers_of(forms):
@@ -332,14 +347,25 @@ def readers_of(forms):
     return readers
 
 
+def boxing_costs(forms):
+    """symbol read by two or more of `forms` -> its cost of boxing,
+    ||g||_1 - ||g||_inf of its coefficients g across the forms"""
+    return {i: sum(abs(f.dev.get(i, 0.0)) for f in forms.values())
+            - max(abs(f.dev.get(i, 0.0)) for f in forms.values())
+            for i, n in readers_of(forms).items() if n > 1}
+
+
+# floors that merge a shared symbol of these draws often, seldom and never
+FLOORS = st.sampled_from([0.0, CONDENSE_FLOOR, 0.01, 0.1, 0.5])
+
+
 @settings(max_examples=200, deadline=None)
-@given(forms_sharing_symbols(), st.integers(0, 4))
-def test_env_condense_keeps_the_costliest_shared_symbols(forms, budget):
-    out = env_condense(forms, budget, NoiseAllocator(1000))
-    readers = readers_of(forms)
-    shared = {i for i, n in readers.items() if n > 1}
+@given(forms_sharing_symbols(), st.integers(0, 4), FLOORS)
+def test_env_condense_keeps_the_costliest_shared_symbols(forms, budget,
+                                                         floor):
+    out = env_condense(forms, budget, floor, NoiseAllocator(1000))
+    cost = boxing_costs(forms)
     kept = {i for i, n in readers_of(out).items() if n > 1}
-    assert len(kept) <= budget and kept <= shared
     for k, f in forms.items():
         g = out[k]
         fresh = set(g.dev) - set(f.dev)
@@ -347,13 +373,17 @@ def test_env_condense_keeps_the_costliest_shared_symbols(forms, budget):
         assert {i: c for i, c in g.dev.items() if i not in fresh} == {
             i: c for i, c in f.dev.items() if i in g.dev}
         assert (g.center, g.slack) == (f.center, 0.0)  # slack is merged
-    cost = {i: sum(abs(f.dev.get(i, 0.0)) for f in forms.values())
-            - max(abs(f.dev.get(i, 0.0)) for f in forms.values())
-            for i in shared}
-    if kept != shared:
-        assert len(kept) == budget
-        assert min((cost[i] for i in kept), default=math.inf) >= max(
-            cost[i] for i in shared - kept)
+    # the kept set is the shortest cost-sorted prefix, at most `budget`
+    # long, whose left-out symbols (summed from the cheapest up) cost at
+    # most `floor` of all; without one, it is the first `budget` symbols
+    order = sorted(cost, key=lambda i: (-cost[i], i))
+
+    def left_out(n):
+        return sum(sorted(cost[i] for i in order[n:]))
+
+    n = next((n for n in range(min(budget, len(order)) + 1)
+              if left_out(n) <= floor * left_out(0)), budget)
+    assert kept == set(order[:n])
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,8 +391,9 @@ def test_env_condense_keeps_the_costliest_shared_symbols(forms, budget):
 def test_env_condense_is_exact_at_the_merged_value(data, seed):
     forms = data.draw(forms_sharing_symbols())
     budget = data.draw(st.integers(0, 4))
+    floor = data.draw(FLOORS)
     alloc = NoiseAllocator(1000)
-    out = env_condense(forms, budget, alloc)
+    out = env_condense(forms, budget, floor, alloc)
     merged = {}  # fresh symbol -> (its coefficient, the ones it replaced,
     #                               and the form whose slack it took)
     for k, f in forms.items():
@@ -387,11 +418,13 @@ def test_env_condense_is_exact_at_the_merged_value(data, seed):
             assert math.isclose(af.sample(out[k], joint, pos[k]),
                                 af.sample(f, v, pos[k]),
                                 rel_tol=1e-12, abs_tol=1e-12)
-    if budget < 3:
+    cost = sorted(boxing_costs(forms).values())
+    if budget < 3 or (cost and cost[0] <= floor * sum(cost)):
         return
-    # the forms share at most 3 symbols, so only private ones and the
-    # slacks merged, and that loses nothing: an evaluation over the reduced
-    # set is no wider, and as wide when no form had slack
+    # the forms share at most 3 symbols, each above the floor, so only
+    # private ones and the slacks merged, and that loses nothing: an
+    # evaluation over the reduced set is no wider, and as wide when no form
+    # had slack
     roots = data.draw(sum_product_sin_dags(list(forms)))
     got = ex.eval_affine_many(roots, out, alloc)
     ref = ex.eval_affine_many(roots, forms, NoiseAllocator(1000))
@@ -411,7 +444,7 @@ def test_env_condense_is_exact_at_the_merged_value(data, seed):
 @example([1.7e-300, 5e-300, -3e-299, 1.1e-300])
 def test_env_condense_bound_covers_the_exact_sum(coefs):
     form = AffineForm(0.0, dict(enumerate(coefs)))
-    out = env_condense({"x": form}, 0, NoiseAllocator(100))
+    out = env_condense({"x": form}, 0, 0.0, NoiseAllocator(100))
     [(s, c)] = out["x"].dev.items()
     assert s == 100
     assert Fraction(c) >= sum(Fraction(abs(v)) for v in coefs)

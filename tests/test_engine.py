@@ -237,7 +237,8 @@ def test_width_discipline_on_contractive_system():
 def test_crossing_extension_steps_start_condensed(monkeypatch):
     # watertank's first crossing extends its step across the guard; every
     # step, extensions included, starts from a reduced set: at most
-    # CONDENSE_BUDGET shared symbols and one private symbol per variable
+    # CONDENSE_BUDGET shared symbols, fewer where the rest cost at most
+    # CONDENSE_FLOOR of their sum, and one private symbol per variable
     sizes = []
     step = engine.guaranteed_step
 
@@ -250,6 +251,31 @@ def test_crossing_extension_steps_start_condensed(monkeypatch):
     pipe = simulate(ha, cfg)
     assert pipe.complete and pipe.stats["crossings"] >= 1
     assert max(sizes) <= engine.CONDENSE_BUDGET + 1
+
+
+@pytest.mark.parametrize("name, cap", [("watertank", 10), ("car", 2)])
+def test_negligible_shared_symbols_merge_under_the_floor(name, cap,
+                                                         monkeypatch):
+    # most shared symbols of these sets are Picard offsets and truncation
+    # remainders worth almost nothing, and the floor merges them: each
+    # step starts from far fewer than CONDENSE_BUDGET shared symbols (8 on
+    # watertank and 1 on car), where without the floor they fill it
+    counts = []
+    step = engine.guaranteed_step
+
+    def recording(ctx, env, *args, **kwargs):
+        readers: dict = {}
+        for f in env.values():
+            for i in f.dev:
+                readers[i] = readers.get(i, 0) + 1
+        counts.append(sum(n > 1 for n in readers.values()))
+        return step(ctx, env, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "guaranteed_step", recording)
+    ha, cfg = benchmarks.load(benchmarks.REGISTRY[name], duration=3.0)
+    pipe = simulate(ha, cfg)
+    assert pipe.complete and len(counts) == pipe.stats["steps"] > 25
+    assert max(counts[5:]) <= cap < engine.CONDENSE_BUDGET
 
 
 def test_tasks_step_from_their_folded_set(monkeypatch):

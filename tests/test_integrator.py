@@ -17,7 +17,7 @@ from hyflow import integrator as gi
 from hyflow import interval as iv
 from hyflow.affine import AffineForm, NoiseAllocator
 from hyflow.config import SimConfig
-from hyflow.engine import CONDENSE_BUDGET
+from hyflow.engine import CONDENSE_BUDGET, CONDENSE_FLOOR
 from hyflow.errors import IntegrationError, ModelError
 from hyflow.integrator import ODE23, FlowContext
 from hyflow.interval import Interval
@@ -383,7 +383,7 @@ def test_folded_truncation_matches_the_unfolded_bound():
     alloc = NoiseAllocator()
     ctx, env = rotation_start(alloc)
     assert all(len(f.dev) > CONDENSE_BUDGET for f in env.values())
-    folded = gi.env_condense(env, CONDENSE_BUDGET, alloc)
+    folded = gi.env_condense(env, CONDENSE_BUDGET, CONDENSE_FLOOR, alloc)
     assert all(len(f.dev) == 2 for f in folded.values())
     h = 0.1
     ref = gi.truncation_bound(ctx, env, picard(ctx, env, h, alloc), h, alloc)
@@ -512,7 +512,8 @@ def test_guaranteed_step_decay_run_to_one():
         for s in (0.0, 0.5, 1.0):
             assert box(out.hull, "x").contains(math.exp(-(t + s * out.h_used)))
         t += out.h_used
-        env = gi.env_condense(out.x_next, CONDENSE_BUDGET, alloc)
+        env = gi.env_condense(out.x_next, CONDENSE_BUDGET, CONDENSE_FLOOR,
+                               alloc)
         h = out.h_next
     assert box(env, "x").contains(math.exp(-t))
     assert box(env, "x").width < 1e-5
