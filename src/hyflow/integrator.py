@@ -12,7 +12,10 @@ a priori enclosure over the whole step:
   operator of the IVP (verified, never assumed), so every trajectory from
   the start set stays inside it for the step. Only the offsets iterate:
   the image is env + [0, h] * f(box), and both sets share env, so
-  comparing offsets is exact set containment.
+  comparing offsets is exact set containment. The first candidate pads
+  the Euler offset [0, h] * box(f0), and mostly verifies at once. The
+  verified candidate's image holds every trajectory, and so does the
+  image of that image; the result is their meet, with no re-check.
 * `rk_stages` evaluates the scheme in affine arithmetic with the Butcher
   coefficients treated as exact rationals (their float representation error
   is folded into slack), so the result encloses the exact-real scheme.
@@ -189,8 +192,7 @@ ODE23 = ButcherTable("ode23", ((), (F(1, 2),), (F(0), F(3, 4))),
 
 H_MIN = 1e-6                # smallest step size
 PICARD_MAX_ITERS = 20       # candidate boxes tried per Picard enclosure
-INFLATION = 0.1             # relative pad of the first Picard candidate
-REFINE_SWEEPS = 3           # tightening sweeps after a verified enclosure
+INFLATION = 0.1             # first Picard pad, relative to the Euler offset's width
 
 
 @dataclass
@@ -357,27 +359,31 @@ def picard_enclosure(ctx: FlowContext, env: Env, f0: Env, h: float,
 
     A candidate is env + D: the start set plus one interval offset D[v]
     per variable, and only D changes from one candidate to the next. Its
-    image under the integral operator is env + P with P = [0, h] * f(B),
-    f evaluated over the box B = box(env) + D: the self-map check behind
-    the enclosure lemma quantifies over all functions into the candidate
-    *box*, so the flow argument is the box, not the correlated set. Both
-    sets add their offset to the same env, so P[v] in D[v] for every v is
-    exactly the containment env + P in env + D. The start set is read once,
-    for its box, and the result env[v] + D[v] is built once. The first
-    candidate pads h * |f0|, with f0 = f(env) as `guaranteed_step` gives it.
+    image is env + P(D) with P(D) = [0, h] * f(B), f evaluated over the
+    box B = box(env) + D: the self-map check behind the enclosure lemma
+    quantifies over all functions into the candidate *box*, so the flow
+    argument is the box, not the correlated set. Both sets add their
+    offset to the same env, so P(D)[v] in D[v] for every v is exactly the
+    containment env + P(D) in env + D. The start set is read once, for its
+    box, and the result is built once.
 
-    Returns env + D for a verified D (re-checked, not assumed), refined by
-    a few extra sweeps; None if no candidate verified within the iteration
-    budget (caller should halve h).
+    The lemma: if P(D) lies in D, every trajectory from the start set
+    stays in box(env) + D over the step, so its offset x(t) - x(0), the
+    integral of f along it, lies in P(D). The same argument holds for any
+    set of offsets that holds every trajectory's: its image holds them
+    too, with no check needed. So once a candidate D verifies, both
+    img = P(D) and P(img) hold every offset, and the result is
+    env + (img meet P(img)), met bound by bound. That meet is never empty,
+    since [0, h] * y holds 0 for every y, so both intervals hold 0. An
+    image P(img) that leaves the flow's domain leaves img as it is.
 
-    A refine sweep pads the last image into the next candidate and maps
-    it. One whose image equals the last, bound for bound, is an exact
-    fixpoint: every later sweep would pad the same image into the same
-    candidate and map it to the same image again, so it returns there.
-    Image and candidate depend only on the bounds, not on the ids of the
-    fresh symbols each sweep draws; the sweeps it skips would only draw
-    ids the result never reads, and every later id keeps its order, so
-    nothing downstream changes.
+    The first candidate is the Euler offset [0, h] * box(f0), with
+    f0 = f(env) as `guaranteed_step` gives it, padded on each side by
+    `INFLATION` of its width plus a few ulps of box(env). A candidate that
+    fails is replaced by its own image, epsilon-inflated.
+
+    Returns None if no candidate verified within `PICARD_MAX_ITERS` (the
+    caller should halve h).
     """
     if h <= 0.0:
         raise IntegrationError("picard_enclosure needs h > 0")
@@ -391,22 +397,11 @@ def picard_enclosure(ctx: FlowContext, env: Env, f0: Env, h: float,
         fz = ctx.eval_flow(boxed, alloc)
         return {v: iv.mul(span, af.to_interval(fz[v])) for v in names}
 
-    def padded(p, rel, absolute):
-        # pads sized from the image's box, box(env) + p
-        out = {}
-        for v in names:
-            box = iv.add(start[v], p[v])
-            d = rd.next_up(box.width * rel + absolute * (1.0 + box.mag))
-            out[v] = iv.add(p[v], Interval(-d, d))
-        return out
-
-    def inside(p, d):
-        return all(p[v].subset_of(d[v]) for v in names)
-
     cand = {}
     for v in names:
-        pad = rd.mul_up(rd.mul_up(af.to_interval(f0[v]).mag, h), 1.0 + INFLATION)
-        cand[v] = Interval(-pad, pad)
+        e = iv.mul(span, af.to_interval(f0[v]))
+        d = rd.next_up(e.width * INFLATION + 1e-15 * (1.0 + start[v].mag))
+        cand[v] = iv.add(e, Interval(-d, d))
     infl = 1e-3  # epsilon-inflation of rejected candidates; grows on stall
     for it in range(PICARD_MAX_ITERS):
         try:
@@ -415,28 +410,24 @@ def picard_enclosure(ctx: FlowContext, env: Env, f0: Env, h: float,
             # inflation drove the candidate out of the flow's domain (or to
             # overflow): no enclosure at this step size
             return None
-        if inside(img, cand):
+        if all(img[v].subset_of(cand[v]) for v in names):
             break
-        cand = padded(img, infl, 1e-15)
+        for v in names:  # pad the image by infl of its box, box(env) + img
+            box = iv.add(start[v], img[v])
+            d = rd.next_up(box.width * infl + 1e-15 * (1.0 + box.mag))
+            cand[v] = iv.add(img[v], Interval(-d, d))
         if (it + 1) % 4 == 0:
             infl *= 4.0
     else:
         return None
-    for _ in range(REFINE_SWEEPS):
-        # a few ULPs of padding keep the re-verification from failing on
-        # rounding noise while preserving the verified-fixpoint contract
-        c = padded(img, 0.0, 1e-14)
-        try:
-            img2 = image(c)
-        except DomainError:
-            break
-        if not inside(img2, c):
-            break
-        fixed = img2 == img
-        cand, img = c, img2
-        if fixed:
-            break
-    return {v: env[v] + af.from_interval(cand[v], alloc) for v in names}
+    try:
+        narrow = image(img)
+    except DomainError:
+        narrow = img
+    return {v: env[v] + af.from_interval(
+                Interval(max(img[v].lo, narrow[v].lo),
+                         min(img[v].hi, narrow[v].hi)), alloc)
+            for v in names}
 
 
 # ----------------------------------------------------------------- stages
